@@ -104,23 +104,18 @@ def git_commit() -> str:
 
 
 def env_knobs() -> Dict[str, Any]:
-    """The ``repro`` environment knobs active for this process.
+    """Every ``REPRO_*`` environment variable set for this process.
 
-    ``REPRO_BACKEND``, ``REPRO_FAULTS``, and the engine execution knobs
-    silently reshape what a benchmark measures (which executor ran,
-    whether work was morsel-parallel, whether failures were being
-    injected and retried); recording them — alongside ``usable_cpus``
-    in the host header — makes two results files comparable at a glance.
+    The knobs (backend, faults, engine execution, store shards, …)
+    silently reshape what a benchmark measures; recording them —
+    alongside ``usable_cpus`` in the host header — makes two results
+    files comparable at a glance.  They are found by prefix, not from a
+    fixed list, so a knob added later is recorded too.
     """
     return {
-        name: os.environ.get(name)
-        for name in (
-            "REPRO_BACKEND",
-            "REPRO_FAULTS",
-            "REPRO_OBS",
-            "REPRO_ENGINE_EXECUTION",
-            "REPRO_ENGINE_MORSEL",
-        )
+        name: value
+        for name, value in sorted(os.environ.items())
+        if name.startswith("REPRO_")
     }
 
 
@@ -137,7 +132,7 @@ def save_json(experiment_id: str, payload: Dict[str, Any]) -> Path:
 
     The payload is wrapped with a provenance header — experiment id,
     host metadata, the producing git commit, and the active
-    ``REPRO_BACKEND``/``REPRO_FAULTS`` environment knobs — so a results
+    ``REPRO_*`` environment knobs — so a results
     file is self-describing; returns the written path.  When the
     :mod:`repro.obs` subsystem is live (``REPRO_OBS=1``), the current
     metrics snapshot rides along under ``obs_metrics``, so a recorded

@@ -4,8 +4,9 @@ Runs the PR 5 workloads through five execution configurations of
 :mod:`repro.engine` — the row interpreter, the plain columnar executor
 (the *disabled path*: no ``REPRO_ENGINE_MORSEL``), the fused
 single-worker morsel executor (one morsel, serial backend: isolates
-kernel fusion + the scan-batch cache), and morsel-parallel execution on
-the thread and process backends — verifying the byte-identity contract
+kernel fusion, since every configuration scans the same cached batch),
+and morsel-parallel execution on the thread and process backends —
+verifying the byte-identity contract
 (identical ``result_fingerprint``, identical ``ExecutionMetrics``,
 byte-identical obs ``values`` snapshots) and recording wall-clock
 speedups to ``benchmarks/results/BENCH_engine_morsel.json``.
@@ -34,7 +35,6 @@ from benchmarks._util import (
 )
 from repro import obs
 from repro.engine import Database, ExecutionMetrics, Schema
-from repro.engine.morsel import _SCAN_CACHE
 from repro.ensemble.store import result_fingerprint
 
 REGIONS = ["east", "west", "north", "south"]
@@ -128,7 +128,6 @@ def run_experiment(config: BenchConfig = BenchConfig()):
         fingerprints = {}
         seconds = {}
         for mode, kwargs, backend_spec in modes:
-            _SCAN_CACHE.clear()
             _run_mode(db, sql, kwargs, backend_spec)  # warm-up
             result, elapsed = timed(
                 _run_mode, db, sql, kwargs, backend_spec
@@ -218,8 +217,9 @@ def _record(outcome, quick):
             "obs_identical": outcome["obs_identical"],
             "metrics_identical": outcome["metrics_identical"],
             "note": (
-                "fused = one morsel on the serial backend (kernel fusion "
-                "+ scan-batch cache, no parallelism); morsel-thread/"
+                "fused = one morsel on the serial backend (kernel fusion, "
+                "no parallelism; every mode shares the scan cache); "
+                "morsel-thread/"
                 "process split into parallel_morsel_size-row morsels; "
                 "speedups are relative to the plain columnar executor "
                 "(the disabled path); identity covers result_fingerprint "

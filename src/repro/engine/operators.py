@@ -717,6 +717,18 @@ JOIN_EXECS = {
 }
 
 
+def scan_columns(table: Table, alias: Optional[str]) -> ColumnBatch:
+    """``table``'s cached :meth:`~repro.engine.table.Table.column_batch`
+    under a scan's column names (a fresh mapping over shared, read-only
+    vectors) — what every vectorized executor scans."""
+    base = table.column_batch()
+    prefix = f"{alias}." if alias else ""
+    return ColumnBatch(
+        {prefix + name: vec for name, vec in base.columns.items()},
+        base.length,
+    )
+
+
 class ColumnarExecutor(Executor):
     """Batch-at-a-time executor, byte-identical to :class:`Executor`.
 
@@ -809,8 +821,9 @@ class ColumnarExecutor(Executor):
     # -- leaf / unary operators ------------------------------------------
     def _scan_batch(self, node: lp.Scan) -> ColumnBatch:
         table = self.provider.resolve_table(node.table)
-        self.metrics.rows_scanned += len(table)
-        return ColumnBatch.from_table(table, node.alias)
+        batch = scan_columns(table, node.alias)
+        self.metrics.rows_scanned += batch.length
+        return batch
 
     def _values_batch(self, node: lp.Values) -> ColumnBatch:
         return ColumnBatch.from_rows([dict(r) for r in node.rows])

@@ -126,9 +126,9 @@ class PartitionedTable:
         self.key = key
         self.num_partitions = num_partitions
         self.scheme = scheme
-        self._built_version: Optional[int] = None
-        self._built_length: Optional[int] = None
-        self._positions: List[np.ndarray] = []
+        #: ``(version, len, reorg_epoch, positions)`` of the table the
+        #: positions were built for, replaced as one tuple.
+        self._built: Optional[Tuple[int, int, int, List[np.ndarray]]] = None
         self._boundaries: List[Any] = []
         self._build()
 
@@ -154,7 +154,20 @@ class PartitionedTable:
 
     def _build(self) -> None:
         table = self.table
-        values = table.column_values(self.key)
+        version, n, epoch = table.version, len(table), table.reorg_epoch
+        built = self._built
+        # After pure appends (same reorg epoch, more rows) a hash
+        # partitioning assigns only the new rows: assignment is a pure
+        # function of the key, and new positions sort after old ones.
+        # Range boundaries depend on the whole key set, so range rebuilds.
+        append = (
+            self.scheme == "hash"
+            and built is not None
+            and built[2] == epoch
+            and built[1] < n
+        )
+        start = built[1] if append else 0
+        values = [row[self.key] for row in table.rows[start:n]]
         if self.scheme == "range":
             self._boundaries = self._range_boundaries(values)
         assignment = np.fromiter(
@@ -162,24 +175,29 @@ class PartitionedTable:
             dtype=np.int64,
             count=len(values),
         )
-        self._positions = [
-            np.flatnonzero(assignment == p)
+        positions = [
+            start + np.flatnonzero(assignment == p)
             for p in range(self.num_partitions)
         ]
-        self._built_version = table.version
-        self._built_length = len(table)
+        if append:
+            positions = [
+                np.concatenate([old, new])
+                for old, new in zip(built[3], positions)
+            ]
+        self._built = (version, n, epoch, positions)
 
     # -- public surface ------------------------------------------------------
     @property
     def stale(self) -> bool:
         """Whether the table mutated since the positions were built."""
-        return (
-            self._built_version != self.table.version
-            or self._built_length != len(self.table)
-        )
+        return self._built[:2] != (self.table.version, len(self.table))
 
     def refresh(self) -> "PartitionedTable":
-        """Rebuild the position arrays if the table has mutated."""
+        """Bring the position arrays up to date if the table has mutated.
+
+        ``hash`` assigns only rows appended since the last build;
+        anything else rebuilds every position.
+        """
         if self.stale:
             self._build()
         return self
@@ -187,7 +205,7 @@ class PartitionedTable:
     def positions(self) -> List[np.ndarray]:
         """Ascending original-row positions, one array per partition."""
         self.refresh()
-        return self._positions
+        return self._built[3]
 
     def partition_sizes(self) -> List[int]:
         """Row count per partition (diagnostics / shuffle accounting)."""
@@ -420,12 +438,7 @@ class PartitionedMorselExecutor(MorselExecutor):
         parted = self._scan_partitioning(source)
         if parted is None:
             return super()._chain_morsel_batch(node)
-        # _source_batch handles the Scan: version-keyed table cache,
-        # rows_scanned, and the scan's own obs counter.  (No local scan
-        # helper here — defining `_scan_batch` on this class would
-        # shadow the ColumnarExecutor handler of the same name that
-        # _run_batch dispatches for bare Scan nodes.)
-        src = self._source_batch(source)
+        src = self._child_batch(source)
         pipeline = _TrackedPipeline(compile_stages(stage_nodes))
         results, run = self._map_partitions(
             parted, pipeline, prune_columns(src, stage_nodes)
@@ -460,7 +473,7 @@ class PartitionedMorselExecutor(MorselExecutor):
                 arg_names.append(name)
                 eval_exprs.append(spec.argument)
                 eval_names.append(name)
-        src = self._source_batch(source)
+        src = self._child_batch(source)
         stages = compile_stages(stage_nodes)
         stages.append(EvalStage(eval_exprs, eval_names))
         pipeline = _TrackedPipeline(stages)

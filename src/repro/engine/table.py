@@ -23,6 +23,7 @@ from typing import (
 
 import numpy as np
 
+from repro.engine.columnar import ColumnBatch, ColumnVector, vector_from_typed
 from repro.engine.expressions import Expression
 from repro.engine.schema import Column, Schema
 from repro.errors import SchemaError
@@ -54,6 +55,10 @@ class Table:
         self._rows: List[Row] = []
         self._version = 0
         self._reorg_epoch = 0
+        #: ``(version, len, reorg_epoch, batch)`` of the last
+        #: :meth:`column_batch` conversion, replaced as one tuple so
+        #: concurrent readers never see a torn entry.
+        self._batch_slot: Optional[Tuple[int, int, int, ColumnBatch]] = None
         if rows is not None:
             self.insert_many(rows)
 
@@ -173,16 +178,23 @@ class Table:
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self)} rows, {self.schema!r})"
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The scan cache is derived data: a pickled table (a process
+        # backend's task payload) ships without it and rebuilds on demand.
+        state = dict(self.__dict__)
+        state["_batch_slot"] = None
+        return state
+
     @property
     def version(self) -> int:
         """Monotonic counter bumped by every mutating method.
 
-        Cache keys (e.g. the morsel executor's scan-batch cache) pair it
-        with the row count; edits made directly through :attr:`rows`
-        bypass it, which such caches guard against only by length.
-        Batch mutations bump exactly once, and mutating calls that match
-        nothing leave the counter alone — version moves if and only if
-        row data changed.
+        :meth:`column_batch` keys its cache on it together with the row
+        count and :attr:`reorg_epoch`; edits made directly through
+        :attr:`rows` bypass it, which that cache guards against only by
+        length.  Batch mutations bump exactly once, and mutating calls
+        that match nothing leave the counter alone — version moves if
+        and only if row data changed.
         """
         return self._version
 
@@ -208,6 +220,52 @@ class Table:
         :attr:`version` counter — prefer the mutation methods.
         """
         return self._rows
+
+    def column_batch(self) -> ColumnBatch:
+        """All rows as an unaliased, read-only :class:`ColumnBatch`.
+
+        Equal, column by column, to ``ColumnBatch.from_table(self)``,
+        which every vectorized executor would otherwise rerun per scan.
+        The batch is cached in one slot keyed by ``(version, len,
+        reorg_epoch)``, read before converting, and exactly that many
+        rows are converted.  After pure appends (same
+        :attr:`reorg_epoch`, more rows) only the new rows are converted
+        and concatenated onto each column of the same kind; a column
+        whose kind changed (an ``int`` tail beyond 2**53 turns it into
+        ``object``) is rebuilt whole, as is the batch after any other
+        mutation.  Its arrays are read-only, so an in-place write raises
+        instead of corrupting later scans.
+        """
+        version, n, epoch = self._version, len(self._rows), self._reorg_epoch
+        slot = self._batch_slot
+        if slot is not None and slot[:3] == (version, n, epoch):
+            return slot[3]
+        base = None
+        if slot is not None and slot[2] == epoch and slot[1] < n:
+            base = slot[3]
+        tail = self._rows[0 if base is None else base.length:n]
+        columns: Dict[str, ColumnVector] = {}
+        for column in self.schema.columns:
+            name = column.name
+            vec = vector_from_typed([row[name] for row in tail], column.dtype)
+            if base is not None:
+                old = base.columns[name]
+                if old.kind == vec.kind:
+                    vec = ColumnVector(
+                        vec.kind,
+                        np.concatenate([old.values, vec.values]),
+                        np.concatenate([old.valid, vec.valid]),
+                    )
+                else:
+                    vec = vector_from_typed(
+                        [row[name] for row in self._rows[:n]], column.dtype
+                    )
+            vec.values.flags.writeable = False
+            vec.valid.flags.writeable = False
+            columns[name] = vec
+        batch = ColumnBatch(columns, n)
+        self._batch_slot = (version, n, epoch, batch)
+        return batch
 
     def column_values(self, name: str) -> List[Any]:
         """All values of one column, in row order."""

@@ -18,7 +18,17 @@ combines outer-row columns with generated values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -53,7 +63,11 @@ class RandomTableSpec:
         How to parametrize the VG function.  Either a constant mapping, a
         SQL string evaluated against the database (must return exactly one
         row, whose columns become parameters), a callable
-        ``(db, outer_row) -> mapping``, or ``None``.
+        ``(db, outer_row) -> mapping``, or ``None``.  The row-independent
+        sources (mapping, SQL string, ``None``) are evaluated once per
+        instantiation, at the first outer row; a callable runs once per
+        outer row.  Either way each outer row's VG call receives its own
+        ``dict`` of parameters.
     select:
         Mapping from output-column name to its source: either
         ``"outer.<col>"`` (copied from the outer row) or ``"vg.<col>"``
@@ -90,6 +104,24 @@ class RandomTableSpec:
             return [{}]
         return [dict(r) for r in db.table(self.outer_table)]
 
+    def _parametrized_rows(
+        self, db: Database
+    ) -> Iterator[Tuple[Row, Dict[str, Any]]]:
+        """Each outer row with its own copy of the VG parameters.
+
+        A row-independent source is resolved at the first outer row
+        only (an empty outer table therefore never runs its query); a
+        callable source sees every outer row.
+        """
+        shared: Optional[Dict[str, Any]] = None
+        for outer_row in self._outer_rows(db):
+            if callable(self.parameters):
+                yield outer_row, self.resolve_parameters(db, outer_row)
+                continue
+            if shared is None:
+                shared = self.resolve_parameters(db, outer_row)
+            yield outer_row, dict(shared)
+
     def _assemble(self, outer_row: Row, vg_values: Mapping[str, Any]) -> Row:
         if self.select is None:
             out = dict(outer_row)
@@ -123,8 +155,7 @@ class RandomTableSpec:
         calls ``instantiate`` afresh and runs the query on the result.
         """
         rows = []
-        for outer_row in self._outer_rows(db):
-            params = self.resolve_parameters(db, outer_row)
+        for outer_row, params in self._parametrized_rows(db):
             vg_values = self.vg.generate(rng, params)
             rows.append(self._assemble(outer_row, vg_values))
         if not rows:
@@ -141,8 +172,7 @@ class RandomTableSpec:
         from repro.mcdb.tuple_bundle import BundledTable
 
         bundle_rows: List[Row] = []
-        for outer_row in self._outer_rows(db):
-            params = self.resolve_parameters(db, outer_row)
+        for outer_row, params in self._parametrized_rows(db):
             vg_values = self.vg.generate_bundle(rng, params, n_mc)
             bundle_rows.append(self._assemble(outer_row, vg_values))
         if not bundle_rows:

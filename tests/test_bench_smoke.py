@@ -9,6 +9,7 @@ The full-size runs stay behind ``pytest benchmarks/``.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -113,6 +114,7 @@ def test_save_json_writes_self_describing_document(tmp_path, monkeypatch):
     import benchmarks._util as util
 
     monkeypatch.setattr(util, "RESULTS_DIR", tmp_path)
+    monkeypatch.setenv("REPRO_BACKEND", "thread")
     path = util.save_json("SMOKE", {"rows": [[1, 2.5]]})
     document = json.loads(path.read_text())
     assert document["experiment"] == "SMOKE"
@@ -120,9 +122,21 @@ def test_save_json_writes_self_describing_document(tmp_path, monkeypatch):
     assert document["rows"] == [[1, 2.5]]
     # Provenance header: producing commit + active repro env knobs.
     assert document["git_commit"]
-    assert set(document["env"]) == {
-        "REPRO_BACKEND", "REPRO_FAULTS", "REPRO_OBS",
-        "REPRO_ENGINE_EXECUTION", "REPRO_ENGINE_MORSEL",
+    assert document["env"] == util.env_knobs()
+    assert document["env"]["REPRO_BACKEND"] == "thread"
+
+
+def test_env_knobs_records_every_repro_variable(monkeypatch):
+    from benchmarks._util import env_knobs
+
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("REPRO_STORE_SHARDS", "4")
+    monkeypatch.setenv("REPRO_ENGINE_MORSEL", "7")
+    monkeypatch.setenv("NOT_REPRO_X", "1")
+    assert env_knobs() == {
+        "REPRO_ENGINE_MORSEL": "7",
+        "REPRO_STORE_SHARDS": "4",
     }
 
 

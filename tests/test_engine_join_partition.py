@@ -26,7 +26,6 @@ from repro.engine import (
     parse_select,
 )
 from repro.engine import plan as lp
-from repro.engine.morsel import _SCAN_CACHE
 from repro.engine.operators import (
     ColumnarExecutor,
     CoPartitionedHashJoinExec,
@@ -58,7 +57,6 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    _SCAN_CACHE.clear()
 
 
 def _co_partition(db, n, scheme="hash"):

@@ -47,7 +47,7 @@ from repro.engine.fusion import (
     limit_chain,
     prune_columns,
 )
-from repro.engine.morsel import _SCAN_CACHE, split_batch
+from repro.engine.morsel import split_batch
 from repro.engine.operators import HashJoinExec, SortMergeJoinExec
 from repro.engine.statistics import (
     ColumnStatistics,
@@ -75,7 +75,6 @@ def _clean_morsel_env(monkeypatch):
     monkeypatch.delenv(MORSEL_ENV_VAR, raising=False)
     monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    _SCAN_CACHE.clear()
 
 
 class TestCrossModeIdentity:

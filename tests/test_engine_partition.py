@@ -24,7 +24,6 @@ from repro.engine import (
     Schema,
     parse_select,
 )
-from repro.engine.morsel import _SCAN_CACHE
 from repro.engine.table import Table
 from repro.ensemble.store import result_fingerprint
 from repro.errors import CatalogError
@@ -49,7 +48,6 @@ def _clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    _SCAN_CACHE.clear()
 
 
 def _corpus_results(db):
@@ -268,6 +266,55 @@ class TestPartitionedTable:
         assert parted.stale
         assert sum(parted.partition_sizes()) == len(t)
         assert not parted.stale
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_positions_after_appends_match_a_fresh_build(
+        self, scheme, monkeypatch
+    ):
+        assigned = []
+        real_assign = PartitionedTable._assign
+
+        def counting_assign(self, value):
+            assigned.append(value)
+            return real_assign(self, value)
+
+        monkeypatch.setattr(PartitionedTable, "_assign", counting_assign)
+        t = self._table()
+        parted = PartitionedTable(t, "k", 3, scheme)
+        # Keys outside the first build's range move range boundaries.
+        for batch in (
+            [{"k": 40, "label": "a"}, {"k": None, "label": "b"}],
+            [{"k": v, "label": "c"} for v in (3, 77, -5, 3)],
+        ):
+            t.insert_many(batch)
+            assigned.clear()
+            got = parted.positions()
+            rebuilt = len(assigned)
+            fresh = PartitionedTable(t, "k", 3, scheme)
+            assert [p.tolist() for p in got] == [
+                p.tolist() for p in fresh.positions()
+            ]
+            assert [p.dtype for p in got] == [
+                p.dtype for p in fresh.positions()
+            ]
+            assert parted._boundaries == fresh._boundaries
+            # hash assigns only the appended rows; range rebuilds.
+            assert rebuilt == (len(batch) if scheme == "hash" else len(t))
+
+    def test_hash_positions_rebuild_after_non_append_mutation(self):
+        from repro.engine.expressions import BinaryOp, Column, Literal
+
+        t = self._table()
+        parted = PartitionedTable(t, "k", 3)
+        parted.positions()
+        t.delete_where(BinaryOp("=", Column("k"), Literal(1)))
+        # Longer than the first build: only the epoch rules out a tail.
+        t.insert_many([{"k": 1, "label": "x"}] * 6)
+        assert len(t) > 20
+        fresh = PartitionedTable(t, "k", 3)
+        assert [p.tolist() for p in parted.positions()] == [
+            p.tolist() for p in fresh.positions()
+        ]
 
 
 class TestCatalogPartitioning:

@@ -174,6 +174,101 @@ class TestRandomTable:
         with pytest.raises(VGFunctionError):
             spec.instantiate(db, rng)
 
+    @staticmethod
+    def _counting_sql(monkeypatch):
+        calls = []
+        original = Database.sql
+
+        def counted(self, statement, *args, **kwargs):
+            calls.append(statement)
+            return original(self, statement, *args, **kwargs)
+
+        monkeypatch.setattr(Database, "sql", counted)
+        return calls
+
+    @staticmethod
+    def _patients_db(n):
+        db = Database()
+        db.create_table("patients", Schema.of(pid=int))
+        db.table("patients").insert_many([{"pid": i} for i in range(n)])
+        db.create_table("sbp_param", Schema.of(mean=float, std=float))
+        db.table("sbp_param").insert({"mean": 120.0, "std": 10.0})
+        return db
+
+    def test_sql_parameters_run_once_per_instantiation(self, monkeypatch):
+        db = self._patients_db(150)
+        spec = RandomTableSpec(
+            name="sbp", vg=NormalVG(), outer_table="patients",
+            parameters="SELECT mean, std FROM sbp_param",
+        )
+        calls = self._counting_sql(monkeypatch)
+        table = spec.instantiate(db, np.random.default_rng(0))
+        assert len(table) == 150
+        assert calls == ["SELECT mean, std FROM sbp_param"]
+        bundle = spec.instantiate_bundle(db, np.random.default_rng(0), 8)
+        assert len(bundle) == 150
+        assert len(calls) == 2
+
+    def test_callable_parameters_see_every_outer_row(self, rng):
+        db = self._patients_db(5)
+        seen = []
+
+        def params(_db, row):
+            seen.append(row["pid"])
+            return {"mean": float(row["pid"]), "std": 1e-9}
+
+        spec = RandomTableSpec(
+            name="r", vg=NormalVG(), outer_table="patients",
+            parameters=params,
+        )
+        spec.instantiate(db, rng)
+        assert seen == [0, 1, 2, 3, 4]
+        spec.instantiate_bundle(db, rng, 3)
+        assert seen == [0, 1, 2, 3, 4] * 2
+
+    def test_empty_outer_table_with_sql_parameters(self, rng, monkeypatch):
+        db = self._patients_db(0)
+        spec = RandomTableSpec(
+            name="r", vg=NormalVG(), outer_table="patients",
+            parameters="SELECT mean, std FROM sbp_param",
+        )
+        calls = self._counting_sql(monkeypatch)
+        with pytest.raises(VGFunctionError, match="generated zero rows"):
+            spec.instantiate(db, rng)
+        with pytest.raises(VGFunctionError, match="generated zero rows"):
+            spec.instantiate_bundle(db, rng, 4)
+        assert calls == []
+
+    def test_vg_mutating_params_does_not_leak_to_next_row(self, rng):
+        class Draining(NormalVG):
+            """Reads its mean, then corrupts the dict it was handed."""
+
+            def generate(self, rng, params):
+                value = params["mean"]
+                params["mean"] += 1000.0
+                return {"value": value}
+
+            def generate_bundle(self, rng, params, n):
+                value = np.full(n, params["mean"])
+                params["mean"] += 1000.0
+                return {"value": value}
+
+        db = self._patients_db(4)
+        for parameters in (
+            "SELECT mean, std FROM sbp_param",
+            {"mean": 120.0, "std": 10.0},
+        ):
+            spec = RandomTableSpec(
+                name="r", vg=Draining(), outer_table="patients",
+                parameters=parameters,
+            )
+            table = spec.instantiate(db, rng)
+            assert table.column_values("value") == [120.0] * 4
+            bundle = spec.instantiate_bundle(db, rng, 3)
+            for row in bundle.rows:
+                assert row["value"].tolist() == [120.0] * 3
+        assert parameters == {"mean": 120.0, "std": 10.0}
+
 
 class TestBundledTable:
     def _bundle(self, n_mc=100):
