@@ -23,23 +23,13 @@ from repro.engine.expressions import (
     lit,
 )
 from repro.engine.columnar import ColumnBatch, ColumnVector
-from repro.engine.morsel import (
-    MORSEL_ENV_VAR,
-    MorselExecutor,
-    resolve_morsel_size,
-)
 from repro.engine.operators import (
     ColumnarExecutor,
     ExecutionMetrics,
     Executor,
     provider_from,
 )
-from repro.engine.partition import (
-    PARTITION_SCOPE,
-    PartitionRun,
-    PartitionedMorselExecutor,
-    PartitionedTable,
-)
+from repro.engine.partition import PartitionedTable
 from repro.engine.optimizer import (
     EXECUTION_ENV_VAR,
     choose_execution,
@@ -64,15 +54,9 @@ __all__ = [
     "EXECUTION_ENV_VAR",
     "ExecutionMetrics",
     "Executor",
-    "MORSEL_ENV_VAR",
-    "MorselExecutor",
-    "PARTITION_SCOPE",
-    "PartitionRun",
-    "PartitionedMorselExecutor",
     "PartitionedTable",
     "choose_execution",
     "resolve_execution_mode",
-    "resolve_morsel_size",
     "Expression",
     "FunctionCall",
     "InList",

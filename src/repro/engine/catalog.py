@@ -82,15 +82,12 @@ class Database(TableProvider):
         partitions: int,
         scheme: str = "hash",
     ) -> "PartitionedTable":
-        """Register a key-partitioning for ``name`` (sharded data plane).
+        """Register a key-partitioning for ``name`` as catalog metadata.
 
-        Queries whose plans scan the table through the columnar engine
-        then run fused chains and aggregates partition-parallel (one
-        morsel stream per partition) via
-        :class:`~repro.engine.partition.PartitionedMorselExecutor`,
-        byte-identical to the unpartitioned plan.  Re-partitioning a
-        table replaces its previous partitioning; position arrays are
-        rebuilt automatically when the table mutates.
+        No executor reads it: queries run exactly as they would on the
+        unpartitioned table.  Re-partitioning a table replaces its
+        previous partitioning; position arrays are rebuilt automatically
+        when the table mutates.
         """
         from repro.engine.partition import PartitionedTable
 
@@ -155,53 +152,27 @@ class Database(TableProvider):
         plan: lp.PlanNode,
         optimized: bool = True,
         execution: Optional[str] = None,
-        morsel_size: Optional[int] = None,
     ) -> List[Row]:
         """Execute a logical plan, optionally optimizing it first.
 
         Uncorrelated ``IN (SELECT ...)`` subqueries are materialized into
-        literal value lists before planning.  ``execution`` selects the
-        executor per plan (``"row"``, ``"columnar"``, or ``"auto"``);
-        when ``None`` it defaults to the ``REPRO_ENGINE_EXECUTION``
-        environment variable, then ``"auto"``.  ``morsel_size`` enables
-        morsel-parallel columnar execution (``None`` consults
-        ``REPRO_ENGINE_MORSEL``; unset keeps the legacy executors).
+        literal value lists before planning, under the same
+        ``execution``.  ``execution`` selects the executor per plan
+        (``"row"``, ``"columnar"``, or ``"auto"``); when ``None`` it
+        defaults to the ``REPRO_ENGINE_EXECUTION`` environment variable,
+        then ``"auto"``.
         """
-        from repro.engine.morsel import MorselExecutor, resolve_morsel_size
-        from repro.engine.partition import PartitionedMorselExecutor
-
-        plan = self._materialize_subqueries(plan, morsel_size=morsel_size)
+        plan = self._materialize_subqueries(plan, execution)
         if optimized:
             plan = self.optimize_plan(plan)
-        size = resolve_morsel_size(morsel_size)
-        partitioned = self._partitionings and any(
-            isinstance(node, lp.Scan) and node.table in self._partitionings
-            for node in lp.walk(plan)
-        )
-        mode = choose_execution(
-            plan, execution, morsel=size is not None or bool(partitioned)
-        )
-        if mode == "columnar":
-            if partitioned:
-                # Partition-aware morsel execution: fused chains and
-                # aggregates over partitioned scans run one morsel
-                # stream per partition, byte-identical to the
-                # unpartitioned executors.
-                executor: Executor = PartitionedMorselExecutor(
-                    self, self.metrics, morsel_size=size
-                )
-            elif size is not None:
-                executor = MorselExecutor(
-                    self, self.metrics, morsel_size=size
-                )
-            else:
-                executor = ColumnarExecutor(self, self.metrics)
+        if choose_execution(plan, execution) == "columnar":
+            executor: Executor = ColumnarExecutor(self, self.metrics)
         else:
             executor = Executor(self, self.metrics)
         return executor.execute(plan)
 
     def _materialize_subqueries(
-        self, plan: lp.PlanNode, morsel_size: Optional[int] = None
+        self, plan: lp.PlanNode, execution: Optional[str]
     ) -> lp.PlanNode:
         from repro.engine.expressions import (
             InList,
@@ -214,7 +185,7 @@ class Database(TableProvider):
             if not isinstance(expr, InSubquery):
                 return None
             rows = self.execute_plan(
-                expr.plan, optimized=True, morsel_size=morsel_size
+                expr.plan, optimized=True, execution=execution
             )
             values = []
             for row in rows:
@@ -238,12 +209,7 @@ class Database(TableProvider):
         def schema_lookup(name: str) -> Sequence[str]:
             return self.table(name).schema.names
 
-        return optimize(
-            plan,
-            schema_lookup,
-            self._statistics.get,
-            partition_lookup=self.partitioning,
-        )
+        return optimize(plan, schema_lookup, self._statistics.get)
 
     def explain(self, statement: str) -> str:
         """Render the (optimized) plan of a SELECT statement.
@@ -277,18 +243,14 @@ class Database(TableProvider):
         self,
         statement: str,
         execution: Optional[str] = None,
-        morsel_size: Optional[int] = None,
     ) -> List[Row]:
         """Parse and execute a SQL statement.
 
         ``SELECT`` returns rows; DDL/DML statements return an empty list
         (their effect is on the catalog).  See
         :mod:`repro.engine.sqlparser` for the supported dialect, and
-        :meth:`execute_plan` for the ``execution`` and ``morsel_size``
-        knobs.
+        :meth:`execute_plan` for the ``execution`` knob.
         """
         from repro.engine.sqlparser import execute_sql
 
-        return execute_sql(
-            self, statement, execution=execution, morsel_size=morsel_size
-        )
+        return execute_sql(self, statement, execution=execution)

@@ -240,7 +240,7 @@ def vector_from_scalar(value: Any, n: int) -> ColumnVector:
 def concat_vectors(vectors: Sequence[ColumnVector]) -> ColumnVector:
     """Concatenate vectors, promoting kinds as a single batch would.
 
-    Mixed kinds (e.g. an int morsel followed by an all-null morsel) are
+    Mixed kinds (e.g. an int vector followed by an all-null vector) are
     merged through the Python-value path, so the result's kind is exactly
     what ``vector_from_values`` would infer over the combined values —
     identical to never having split the batch.  An empty input yields an

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -609,124 +609,25 @@ def _aggregate_python(
     return vector_from_values([s.result() for s in states])
 
 
-class HashJoinExec:
-    """Hash equi-join: per-left-row probe of the right side's code index.
+def _hash_join_pairs(
+    lcodes: np.ndarray, rcodes: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Candidate equi-join pairs: each left code probes the right codes.
 
-    One executor class per physical join operator (the EVA idiom): the
-    planner picks an algorithm, ``_equi_join_batch`` instantiates the
-    matching class, and everything around pair generation — residual
-    predicates, metrics, left-outer padding, output order — is shared.
-
-    Emits candidate pairs left-major in original left order, with right
-    matches in ascending original right position (the stable argsort of
-    the right codes), exactly like the row engine's bucket probe.
+    Emits pairs left-major in original left order, with right matches in
+    ascending original right position (the stable argsort of the right
+    codes), exactly like the row engine's bucket probe.
     """
-
-    name = "hash"
-
-    def candidate_pairs(
-        self, lcodes: np.ndarray, rcodes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        order = np.argsort(rcodes, kind="stable")
-        sorted_rcodes = rcodes[order]
-        starts = np.searchsorted(sorted_rcodes, lcodes, side="left")
-        ends = np.searchsorted(sorted_rcodes, lcodes, side="right")
-        counts = ends - starts
-        total = int(counts.sum())
-        pair_left = np.repeat(np.arange(len(lcodes)), counts)
-        offsets = np.arange(total) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        pair_right = order[np.repeat(starts, counts) + offsets]
-        return pair_left, pair_right
-
-
-class SortMergeJoinExec:
-    """Sort-merge equi-join over the factorized key codes.
-
-    Sorts both sides once and walks the matching code runs — O((n+m)
-    log(n+m) + pairs) instead of a per-left-row binary search, which wins
-    when both sides are large and keys are near-unique.  The candidate
-    pair *set* is identical to the hash executor's by construction, and
-    a final ``lexsort((pair_right, pair_left))`` restores the hash
-    executor's exact emission order, so downstream residual evaluation,
-    metrics, and row order are byte-identical whichever algorithm the
-    planner picks.
-    """
-
-    name = "sort_merge"
-
-    def candidate_pairs(
-        self, lcodes: np.ndarray, rcodes: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        lorder = np.argsort(lcodes, kind="stable")
-        rorder = np.argsort(rcodes, kind="stable")
-        sorted_l = lcodes[lorder]
-        sorted_r = rcodes[rorder]
-        common = np.intersect1d(sorted_l, sorted_r)
-        lstarts = np.searchsorted(sorted_l, common, side="left")
-        lcounts = np.searchsorted(sorted_l, common, side="right") - lstarts
-        rstarts = np.searchsorted(sorted_r, common, side="left")
-        rcounts = np.searchsorted(sorted_r, common, side="right") - rstarts
-        sizes = lcounts * rcounts
-        total = int(sizes.sum())
-        if total == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        grp = np.repeat(np.arange(len(common)), sizes)
-        within = np.arange(total) - np.repeat(
-            np.cumsum(sizes) - sizes, sizes
-        )
-        pair_left = lorder[lstarts[grp] + within // rcounts[grp]]
-        pair_right = rorder[rstarts[grp] + within % rcounts[grp]]
-        emit = np.lexsort((pair_right, pair_left))
-        return pair_left[emit], pair_right[emit]
-
-
-class CoPartitionedHashJoinExec(HashJoinExec):
-    """Hash equi-join that needs no shuffle: shard-i joins shard-i.
-
-    Selected by the optimizer only when *both* join inputs are bare
-    scans of tables ``db.partition_table``-registered on the join key
-    with compatible partitioning (same scheme, count, and — for range —
-    boundaries).  Because partition assignment is a pure function of
-    the key, every joinable pair of rows already co-locates: the
-    partitioned executor slices both sides' jointly-factorized key
-    codes per partition, probes shard-i-against-shard-i through the
-    substrate, maps local pair indices back through each partition's
-    original-position arrays, and restores the global hash emission
-    order with ``lexsort((pair_right, pair_left))`` — hash emits pairs
-    sorted by exactly that, so the result is byte-identical to
-    :class:`HashJoinExec` while moving zero key bytes between
-    partitions (the avoided volume is recorded on
-    :class:`~repro.engine.partition.PartitionRun`).
-
-    The pair computation itself is inherited unchanged; on a
-    non-partitioned executor this algorithm degrades to a plain global
-    hash join, so a plan carrying it stays valid everywhere.
-    """
-
-    name = "co_partitioned"
-
-
-#: Physical join algorithm registry, keyed by ``lp.Join.algorithm``.
-JOIN_EXECS = {
-    HashJoinExec.name: HashJoinExec,
-    SortMergeJoinExec.name: SortMergeJoinExec,
-    CoPartitionedHashJoinExec.name: CoPartitionedHashJoinExec,
-}
-
-
-def scan_columns(table: Table, alias: Optional[str]) -> ColumnBatch:
-    """``table``'s cached :meth:`~repro.engine.table.Table.column_batch`
-    under a scan's column names (a fresh mapping over shared, read-only
-    vectors) — what every vectorized executor scans."""
-    base = table.column_batch()
-    prefix = f"{alias}." if alias else ""
-    return ColumnBatch(
-        {prefix + name: vec for name, vec in base.columns.items()},
-        base.length,
-    )
+    order = np.argsort(rcodes, kind="stable")
+    sorted_rcodes = rcodes[order]
+    starts = np.searchsorted(sorted_rcodes, lcodes, side="left")
+    ends = np.searchsorted(sorted_rcodes, lcodes, side="right")
+    counts = ends - starts
+    total = int(counts.sum())
+    pair_left = np.repeat(np.arange(len(lcodes)), counts)
+    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    pair_right = order[np.repeat(starts, counts) + offsets]
+    return pair_left, pair_right
 
 
 class ColumnarExecutor(Executor):
@@ -820,10 +721,15 @@ class ColumnarExecutor(Executor):
 
     # -- leaf / unary operators ------------------------------------------
     def _scan_batch(self, node: lp.Scan) -> ColumnBatch:
-        table = self.provider.resolve_table(node.table)
-        batch = scan_columns(table, node.alias)
-        self.metrics.rows_scanned += batch.length
-        return batch
+        # The table's cached column batch under the scan's column names:
+        # a fresh mapping over shared, read-only vectors.
+        base = self.provider.resolve_table(node.table).column_batch()
+        prefix = f"{node.alias}." if node.alias else ""
+        self.metrics.rows_scanned += base.length
+        return ColumnBatch(
+            {prefix + name: vec for name, vec in base.columns.items()},
+            base.length,
+        )
 
     def _values_batch(self, node: lp.Values) -> ColumnBatch:
         return ColumnBatch.from_rows([dict(r) for r in node.rows])
@@ -845,18 +751,6 @@ class ColumnarExecutor(Executor):
     def _join_batch(self, node: lp.Join) -> ColumnBatch:
         left = self._child_batch(node.left)
         right = self._child_batch(node.right)
-        return self._join_batches(node, left, right)
-
-    def _join_batches(
-        self, node: lp.Join, left: ColumnBatch, right: ColumnBatch
-    ) -> ColumnBatch:
-        """Join two already-fetched child batches.
-
-        Split out of :meth:`_join_batch` so the partitioned executor can
-        intercept the join *after* the children are scanned (scan
-        metrics and obs counters must be emitted exactly once) and
-        route eligible equi-joins partition-against-partition.
-        """
         if node.condition is None:
             rows = list(
                 self._nested_loop(
@@ -885,7 +779,7 @@ class ColumnarExecutor(Executor):
             )
             return self._rows_to_batch(rows, node)
         return self._equi_join_batch(
-            left, right, lkeys, rkeys, residual, node.how, node.algorithm
+            left, right, lkeys, rkeys, residual, node.how
         )
 
     def _join_key_codes(
@@ -898,10 +792,7 @@ class ColumnarExecutor(Executor):
         """Jointly factorized equi-key codes for both sides.
 
         Codes are computed over the *concatenation* of both sides, so
-        equal keys get equal codes across sides — and, because the same
-        factorization collapses the same equality classes the canonical
-        CRC-32 partitioner collapses, equal codes always co-locate in
-        one partition of a key-partitioned table.
+        equal keys get equal codes across sides.
         """
         n_left, n_right = left.length, right.length
         lcodes = np.zeros(n_left, dtype=np.int64)
@@ -926,27 +817,9 @@ class ColumnarExecutor(Executor):
         rkeys: List[Expression],
         residual: List[Expression],
         how: str,
-        algorithm: Optional[str] = None,
     ) -> ColumnBatch:
         lcodes, rcodes = self._join_key_codes(left, right, lkeys, rkeys)
-        exec_cls = JOIN_EXECS[algorithm or "hash"]
-        pair_left, pair_right = exec_cls().candidate_pairs(lcodes, rcodes)
-        return self._finish_equi_join(
-            left, right, pair_left, pair_right, residual, how
-        )
-
-    def _finish_equi_join(
-        self,
-        left: ColumnBatch,
-        right: ColumnBatch,
-        pair_left: np.ndarray,
-        pair_right: np.ndarray,
-        residual: List[Expression],
-        how: str,
-    ) -> ColumnBatch:
-        """Residual filtering, metrics, and left-outer padding over
-        already-computed candidate pairs (shared by every algorithm,
-        including the partitioned executor's co-partitioned fan-out)."""
+        pair_left, pair_right = _hash_join_pairs(lcodes, rcodes)
         n_left = left.length
         total = len(pair_left)
         self.metrics.join_pairs_examined += total
@@ -1030,22 +903,7 @@ class ColumnarExecutor(Executor):
             else evaluate_batch(spec.argument, child)
             for spec in node.aggregates
         ]
-        return self._finish_aggregate(node, key_vecs, arg_vecs, child.length)
-
-    def _finish_aggregate(
-        self,
-        node: lp.Aggregate,
-        key_vecs: List[ColumnVector],
-        arg_vecs: List[Optional[ColumnVector]],
-        n: int,
-    ) -> ColumnBatch:
-        """Group and accumulate already-evaluated key/argument vectors.
-
-        Split out of :meth:`_aggregate_batch` so the morsel executor can
-        evaluate keys and arguments per morsel, concatenate in morsel
-        order, and run this (order-sensitive — float addition is not
-        associative) accumulation serially on the driver.
-        """
+        n = child.length
         if node.group_by:
             gcodes, first_rows = _group_codes(key_vecs, n)
             n_groups = len(first_rows)

@@ -15,8 +15,7 @@ Two classical rewrites are implemented:
 from __future__ import annotations
 
 import os
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import plan as lp
 from repro.engine.expressions import (
@@ -25,11 +24,7 @@ from repro.engine.expressions import (
     conjuncts,
 )
 from repro.errors import QueryError
-from repro.engine.statistics import (
-    TableStatistics,
-    join_cardinality,
-    predicate_selectivity,
-)
+from repro.engine.statistics import TableStatistics, predicate_selectivity
 
 StatsLookup = Callable[[str], Optional[TableStatistics]]
 
@@ -267,153 +262,15 @@ def reorder_joins(
     return current
 
 
-#: Both join sides must clear this estimated row count before sort-merge
-#: is considered: below it, the hash probe's per-left-row binary search
-#: is cheap and the extra sorts never pay off.
-SORT_MERGE_MIN_ROWS = 512.0
-
-#: Minimum distinct-values/rows ratio on an equi-key column.  Sort-merge
-#: wins on near-unique keys (short merge runs); heavy duplication means
-#: large cartesian runs where the hash layout is no worse.
-SORT_MERGE_MIN_NDV_RATIO = 0.8
-
-
-def _key_ndv_ratio(
-    node: lp.PlanNode,
-    condition: Expression,
-    stats_lookup: StatsLookup,
-) -> Optional[float]:
-    """Best distinct/rows ratio among equi-key columns of one join side."""
-    stats = _scan_stats(node, stats_lookup)
-    if stats is None or not stats.row_count:
-        return None
-    referenced = condition.columns()
-    best: Optional[float] = None
-    for name in referenced:
-        col = stats.column(name)
-        if col is None or not col.distinct_count:
-            continue
-        ratio = col.distinct_count / stats.row_count
-        if best is None or ratio > best:
-            best = ratio
-    return best
-
-
-#: Returns the registered partitioning of a catalog table, or ``None``.
-PartitionLookup = Callable[[str], Optional[object]]
-
-
-def _names_column(expr: Expression, key: str) -> bool:
-    """Whether ``expr`` is a bare (possibly alias-qualified) ``key`` ref."""
-    from repro.engine.expressions import Column
-
-    if not isinstance(expr, Column):
-        return False
-    return expr.name == key or expr.name.endswith("." + key)
-
-
-def _co_partitioned(
-    node: "lp.Join",
-    partition_lookup: PartitionLookup,
-    schema_lookup: Callable[[str], Sequence[str]],
-) -> bool:
-    """Whether ``node`` is an equi-join of two co-partitioned bare scans.
-
-    The admission test mirrors exactly what the partitioned executor can
-    exploit: both inputs are bare ``Scan`` nodes (a filter in between
-    would change the row sets the positions index), both tables carry
-    compatible registered partitionings, and some equi-key pair is the
-    partition key of each respective side — then every joinable row pair
-    co-locates and shard-i-against-shard-i probing is exhaustive.
-    """
-    from repro.engine.operators import _equi_keys
-
-    if not isinstance(node.left, lp.Scan) or not isinstance(
-        node.right, lp.Scan
-    ):
-        return False
-    parted_l = partition_lookup(node.left.table)
-    parted_r = partition_lookup(node.right.table)
-    if parted_l is None or parted_r is None:
-        return False
-    if not parted_l.compatible_with(parted_r):
-        return False
-    lkeys, rkeys, _ = _equi_keys(
-        node.condition,
-        dict.fromkeys(_available_columns(node.left, schema_lookup)),
-        dict.fromkeys(_available_columns(node.right, schema_lookup)),
-    )
-    return any(
-        _names_column(lk, parted_l.key) and _names_column(rk, parted_r.key)
-        for lk, rk in zip(lkeys, rkeys)
-    )
-
-
-def choose_join_algorithms(
-    node: lp.PlanNode,
-    stats_lookup: StatsLookup,
-    partition_lookup: Optional[PartitionLookup] = None,
-    schema_lookup: Optional[Callable[[str], Sequence[str]]] = None,
-) -> lp.PlanNode:
-    """Annotate equi-joins with a physical algorithm.
-
-    Purely a performance hint — every executor emits byte-identical
-    candidate pairs in the same order (see
-    :class:`repro.engine.operators.SortMergeJoinExec` and
-    :class:`repro.engine.operators.CoPartitionedHashJoinExec`).
-    Co-partitioned wins first: two bare scans of tables partitioned
-    compatibly on an equi-key need no shuffle at all.  Otherwise
-    sort-merge is chosen when both sides are estimated large and an
-    equi-key column looks near-unique; everything else keeps the hash
-    default.  Runs *after* all structural rewrites because
-    ``push_down_filters`` rebuilds joins without the annotation.
-    """
-    children = [
-        choose_join_algorithms(
-            c, stats_lookup, partition_lookup, schema_lookup
-        )
-        for c in node.children()
-    ]
-    if children:
-        node = node.with_children(children)
-    if not isinstance(node, lp.Join) or node.condition is None:
-        return node
-    if node.algorithm is not None:
-        return node
-    if (
-        partition_lookup is not None
-        and schema_lookup is not None
-        and _co_partitioned(node, partition_lookup, schema_lookup)
-    ):
-        return replace(node, algorithm="co_partitioned")
-    left_rows = _estimate_rows(node.left, stats_lookup)
-    right_rows = _estimate_rows(node.right, stats_lookup)
-    if min(left_rows, right_rows) < SORT_MERGE_MIN_ROWS:
-        return node
-    ratios = [
-        _key_ndv_ratio(side, node.condition, stats_lookup)
-        for side in (node.left, node.right)
-    ]
-    known = [r for r in ratios if r is not None]
-    if not known or min(known) < SORT_MERGE_MIN_NDV_RATIO:
-        return node
-    return replace(node, algorithm="sort_merge")
-
-
 def optimize(
     node: lp.PlanNode,
     schema_lookup: Callable[[str], Sequence[str]],
     stats_lookup: StatsLookup,
-    partition_lookup: Optional[PartitionLookup] = None,
 ) -> lp.PlanNode:
-    """Apply all rewrites: pushdown, reorder, pushdown, then physical hints."""
+    """Apply all rewrites: pushdown, reorder, then pushdown again."""
     node = push_down_filters(node, schema_lookup)
     node = reorder_joins(node, stats_lookup)
-    node = push_down_filters(node, schema_lookup)
-    node = choose_join_algorithms(
-        node, stats_lookup, partition_lookup, schema_lookup
-    )
-    return node
+    return push_down_filters(node, schema_lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +302,7 @@ def resolve_execution_mode(requested: Optional[str] = None) -> str:
 
 
 def choose_execution(
-    plan: lp.PlanNode, requested: Optional[str] = None, morsel: bool = False
+    plan: lp.PlanNode, requested: Optional[str] = None
 ) -> str:
     """Pick ``"row"`` or ``"columnar"`` for one plan.
 
@@ -454,24 +311,11 @@ def choose_execution(
     stops pulling once the limit is reached, so its per-operator
     ``engine.operator.rows`` counters reflect the short-circuit — a
     materializing batch executor could not emit identical observability.
-    With ``morsel=True`` (a :class:`repro.engine.morsel.MorselExecutor`
-    will run the plan), LIMITs whose shape the vectorized LIMIT path
-    accepts (:func:`repro.engine.fusion.limit_chain`) no longer force row
-    mode — that path evaluates morsel-incrementally and reconstructs the
-    row engine's exact short-circuit accounting.
     Individual non-vectorizable operators inside a columnar plan do not
     need this knob; :class:`repro.engine.operators.ColumnarExecutor`
     falls back per node.
     """
     mode = resolve_execution_mode(requested)
-    if mode == "row":
+    if mode == "row" or any(isinstance(n, lp.Limit) for n in lp.walk(plan)):
         return "row"
-    limits = [n for n in lp.walk(plan) if isinstance(n, lp.Limit)]
-    if limits:
-        if not morsel:
-            return "row"
-        from repro.engine.fusion import limit_chain
-
-        if any(limit_chain(n) is None for n in limits):
-            return "row"
     return "columnar"

@@ -11,7 +11,7 @@ query optimization".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.engine.expressions import Expression
@@ -97,27 +97,18 @@ class Join(PlanNode):
     """Join two relations.
 
     ``condition`` may be ``None`` for a cross join.  ``how`` is ``"inner"``
-    or ``"left"``.  ``algorithm`` is a physical-operator hint set by the
-    optimizer — ``None`` (executor default), ``"hash"``, ``"sort_merge"``,
-    or ``"co_partitioned"`` — and never changes results, only the
-    pair-generation strategy.
+    or ``"left"``.  Equi-joins run as hash joins, anything else as a
+    nested loop.
     """
 
     left: PlanNode
     right: PlanNode
     condition: Optional[Expression] = None
     how: str = "inner"
-    algorithm: Optional[str] = None
 
     def __post_init__(self):
         if self.how not in ("inner", "left"):
             raise QueryError(f"unsupported join type {self.how!r}")
-        if self.algorithm not in (
-            None, "hash", "sort_merge", "co_partitioned"
-        ):
-            raise QueryError(
-                f"unsupported join algorithm {self.algorithm!r}"
-            )
 
     def children(self):
         return (self.left, self.right)

@@ -183,32 +183,17 @@ class Query:
         self,
         metrics: Optional[ExecutionMetrics] = None,
         execution: Optional[str] = None,
-        morsel_size: Optional[int] = None,
     ) -> List[Row]:
         """Execute the plan and return materialized rows.
 
         ``execution`` selects row vs columnar evaluation (``"auto"``
         consults the ``REPRO_ENGINE_EXECUTION`` environment variable).
-        ``morsel_size`` enables morsel-parallel columnar execution
-        (``None`` consults ``REPRO_ENGINE_MORSEL``; unset keeps the
-        legacy executors).
         """
         from repro.engine.operators import ColumnarExecutor
         from repro.engine.optimizer import choose_execution
 
-        from repro.engine.morsel import MorselExecutor, resolve_morsel_size
-
-        size = resolve_morsel_size(morsel_size)
-        mode = choose_execution(
-            self._plan, execution, morsel=size is not None
-        )
-        if mode == "columnar":
-            if size is not None:
-                executor: Executor = MorselExecutor(
-                    self._provider, metrics, morsel_size=size
-                )
-            else:
-                executor = ColumnarExecutor(self._provider, metrics)
+        if choose_execution(self._plan, execution) == "columnar":
+            executor: Executor = ColumnarExecutor(self._provider, metrics)
         else:
             executor = Executor(self._provider, metrics)
         return executor.execute(self._plan)

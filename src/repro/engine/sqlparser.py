@@ -795,18 +795,17 @@ def statement_tables(kind: str, payload):
     return reads, writes
 
 
-def execute_sql(db, sql: str, execution=None, morsel_size=None):
+def execute_sql(db, sql: str, execution=None):
     """Parse and execute one SQL statement against ``db``.
 
     ``db`` is a :class:`repro.engine.catalog.Database`.  Returns the result
     rows for SELECT, an empty list otherwise.  ``execution`` picks the
-    executor mode per plan and ``morsel_size`` enables morsel-parallel
-    columnar execution (see ``Database.execute_plan``).
+    executor mode per plan (see ``Database.execute_plan``).
     """
     kind, payload = parse_statement(sql)
 
     if kind == "select":
-        return db.execute_plan(payload, execution=execution, morsel_size=morsel_size)
+        return db.execute_plan(payload, execution=execution)
     if kind == "select_with_ctes":
         ctes, main = payload
         # Materialize CTEs into an overlay database so the base catalog
@@ -818,7 +817,7 @@ def execute_sql(db, sql: str, execution=None, morsel_size=None):
         for table_name in db.table_names():
             overlay.register(db.table(table_name))
         for name, columns, plan in ctes:
-            rows = overlay.execute_plan(plan, execution=execution, morsel_size=morsel_size)
+            rows = overlay.execute_plan(plan, execution=execution)
             if not rows:
                 if columns is None:
                     raise QueryError(
@@ -841,14 +840,14 @@ def execute_sql(db, sql: str, execution=None, morsel_size=None):
                     dict(zip(columns, row.values())) for row in rows
                 ]
             overlay.register(Table.from_rows(name, rows), replace=True)
-        return overlay.execute_plan(main, execution=execution, morsel_size=morsel_size)
+        return overlay.execute_plan(main, execution=execution)
     if kind == "create":
         name, spec = payload
         db.create_table(name, Schema.from_spec(spec))
         return []
     if kind == "create_as":
         name, plan = payload
-        rows = db.execute_plan(plan, execution=execution, morsel_size=morsel_size)
+        rows = db.execute_plan(plan, execution=execution)
         if not rows:
             raise QueryError(
                 "CREATE TABLE AS with an empty result cannot infer a schema"
@@ -873,7 +872,7 @@ def execute_sql(db, sql: str, execution=None, morsel_size=None):
         name, columns, plan = payload
         table = db.table(name)
         names = columns or list(table.schema.names)
-        for row in db.execute_plan(plan, execution=execution, morsel_size=morsel_size):
+        for row in db.execute_plan(plan, execution=execution):
             values = list(row.values())
             if len(values) != len(names):
                 raise QueryError(

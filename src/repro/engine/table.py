@@ -225,7 +225,7 @@ class Table:
         """All rows as an unaliased, read-only :class:`ColumnBatch`.
 
         Equal, column by column, to ``ColumnBatch.from_table(self)``,
-        which every vectorized executor would otherwise rerun per scan.
+        which the columnar executor would otherwise rerun per scan.
         The batch is cached in one slot keyed by ``(version, len,
         reorg_epoch)``, read before converting, and exactly that many
         rows are converted.  After pure appends (same

@@ -265,14 +265,15 @@ class Backend:
         """Ordered map returning ``(results, RetryStats)``.
 
         ``scope`` names the fan-out for fault-plan targeting (e.g.
-        ``"mapreduce.map"``, ``"pf.shard"``, or the engine's
-        ``"engine.morsel"`` for morsel fan-outs); ``retry`` overrides the
-        recovery policy; ``faults`` overrides the process-wide plan;
+        ``"mapreduce.map"``, ``"pf.shard"``, or the sharded store's
+        ``"store.shard"`` for gc eviction batches); ``retry`` overrides
+        the recovery policy; ``faults`` overrides the process-wide plan;
         ``on_error="collect"`` substitutes :class:`TaskFailed` objects
         for terminally failed results instead of raising.  ``quiet=True``
         skips the driver-side ``parallel.*``/``faults.*`` metrics — used
         by callers whose obs output must not depend on how work was
-        fanned out (the morsel executor's byte-identity contract).
+        fanned out (``ShardedRunStore.gc``, whose obs must match the flat
+        store's).
         """
         raise NotImplementedError
 

@@ -157,13 +157,10 @@ class Client:
         self,
         statement: str,
         execution: Optional[str] = None,
-        morsel_size: Optional[int] = None,
     ) -> ClientResult:
         body: Dict[str, Any] = {"op": "sql", "statement": statement}
         if execution is not None:
             body["execution"] = execution
-        if morsel_size is not None:
-            body["morsel_size"] = morsel_size
         return self.request(body)
 
     def mcdb(

@@ -101,7 +101,6 @@ class ServeConfig:
     retry_attempts: Optional[int] = None
     cache_entries: int = 256
     backend: Optional[str] = None
-    morsel_size: Optional[int] = None
     max_line_bytes: int = 16 * 1024 * 1024
 
 
@@ -492,9 +491,6 @@ class ReproServer:
             raise BadRequest(
                 f"execution must be row|columnar|auto, got {execution!r}"
             )
-        morsel_size = message.get("morsel_size", self.config.morsel_size)
-        if morsel_size is not None:
-            morsel_size = _as_int(morsel_size, "morsel_size")
         kind, payload = parse_statement(statement)  # → invalid_query
         reads, writes = statement_tables(kind, payload)
         for target in sorted(writes):
@@ -522,20 +518,14 @@ class ReproServer:
         if selects:
             key = request_key(
                 "sql",
-                {
-                    "statement": statement,
-                    "execution": execution or "",
-                    "morsel_size": morsel_size or 0,
-                },
+                {"statement": statement, "execution": execution or ""},
                 0,
                 table_scopes,
             )
         db = session.db
 
         def fn() -> Tuple[Any, Optional[str]]:
-            rows = db.sql(
-                statement, execution=execution, morsel_size=morsel_size
-            )
+            rows = db.sql(statement, execution=execution)
             fingerprint = result_fingerprint(rows) if selects else None
             return {"rows": rows, "rowcount": len(rows)}, fingerprint
 

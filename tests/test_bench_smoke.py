@@ -17,9 +17,6 @@ from benchmarks._util import RESULTS_DIR, BenchConfig
 from benchmarks.bench_engine_columnar import (
     run_experiment as run_columnar_experiment,
 )
-from benchmarks.bench_engine_morsel import (
-    run_experiment as run_morsel_experiment,
-)
 from benchmarks.bench_ensemble_reuse import (
     run_experiment as run_ensemble_experiment,
 )
@@ -57,16 +54,6 @@ def test_quick_engine_columnar():
     assert len(rows) == 3
     assert all(identical.values())
     assert all(s > 0 for s in speedups.values())
-
-
-def test_quick_engine_morsel():
-    outcome = run_morsel_experiment(QUICK)
-    # Three workloads, byte-identical results and obs snapshots across
-    # all five execution configurations.
-    assert len(outcome["rows"]) == 3
-    assert all(outcome["identical"].values())
-    assert all(outcome["obs_identical"].values())
-    assert all(outcome["metrics_identical"].values())
 
 
 def test_quick_parallel_backends():
@@ -132,10 +119,10 @@ def test_env_knobs_records_every_repro_variable(monkeypatch):
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
     monkeypatch.setenv("REPRO_STORE_SHARDS", "4")
-    monkeypatch.setenv("REPRO_ENGINE_MORSEL", "7")
+    monkeypatch.setenv("REPRO_ENGINE_EXECUTION", "row")
     monkeypatch.setenv("NOT_REPRO_X", "1")
     assert env_knobs() == {
-        "REPRO_ENGINE_MORSEL": "7",
+        "REPRO_ENGINE_EXECUTION": "row",
         "REPRO_STORE_SHARDS": "4",
     }
 

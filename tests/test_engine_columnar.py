@@ -107,6 +107,8 @@ CORPUS = [
     "SELECT p.pid, e.label FROM person p LEFT JOIN empty e "
     "ON p.pid = e.pid WHERE p.pid < 4",
     "SELECT count(*) AS n FROM empty",
+    "SELECT pid, income FROM person "
+    "WHERE region IN (SELECT region FROM region WHERE mult > 1)",
 ]
 
 
@@ -221,6 +223,21 @@ class TestExecutionModeKnob:
         plan = lp.Limit(lp.Scan("t"), 3)
         assert choose_execution(plan, "columnar") == "row"
         assert choose_execution(plan, "auto") == "row"
+
+    def test_subqueries_run_in_the_callers_mode(self, nullful_db, monkeypatch):
+        ran = []
+        execute = ColumnarExecutor.execute
+
+        def spy(self, plan):
+            ran.append(plan)
+            return execute(self, plan)
+
+        monkeypatch.setattr(ColumnarExecutor, "execute", spy)
+        sql = "SELECT pid FROM person WHERE region IN (SELECT region FROM region)"
+        nullful_db.sql(sql, execution="row")
+        assert ran == []
+        nullful_db.sql(sql, execution="columnar")
+        assert len(ran) == 2  # the subquery, then the outer query
 
 
 class TestRowFallback:

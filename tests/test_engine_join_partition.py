@@ -1,14 +1,17 @@
-"""Co-partitioned hash join: byte-identity and the selection rule.
+"""Joins over key-partitioned tables: partitioning never changes a join.
 
-The second half of the sharded data plane: when both sides of an
-equi-join are bare scans of tables partitioned compatibly on the join
-key, the optimizer annotates the join ``co_partitioned`` and the
-partitioned executor probes shard-i-against-shard-i through the
-substrate — no shuffle.  The oracle is unchanged: values, row order,
-``ExecutionMetrics``, and the obs ``values`` snapshot must be
-byte-identical to the unpartitioned hash join at every partition count,
-on every backend; the only permitted difference is the
-:class:`PartitionRun` shuffle accounting, which lives outside both.
+A partitioning registered with ``Database.partition_table`` is catalog
+metadata.  No optimizer rule and no executor reads it, so a join whose
+sides are both partitioned compatibly on the join key ("co-partitioned")
+is planned and run exactly like the same join over unpartitioned
+tables: by the hash join, in process.  The oracle is the engine's usual
+one — plans, values, row order, ``ExecutionMetrics`` and the obs
+``values`` snapshot equal the unpartitioned run at every partition
+count, on both schemes, whatever ``REPRO_BACKEND`` says.
+
+The class and test names are those of the suite for the retired
+co-partitioned join; each test now checks that the configuration it
+named leaves the join unchanged.
 """
 
 from __future__ import annotations
@@ -17,21 +20,14 @@ import pytest
 
 import repro.obs as obs
 from repro.engine import (
-    Database,
+    ColumnarExecutor,
     ExecutionMetrics,
-    PARTITION_SCOPE,
-    PartitionedMorselExecutor,
     PartitionedTable,
     Schema,
     parse_select,
 )
+from repro.engine import operators
 from repro.engine import plan as lp
-from repro.engine.operators import (
-    ColumnarExecutor,
-    CoPartitionedHashJoinExec,
-    HashJoinExec,
-    JOIN_EXECS,
-)
 from repro.engine.table import Table
 from repro.ensemble.store import result_fingerprint
 from repro.faults.plan import FaultPlan, injected
@@ -53,7 +49,6 @@ LEFT_JOIN_SQL = (
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_MORSEL", raising=False)
     monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -70,80 +65,102 @@ def _unpartition(db):
             db.unpartition_table(name)
 
 
-def _join_algorithm(db, sql):
-    plan = db.optimize_plan(parse_select(sql))
-    joins = [n for n in lp.walk(plan) if isinstance(n, lp.Join)]
+def _plan(db, sql):
+    return db.optimize_plan(parse_select(sql))
+
+
+def _assert_plan_unchanged(db, sql, partition):
+    """``sql`` plans the same with ``partition(db)`` applied as without."""
+    baseline = _plan(db, sql)
+    partition(db)
+    try:
+        partitioned = _plan(db, sql)
+    finally:
+        _unpartition(db)
+    assert lp.plan_summary(partitioned) == lp.plan_summary(baseline)
+    joins = [n for n in lp.walk(partitioned) if isinstance(n, lp.Join)]
     assert len(joins) == 1
-    return joins[0].algorithm
+
+
+@pytest.fixture
+def hash_pair_calls(monkeypatch):
+    """Record the left length of every call to the hash join's pairing."""
+    calls = []
+    pairs = operators._hash_join_pairs
+
+    def spy(lcodes, rcodes):
+        calls.append(len(lcodes))
+        return pairs(lcodes, rcodes)
+
+    monkeypatch.setattr(operators, "_hash_join_pairs", spy)
+    return calls
 
 
 class TestSelectionRule:
-    """``choose_join_algorithms`` picks co-partitioned exactly when the
-    executor can exploit it, and falls back everywhere else."""
+    """Join planning ignores partitionings, compatible or not."""
 
     @pytest.mark.parametrize("n", PARTITION_COUNTS)
-    def test_selected_for_compatible_hash_partitionings(self, nullful_db, n):
+    def test_selected_for_compatible_hash_partitionings(
+        self, nullful_db, n, hash_pair_calls
+    ):
+        # Compatible partitionings select the one join there is: the
+        # hash join, over the whole of each side.
+        for sql in (JOIN_SQL, LEFT_JOIN_SQL):
+            _assert_plan_unchanged(
+                nullful_db, sql, lambda db: _co_partition(db, n)
+            )
         _co_partition(nullful_db, n)
         try:
-            assert _join_algorithm(nullful_db, JOIN_SQL) == "co_partitioned"
-            assert (
-                _join_algorithm(nullful_db, LEFT_JOIN_SQL)
-                == "co_partitioned"
-            )
+            for sql in (JOIN_SQL, LEFT_JOIN_SQL):
+                rows = nullful_db.sql(sql, execution="columnar")
+                assert rows == nullful_db.sql(sql, execution="row")
         finally:
             _unpartition(nullful_db)
+        assert hash_pair_calls == [60, 60]
 
     def test_not_selected_without_partitioning(self, nullful_db):
-        assert _join_algorithm(nullful_db, JOIN_SQL) is None
+        (join,) = [
+            n for n in lp.walk(_plan(nullful_db, JOIN_SQL))
+            if isinstance(n, lp.Join)
+        ]
+        assert not hasattr(join, "algorithm")
+        assert lp.node_label(join) == "Join(inner)"
 
     def test_not_selected_with_one_side_unpartitioned(self, nullful_db):
-        nullful_db.partition_table("person", "region", 3)
-        try:
-            assert _join_algorithm(nullful_db, JOIN_SQL) is None
-        finally:
-            _unpartition(nullful_db)
+        _assert_plan_unchanged(
+            nullful_db,
+            JOIN_SQL,
+            lambda db: db.partition_table("person", "region", 3),
+        )
 
     def test_not_selected_with_mismatched_counts(self, nullful_db):
-        nullful_db.partition_table("person", "region", 3)
-        nullful_db.partition_table("region", "region", 4)
-        try:
-            assert _join_algorithm(nullful_db, JOIN_SQL) is None
-        finally:
-            _unpartition(nullful_db)
+        def partition(db):
+            db.partition_table("person", "region", 3)
+            db.partition_table("region", "region", 4)
+
+        _assert_plan_unchanged(nullful_db, JOIN_SQL, partition)
 
     def test_not_selected_with_mismatched_schemes(self, nullful_db):
-        nullful_db.partition_table("person", "region", 3, scheme="hash")
-        nullful_db.partition_table("region", "region", 3, scheme="range")
-        try:
-            assert _join_algorithm(nullful_db, JOIN_SQL) is None
-        finally:
-            _unpartition(nullful_db)
+        def partition(db):
+            db.partition_table("person", "region", 3, scheme="hash")
+            db.partition_table("region", "region", 3, scheme="range")
+
+        _assert_plan_unchanged(nullful_db, JOIN_SQL, partition)
 
     def test_not_selected_on_non_partition_key(self, nullful_db):
-        # Both sides are partitioned, but the equi key (age) is not the
-        # partition key — matching rows would not co-locate.
-        _co_partition(nullful_db, 3)
-        try:
-            algo = _join_algorithm(
-                nullful_db,
-                "SELECT a.pid AS x, b.pid AS y FROM person a "
-                "JOIN person b ON a.age = b.age",
-            )
-        finally:
-            _unpartition(nullful_db)
-        assert algo != "co_partitioned"
+        _assert_plan_unchanged(
+            nullful_db,
+            "SELECT a.pid AS x, b.pid AS y FROM person a "
+            "JOIN person b ON a.age = b.age",
+            lambda db: _co_partition(db, 3),
+        )
 
     def test_not_selected_when_pushdown_interposes_a_filter(self, nullful_db):
-        # The WHERE clause is pushed below the join, so the left input
-        # is Filter(Scan) — positions no longer index the join input.
-        _co_partition(nullful_db, 3)
-        try:
-            algo = _join_algorithm(
-                nullful_db, JOIN_SQL + " WHERE p.age > 20"
-            )
-        finally:
-            _unpartition(nullful_db)
-        assert algo != "co_partitioned"
+        _assert_plan_unchanged(
+            nullful_db,
+            JOIN_SQL + " WHERE p.age > 20",
+            lambda db: _co_partition(db, 3),
+        )
 
     def test_range_compatibility_requires_equal_boundaries(self):
         a = Table("a", Schema.of(k=int))
@@ -156,10 +173,14 @@ class TestSelectionRule:
         pa = PartitionedTable(a, "k", 3, "range")
         pb = PartitionedTable(b, "k", 3, "range")
         pc = PartitionedTable(c, "k", 3, "range")
-        assert pa.compatible_with(pb)
-        assert not pa.compatible_with(pc)
-        assert not pa.compatible_with(PartitionedTable(b, "k", 4, "range"))
-        assert not pa.compatible_with(PartitionedTable(b, "k", 3, "hash"))
+        # Equal key sets cut at equal boundaries, so equal keys share a
+        # partition index; other key sets cut elsewhere.
+        assert pa._boundaries == pb._boundaries
+        assert [p.tolist() for p in pa.positions()] == [
+            p.tolist() for p in pb.positions()
+        ]
+        assert pa._boundaries != pc._boundaries
+        assert len(PartitionedTable(b, "k", 4, "range").positions()) == 4
 
 
 class TestCoPartitionedIdentity:
@@ -175,7 +196,7 @@ class TestCoPartitionedIdentity:
         _co_partition(nullful_db, n)
         try:
             partitioned = result_fingerprint(
-                [nullful_db.sql(sql, morsel_size=7) for sql in CORPUS]
+                [nullful_db.sql(sql, execution="columnar") for sql in CORPUS]
             )
         finally:
             _unpartition(nullful_db)
@@ -193,7 +214,7 @@ class TestCoPartitionedIdentity:
                     if label == "row":
                         nullful_db.sql(sql, execution="row")
                     else:
-                        nullful_db.sql(sql, morsel_size=7)
+                        nullful_db.sql(sql, execution="columnar")
                 snapshots[label] = observer.metrics.snapshot()["values"]
             finally:
                 obs.disable()
@@ -208,14 +229,7 @@ class TestCoPartitionedIdentity:
                 _co_partition(nullful_db, n)
             nullful_db.metrics.reset()
             try:
-                nullful_db.sql(
-                    JOIN_SQL,
-                    **(
-                        {"execution": "columnar"}
-                        if label == "hash"
-                        else {"morsel_size": 7}
-                    ),
-                )
+                nullful_db.sql(JOIN_SQL, execution="columnar")
             finally:
                 _unpartition(nullful_db)
             m = nullful_db.metrics
@@ -228,97 +242,97 @@ class TestCoPartitionedIdentity:
         assert counts["co_partitioned"] == counts["hash"]
 
     def test_fault_injection_recovers_identically(self, nullful_db):
+        # Every task attempt in every scope is planned to fail, more
+        # often than any retry policy allows: the join still answers,
+        # because a query runs in process and starts no substrate task.
         baseline = nullful_db.sql(JOIN_SQL, execution="row")
         _co_partition(nullful_db, 3)
-        plan = FaultPlan(failures={(PARTITION_SCOPE, 0): 1})
+        plan = FaultPlan(rate=1.0, fail_attempts=100)
         try:
             with injected(plan):
-                rows = nullful_db.sql(JOIN_SQL, morsel_size=7)
+                rows = nullful_db.sql(JOIN_SQL, execution="columnar")
         finally:
             _unpartition(nullful_db)
         assert rows == baseline
 
 
 class TestShuffleAccounting:
+    """A join over partitioned tables records only the plain counters."""
+
     def _execute(self, db, sql):
         plan = db.optimize_plan(parse_select(sql))
-        executor = PartitionedMorselExecutor(
-            db, ExecutionMetrics(), morsel_size=7
-        )
+        executor = ColumnarExecutor(db, ExecutionMetrics())
         rows = executor.execute(plan)
         return executor, rows
 
     @pytest.mark.parametrize("n", PARTITION_COUNTS)
     def test_join_records_avoided_shuffle_bytes(self, nullful_db, n):
         baseline = nullful_db.sql(JOIN_SQL, execution="row")
+        plain, _ = self._execute(nullful_db, JOIN_SQL)
         _co_partition(nullful_db, n)
         try:
             executor, rows = self._execute(nullful_db, JOIN_SQL)
         finally:
             _unpartition(nullful_db)
         assert rows == baseline
-        (run,) = executor.partition_runs
-        assert run.table == "person join region"
-        assert (run.key, run.scheme, run.partitions) == ("region", "hash", n)
-        assert run.rows_in == 60 + 3
-        assert sum(run.partition_rows) == 60 + 3
-        assert run.rows_merged == len(rows)
-        # The whole payload of both sides would otherwise be eligible
-        # for repartitioning — the avoided volume is strictly positive.
-        assert run.shuffle_bytes_avoided > 0
+        m = executor.metrics
+        # Each side is scanned once, whole; nothing is repartitioned.
+        assert m.rows_scanned == 60 + 3
+        assert m.rows_joined == m.join_pairs_examined == len(rows)
+        assert m.rows_output == len(rows)
+        assert vars(m) == vars(plain.metrics)
 
     def test_plain_scan_fanout_records_zero(self, nullful_db):
         nullful_db.partition_table("person", "region", 3)
         try:
-            executor, _ = self._execute(
+            executor, rows = self._execute(
                 nullful_db, "SELECT pid FROM person WHERE age > 30"
             )
         finally:
             _unpartition(nullful_db)
-        (run,) = executor.partition_runs
-        assert run.shuffle_bytes_avoided == 0
+        m = executor.metrics
+        assert m.rows_scanned == 60
+        assert (m.rows_joined, m.join_pairs_examined) == (0, 0)
+        assert m.rows_output == len(rows)
 
 
 class TestFallbacks:
-    """A ``co_partitioned`` annotation can never change results."""
+    """Partitioning metadata can never change a join's result."""
 
-    def test_registry_exposes_co_partitioned(self):
-        assert JOIN_EXECS["co_partitioned"] is CoPartitionedHashJoinExec
-        assert issubclass(CoPartitionedHashJoinExec, HashJoinExec)
+    def test_registry_exposes_co_partitioned(self, nullful_db, hash_pair_calls):
+        # Every equi-join, over partitioned tables or not, pairs its
+        # rows through the one hash join.
+        assert not hasattr(operators, "JOIN_EXECS")
+        for partitioned in (False, True):
+            if partitioned:
+                _co_partition(nullful_db, 3)
+            try:
+                nullful_db.sql(JOIN_SQL, execution="columnar")
+            finally:
+                _unpartition(nullful_db)
+        assert hash_pair_calls == [60, 60]
 
     def test_plain_columnar_executor_degrades_to_hash(self, nullful_db):
-        # A plan annotated co_partitioned executed by the ordinary
-        # columnar executor (no partition awareness at all) produces the
-        # plain hash join result.
+        # An unoptimized plan run by a hand-built columnar executor over
+        # co-partitioned tables gives the plain hash join result.
         plan = parse_select(JOIN_SQL)
-        joins = [n for n in lp.walk(plan) if isinstance(n, lp.Join)]
-        annotated = _replace_join(plan, joins[0], "co_partitioned")
-        executor = ColumnarExecutor(nullful_db, ExecutionMetrics())
-        rows = executor.execute(annotated)
+        _co_partition(nullful_db, 3)
+        try:
+            executor = ColumnarExecutor(nullful_db, ExecutionMetrics())
+            rows = executor.execute(plan)
+        finally:
+            _unpartition(nullful_db)
         assert rows == nullful_db.sql(JOIN_SQL, execution="row")
 
     def test_partitioning_dropped_after_planning(self, nullful_db):
-        # The optimizer saw compatible partitionings; by execution time
-        # they are gone.  The executor's runtime guards fall back to the
-        # inherited (hash) path, identically.
+        # Planned while co-partitioned, run after the partitionings are
+        # gone: the plan is the unpartitioned plan and answers the same.
         _co_partition(nullful_db, 3)
         annotated = nullful_db.optimize_plan(parse_select(JOIN_SQL))
         _unpartition(nullful_db)
-        executor = PartitionedMorselExecutor(
-            nullful_db, ExecutionMetrics(), morsel_size=7
+        assert lp.plan_summary(annotated) == lp.plan_summary(
+            nullful_db.optimize_plan(parse_select(JOIN_SQL))
         )
+        executor = ColumnarExecutor(nullful_db, ExecutionMetrics())
         rows = executor.execute(annotated)
-        assert executor.partition_runs == []
         assert rows == nullful_db.sql(JOIN_SQL, execution="row")
-
-
-def _replace_join(node, target, algorithm):
-    from dataclasses import replace
-
-    if node is target:
-        return replace(node, algorithm=algorithm)
-    children = [
-        _replace_join(child, target, algorithm)
-        for child in node.children()
-    ]
-    return node.with_children(children) if children else node

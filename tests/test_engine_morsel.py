@@ -1,12 +1,20 @@
-"""Morsel-parallel columnar execution: identity at adversarial sizes.
+"""Morsel-sized inputs: the columnar executor at adversarial append sizes.
 
-The morsel executor's contract is the same byte-identity oracle the
-columnar executor answers to — values, ``None`` placement, Python
-types, row order, ``ExecutionMetrics``, and the deterministic obs
-``values`` snapshot — plus one extra axis: none of it may depend on the
-morsel size or the parallel backend the morsels ran on.  The suite
-sweeps the null-rich corpus at sizes that never (1, 7), exactly (60),
-and more than (240) cover the base tables, on all three backends.
+The engine has one vectorized executor, :class:`ColumnarExecutor`, and
+it reads each table through the scan cache (``Table.column_batch``).
+After a pure append that cache converts only the new rows and
+concatenates them onto the cached columns, so a table grown one morsel
+at a time, with a scan after every append, reaches the executor as a
+concatenation of per-morsel conversions.  The oracle is the one every
+executor in this engine answers to — values, ``None`` placement, Python
+types, row order, ``ExecutionMetrics`` and the deterministic obs
+``values`` snapshot equal the row executor's — at morsel sizes that
+never (1, 7), exactly (60) and more than (240) cover the base tables,
+whatever ``REPRO_BACKEND`` says.
+
+The class and test names are those of the suite for the retired
+morsel-parallel executor; each test now asks the same question of the
+columnar executor, the row-mode LIMIT path or the hash join.
 """
 
 from __future__ import annotations
@@ -16,17 +24,18 @@ import pytest
 
 import repro.obs as obs
 from repro.engine import (
+    ColumnarExecutor,
     Database,
+    EXECUTION_ENV_VAR,
     ExecutionMetrics,
-    MORSEL_ENV_VAR,
-    MorselExecutor,
     Schema,
     choose_execution,
     col,
     parse_select,
-    resolve_morsel_size,
+    resolve_execution_mode,
     sum_,
 )
+from repro.engine import operators
 from repro.engine import plan as lp
 from repro.engine.columnar import (
     ColumnBatch,
@@ -40,15 +49,6 @@ from repro.engine.expressions import (
     InList,
     evaluate_batch,
 )
-from repro.engine.fusion import (
-    FilterStage,
-    FusedPipeline,
-    chain_stages,
-    limit_chain,
-    prune_columns,
-)
-from repro.engine.morsel import split_batch
-from repro.engine.operators import HashJoinExec, SortMergeJoinExec
 from repro.engine.statistics import (
     ColumnStatistics,
     TableStatistics,
@@ -63,18 +63,36 @@ from tests.test_engine_columnar import CORPUS, nullful_db  # noqa: F401
 BACKENDS = ("serial", "thread", "process")
 
 #: person has 60 rows: sizes that divide nothing (1, 7), exactly cover
-#: the table (60), and exceed it (240 — a single morsel).
+#: the table (60), and exceed it (240 — a single append).
 MORSEL_SIZES = (1, 7, 60, 240)
+
+#: The retired morsel-size knob; nothing reads it any more.
+RETIRED_MORSEL_ENV_VAR = "REPRO_ENGINE_MORSEL"
 
 
 @pytest.fixture(autouse=True)
-def _clean_morsel_env(monkeypatch):
-    # The engine-morsel CI job exports these globally; this file sets
-    # execution modes explicitly per test, so neutralize the ambient
-    # knobs to keep every assertion deterministic.
-    monkeypatch.delenv(MORSEL_ENV_VAR, raising=False)
-    monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
+def _clean_env(monkeypatch):
+    # This file sets execution modes and backends explicitly per test.
+    monkeypatch.delenv(RETIRED_MORSEL_ENV_VAR, raising=False)
+    monkeypatch.delenv(EXECUTION_ENV_VAR, raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
+
+
+def grown_in_morsels(db: Database, size: int) -> Database:
+    """A copy of ``db`` whose tables were filled ``size`` rows at a time.
+
+    Each append is followed by a scan, so every table's cached column
+    batch is the concatenation of one conversion per morsel.
+    """
+    grown = Database()
+    for name in db.table_names():
+        source = db.table(name)
+        table = grown.create_table(name, source.schema)
+        rows = list(source)
+        for start in range(0, len(rows), size):
+            table.insert_many(rows[start:start + size])
+            table.column_batch()
+    return grown
 
 
 class TestCrossModeIdentity:
@@ -85,28 +103,30 @@ class TestCrossModeIdentity:
         baseline = result_fingerprint(
             [nullful_db.sql(sql, execution="row") for sql in CORPUS]
         )
-        morsel = result_fingerprint(
-            [nullful_db.sql(sql, morsel_size=size) for sql in CORPUS]
+        grown = grown_in_morsels(nullful_db, size)
+        columnar = result_fingerprint(
+            [grown.sql(sql, execution="columnar") for sql in CORPUS]
         )
-        assert morsel == baseline
+        assert columnar == baseline
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_corpus_obs_values(self, nullful_db, backend, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", backend)
+        grown = grown_in_morsels(nullful_db, 7)
         snapshots = {}
-        for label, kwargs in [
-            ("row", {"execution": "row"}),
-            ("morsel", {"morsel_size": 7}),
+        for label, db, mode in [
+            ("row", nullful_db, "row"),
+            ("columnar", grown, "columnar"),
         ]:
             observer = obs.enable()
             observer.reset()
             try:
                 for sql in CORPUS:
-                    nullful_db.sql(sql, **kwargs)
+                    db.sql(sql, execution=mode)
                 snapshots[label] = observer.metrics.snapshot()["values"]
             finally:
                 obs.disable()
-        assert snapshots["morsel"] == snapshots["row"]
+        assert snapshots["columnar"] == snapshots["row"]
 
     @pytest.mark.parametrize("size", MORSEL_SIZES)
     def test_metrics_identical(self, nullful_db, size):
@@ -114,216 +134,277 @@ class TestCrossModeIdentity:
             "SELECT p.region, count(*) AS n FROM person p JOIN region r "
             "ON p.region = r.region WHERE p.age > 10 GROUP BY p.region"
         )
+        grown = grown_in_morsels(nullful_db, size)
         counts = {}
-        for label, kwargs in [
-            ("row", {"execution": "row"}),
-            ("morsel", {"morsel_size": size}),
+        for label, db, mode in [
+            ("row", nullful_db, "row"),
+            ("columnar", grown, "columnar"),
         ]:
-            nullful_db.metrics.reset()
-            nullful_db.sql(sql, **kwargs)
-            m = nullful_db.metrics
+            db.metrics.reset()
+            db.sql(sql, execution=mode)
+            m = db.metrics
             counts[label] = (
                 m.rows_scanned,
                 m.rows_joined,
                 m.join_pairs_examined,
                 m.rows_output,
             )
-        assert counts["morsel"] == counts["row"]
+        assert counts["columnar"] == counts["row"]
         assert counts["row"][0] > 0
 
-    def test_env_knob_routes_through_morsel(self, nullful_db, monkeypatch):
-        monkeypatch.setenv(MORSEL_ENV_VAR, "7")
+    def test_env_knob_routes_through_morsel(
+        self, nullful_db, monkeypatch
+    ):
+        # The retired knob is ignored: the default (auto) mode still
+        # runs the columnar executor and answers like the row executor.
+        ran = []
+        execute = ColumnarExecutor.execute
+
+        def spy(self, plan):
+            ran.append(plan)
+            return execute(self, plan)
+
+        monkeypatch.setattr(ColumnarExecutor, "execute", spy)
+        monkeypatch.setenv(RETIRED_MORSEL_ENV_VAR, "7")
         rows = nullful_db.sql("SELECT pid FROM person WHERE age > 30")
+        assert len(ran) == 1
         baseline = nullful_db.sql(
             "SELECT pid FROM person WHERE age > 30", execution="row"
         )
         assert rows == baseline
 
     def test_fluent_query_morsel(self, nullful_db):
+        grown = grown_in_morsels(nullful_db, 7)
         results = {}
-        for label, kwargs in [
-            ("row", {"execution": "row"}),
-            ("morsel", {"morsel_size": 7}),
+        for label, db, mode in [
+            ("row", nullful_db, "row"),
+            ("columnar", grown, "columnar"),
         ]:
             metrics = ExecutionMetrics()
             q = (
-                nullful_db.query("person")
+                db.query("person")
                 .where(col("age") > 20)
                 .aggregate(sum_("income", "total"), group_by=["region"])
             )
-            results[label] = (
-                q.run(metrics, **kwargs), metrics.rows_scanned
-            )
-        assert results["morsel"] == results["row"]
+            results[label] = (q.run(metrics, execution=mode), metrics.rows_scanned)
+        assert results["columnar"] == results["row"]
 
 
 class TestVectorizedLimit:
+    """LIMIT plans run on the row executor, whatever mode is asked for."""
+
     LIMIT_SQL = "SELECT pid FROM person WHERE age > 30 LIMIT 3"
 
     def test_choose_execution_requires_morsel(self, nullful_db):
         plan = nullful_db.optimize_plan(parse_select(self.LIMIT_SQL))
-        assert choose_execution(plan) == "row"
-        assert choose_execution(plan, morsel=True) == "columnar"
+        for requested in (None, "auto", "columnar", "row"):
+            assert choose_execution(plan, requested) == "row"
+        with pytest.raises(TypeError):
+            choose_execution(plan, morsel=True)
 
     def test_limit_over_orderby_stays_row(self, nullful_db):
         plan = nullful_db.optimize_plan(
             parse_select("SELECT pid FROM person ORDER BY age LIMIT 5")
         )
-        assert choose_execution(plan, morsel=True) == "row"
+        assert choose_execution(plan) == "row"
+        assert choose_execution(plan, "columnar") == "row"
 
     @pytest.mark.parametrize("size", MORSEL_SIZES)
     def test_limit_rows_and_obs_identical(self, nullful_db, size):
+        grown = grown_in_morsels(nullful_db, size)
         snapshots = {}
         rows = {}
-        for label, kwargs in [
-            ("row", {"execution": "row"}),
-            ("morsel", {"morsel_size": size}),
+        for label, db, mode in [
+            ("row", nullful_db, "row"),
+            ("columnar", grown, "columnar"),
         ]:
             observer = obs.enable()
             observer.reset()
-            nullful_db.metrics.reset()
+            db.metrics.reset()
             try:
-                rows[label] = nullful_db.sql(self.LIMIT_SQL, **kwargs)
+                rows[label] = db.sql(self.LIMIT_SQL, execution=mode)
                 snapshots[label] = observer.metrics.snapshot()["values"]
             finally:
                 obs.disable()
-            snapshots[label + ".scanned"] = nullful_db.metrics.rows_scanned
-        assert rows["morsel"] == rows["row"]
-        assert snapshots["morsel"] == snapshots["row"]
-        assert snapshots["morsel.scanned"] == snapshots["row.scanned"]
+            snapshots[label + ".scanned"] = db.metrics.rows_scanned
+        assert rows["columnar"] == rows["row"]
+        assert snapshots["columnar"] == snapshots["row"]
+        assert snapshots["columnar.scanned"] == snapshots["row.scanned"]
+        # The row pipeline stops pulling once the limit is reached.
+        assert snapshots["row.scanned"] < 60
 
     def test_limit_larger_than_result(self, nullful_db):
         sql = "SELECT pid FROM person WHERE age > 75 LIMIT 500"
-        assert nullful_db.sql(sql, morsel_size=7) == nullful_db.sql(
+        grown = grown_in_morsels(nullful_db, 7)
+        assert grown.sql(sql, execution="columnar") == nullful_db.sql(
             sql, execution="row"
         )
 
     def test_limit_zero(self, nullful_db):
         sql = "SELECT pid FROM person LIMIT 0"
         for size in MORSEL_SIZES:
-            assert nullful_db.sql(sql, morsel_size=size) == []
+            grown = grown_in_morsels(nullful_db, size)
+            for mode in ("row", "columnar"):
+                assert grown.sql(sql, execution=mode) == []
 
     def test_limit_chain_shapes(self, nullful_db):
-        qualifying = nullful_db.optimize_plan(
-            parse_select(self.LIMIT_SQL)
-        )
-        limit = next(
-            n for n in lp.walk(qualifying) if isinstance(n, lp.Limit)
-        )
-        assert limit_chain(limit) is not None
-        over_sort = nullful_db.optimize_plan(
-            parse_select("SELECT pid FROM person ORDER BY age LIMIT 2")
-        )
-        limit = next(
-            n for n in lp.walk(over_sort) if isinstance(n, lp.Limit)
-        )
-        assert limit_chain(limit) is None
+        # LIMIT over a plain chain and LIMIT over a sort: the Limit stays
+        # on top of the optimized plan and both shapes answer alike.
+        grown = grown_in_morsels(nullful_db, 7)
+        for sql in (
+            self.LIMIT_SQL,
+            "SELECT pid, age FROM person ORDER BY age LIMIT 2",
+        ):
+            plan = grown.optimize_plan(parse_select(sql))
+            assert isinstance(plan, lp.Limit)
+            assert grown.sql(sql, execution="columnar") == nullful_db.sql(
+                sql, execution="row"
+            )
+
+
+def _error(db, sql, mode, exc=QueryError):
+    with pytest.raises(exc) as caught:
+        db.sql(sql, execution=mode)
+    return str(caught.value)
 
 
 class TestFusedErrorParity:
+    """Errors raised under the columnar executor read like the row engine's."""
+
     def test_non_vectorizable_function_message_matches(self):
         batch = ColumnBatch.from_rows([{"x": 1.0}, {"x": 2.0}])
-        expr = FunctionCall("upper", (Column("x"),))
-        with pytest.raises(QueryError) as unfused:
-            evaluate_batch(expr, batch)
-        pipeline = FusedPipeline([FilterStage(expr)])
-        with pytest.raises(QueryError) as fused:
-            pipeline(batch)
-        assert str(fused.value) == str(unfused.value)
+        with pytest.raises(QueryError, match="not vectorized"):
+            evaluate_batch(FunctionCall("upper", (Column("x"),)), batch)
+        # The executor runs such a node on the row operator instead, so
+        # a failing call raises the row engine's error in both modes.
+        db = Database()
+        db.create_table("t", Schema.of(x=float), [{"x": 1.0}, {"x": 2.0}])
+        sql = "SELECT upper(x) AS u FROM t"
+        assert _error(db, sql, "columnar", AttributeError) == _error(
+            db, sql, "row", AttributeError
+        )
 
     def test_unknown_column_message_matches(self):
         batch = ColumnBatch.from_rows([{"x": 1.0}])
-        expr = Column("nope")
-        with pytest.raises(QueryError) as unfused:
-            evaluate_batch(expr, batch)
-        with pytest.raises(QueryError) as fused:
-            FusedPipeline([FilterStage(expr)])(batch)
-        assert str(fused.value) == str(unfused.value)
+        with pytest.raises(QueryError) as batched:
+            evaluate_batch(Column("nope"), batch)
+        db = Database()
+        db.create_table("t", Schema.of(x=float), [{"x": 1.0}])
+        sql = "SELECT x FROM t WHERE nope > 1"
+        assert _error(db, sql, "columnar") == _error(db, sql, "row")
+        assert str(batched.value) == _error(db, sql, "row")
 
 
 class TestFusionHelpers:
+    """The columnar executor's per-node batch pipeline over a chain."""
+
+    def _db(self, rows=10):
+        db = Database()
+        db.create_table(
+            "t",
+            Schema.of(a=int, b=float, c=str),
+            [{"a": i, "b": float(i), "c": "x"} for i in range(rows)],
+        )
+        return db
+
     def _scan_chain(self):
         scan = lp.Scan("t")
         filt = lp.Filter(scan, col("a") > 1)
         proj = lp.Project(filt, (col("a"),), ("a",))
         return scan, filt, proj
 
-    def test_chain_stages_orders_source_to_top(self):
+    def test_chain_stages_orders_source_to_top(self, monkeypatch):
+        finished = []
+        run_batch = ColumnarExecutor._run_batch
+
+        def spy(self, node):
+            batch = run_batch(self, node)
+            finished.append(node)
+            return batch
+
+        monkeypatch.setattr(ColumnarExecutor, "_run_batch", spy)
         scan, filt, proj = self._scan_chain()
-        source, stages = chain_stages(proj)
-        assert source is scan
-        assert stages == [filt, proj]
+        ColumnarExecutor(self._db()).execute(proj)
+        assert finished == [scan, filt, proj]
 
     def test_chain_stages_none_for_non_stage(self):
-        assert chain_stages(lp.Scan("t")) is None
+        executor = ColumnarExecutor(self._db())
+        scan, filt, proj = self._scan_chain()
+        assert executor._batch_handler(lp.Limit(proj, 3)) is None
+        upper = lp.Filter(scan, FunctionCall("upper", (col("c"),)) == "X")
+        assert executor._batch_handler(upper) is None
+        assert executor._batch_handler(filt) is not None
 
     def test_prune_keeps_referenced_columns_only(self):
-        batch = ColumnBatch.from_rows(
-            [{"a": 1, "b": 2.0, "c": "x"}, {"a": 3, "b": 4.0, "c": "y"}]
-        )
-        _, filt, proj = self._scan_chain()
-        pruned = prune_columns(batch, [filt, proj])
-        assert pruned.names == ["a"]
-        assert pruned.length == 2
+        _, _, proj = self._scan_chain()
+        batch = ColumnarExecutor(self._db())._run_batch(proj)
+        assert batch.names == ["a"]
+        assert batch.length == 8
 
     def test_prune_never_drops_for_filter_only_chain(self):
-        batch = ColumnBatch.from_rows([{"a": 1, "b": 2.0}])
         _, filt, _ = self._scan_chain()
-        assert prune_columns(batch, [filt]) is batch
+        batch = ColumnarExecutor(self._db())._run_batch(filt)
+        assert batch.names == ["a", "b", "c"]
+        assert batch.length == 8
 
     def test_split_batch_views_and_empty(self):
-        batch = ColumnBatch.from_rows([{"a": i} for i in range(10)])
-        morsels = split_batch(batch, 4)
-        assert [m.length for m in morsels] == [4, 4, 2]
-        # Slices are views over the same buffers, not copies.
-        assert (
-            morsels[0].columns["a"].values.base is not None
-        )
-        empty = ColumnBatch.from_rows([], ["a"])
-        assert [m.length for m in split_batch(empty, 4)] == [0]
-        with pytest.raises(QueryError):
-            split_batch(batch, 0)
+        db = self._db()
+        scan = lp.Scan("t")
+        batch = ColumnarExecutor(db)._run_batch(scan)
+        cached = db.table("t").column_batch()
+        # Scans share the cached, read-only vectors rather than copying.
+        assert batch.columns["a"] is cached.columns["a"]
+        assert not batch.columns["a"].values.flags.writeable
+        empty = self._db(rows=0)
+        batch = ColumnarExecutor(empty)._run_batch(scan)
+        assert (batch.length, batch.names) == (0, ["a", "b", "c"])
 
     def test_pipeline_counts_per_stage(self):
-        batch = ColumnBatch.from_rows([{"a": i} for i in range(10)])
-        _, filt, proj = self._scan_chain()
-        from repro.engine.fusion import compile_stages
-
-        out, counts = FusedPipeline(
-            compile_stages([filt, proj])
-        )(batch)
-        assert counts == (8, 8)
-        assert out.names == ["a"]
+        _, _, proj = self._scan_chain()
+        observer = obs.enable()
+        observer.reset()
+        try:
+            rows = ColumnarExecutor(self._db()).execute(proj)
+            counters = observer.metrics.snapshot()["values"]["counters"]
+        finally:
+            obs.disable()
+        counts = tuple(
+            counters[f"engine.operator.rows{{op={op}}}"]
+            for op in ("Scan(t)", "Filter", "Project")
+        )
+        assert counts == (10, 8, 8)
+        assert [r["a"] for r in rows] == list(range(2, 10))
 
 
 class TestMorselKnobs:
     def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.setenv(MORSEL_ENV_VAR, "32")
-        assert resolve_morsel_size() == 32
-        assert resolve_morsel_size(5) == 5
-        monkeypatch.delenv(MORSEL_ENV_VAR)
-        assert resolve_morsel_size() is None
+        monkeypatch.setenv(RETIRED_MORSEL_ENV_VAR, "32")
+        assert resolve_execution_mode() == "auto"
+        monkeypatch.setenv(EXECUTION_ENV_VAR, "row")
+        assert resolve_execution_mode() == "row"
+        assert resolve_execution_mode("columnar") == "columnar"
+        monkeypatch.delenv(EXECUTION_ENV_VAR)
+        assert resolve_execution_mode() == "auto"
 
     def test_invalid_values_raise(self, monkeypatch):
         with pytest.raises(QueryError):
-            resolve_morsel_size(0)
+            resolve_execution_mode("morsel")
+        monkeypatch.setenv(EXECUTION_ENV_VAR, "banana")
         with pytest.raises(QueryError):
-            resolve_morsel_size(-3)
-        monkeypatch.setenv(MORSEL_ENV_VAR, "banana")
-        with pytest.raises(QueryError):
-            resolve_morsel_size()
+            resolve_execution_mode()
 
     def test_sql_with_invalid_morsel_size(self, nullful_db):
-        with pytest.raises(QueryError):
+        # There is no morsel size to pass any more.
+        with pytest.raises(TypeError):
             nullful_db.sql("SELECT pid FROM person", morsel_size=0)
 
     def test_scan_cache_invalidated_by_mutation(self, nullful_db):
         sql = "SELECT count(*) AS n FROM person WHERE age > 0"
-        before = nullful_db.sql(sql, morsel_size=7)
+        before = nullful_db.sql(sql, execution="columnar")
         nullful_db.table("person").insert(
             {"pid": 999, "age": 55, "region": "east", "income": 1.0}
         )
-        after = nullful_db.sql(sql, morsel_size=7)
+        after = nullful_db.sql(sql, execution="columnar")
         assert after[0]["n"] == before[0]["n"] + 1
         assert after == nullful_db.sql(sql, execution="row")
 
@@ -348,7 +429,23 @@ class TestMorselKnobs:
             obs.disable()
 
 
+def _nested_loop_pairs(lcodes, rcodes):
+    """Reference equi-join pairs: left-major, right in original order."""
+    pairs = [
+        (i, j)
+        for i, lc in enumerate(lcodes.tolist())
+        for j, rc in enumerate(rcodes.tolist())
+        if lc == rc
+    ]
+    return (
+        np.array([i for i, _ in pairs], dtype=np.int64),
+        np.array([j for _, j in pairs], dtype=np.int64),
+    )
+
+
 class TestSortMergeJoin:
+    """The hash join is the one equi-join, also where sort-merge was."""
+
     def test_pair_parity_with_hash(self):
         rng = np.random.RandomState(11)
         for _ in range(50):
@@ -358,16 +455,15 @@ class TestSortMergeJoin:
             rcodes = rng.randint(0, 8, size=rng.randint(0, 30)).astype(
                 np.int64
             )
-            hl, hr = HashJoinExec().candidate_pairs(lcodes, rcodes)
-            sl, sr = SortMergeJoinExec().candidate_pairs(lcodes, rcodes)
-            assert np.array_equal(hl, sl)
-            assert np.array_equal(hr, sr)
+            hl, hr = operators._hash_join_pairs(lcodes, rcodes)
+            nl, nr = _nested_loop_pairs(lcodes, rcodes)
+            assert np.array_equal(hl, nl)
+            assert np.array_equal(hr, nr)
 
     def test_join_algorithm_field_validation(self):
-        with pytest.raises(QueryError):
-            lp.Join(lp.Scan("a"), lp.Scan("b"), algorithm="bogus")
-        join = lp.Join(lp.Scan("a"), lp.Scan("b"), algorithm="sort_merge")
-        # Labels stay algorithm-independent so obs keys are stable.
+        with pytest.raises(TypeError):
+            lp.Join(lp.Scan("a"), lp.Scan("b"), algorithm="sort_merge")
+        join = lp.Join(lp.Scan("a"), lp.Scan("b"))
         assert lp.node_label(join) == "Join(inner)"
 
     def _big_join_db(self, rows=600):
@@ -383,24 +479,22 @@ class TestSortMergeJoin:
         db.analyze()
         return db
 
-    def test_optimizer_picks_sort_merge_on_large_unique_keys(self):
-        db = self._big_join_db()
-        plan = db.optimize_plan(
-            parse_select("SELECT l.x, r.y FROM l JOIN r ON l.id = r.id")
-        )
-        join = next(n for n in lp.walk(plan) if isinstance(n, lp.Join))
-        assert join.algorithm == "sort_merge"
+    def test_optimizer_keeps_hash_on_small_tables(
+        self, nullful_db, monkeypatch
+    ):
+        calls = []
+        pairs = operators._hash_join_pairs
 
-    def test_optimizer_keeps_hash_on_small_tables(self, nullful_db):
+        def spy(lcodes, rcodes):
+            calls.append(len(lcodes))
+            return pairs(lcodes, rcodes)
+
+        monkeypatch.setattr(operators, "_hash_join_pairs", spy)
         nullful_db.analyze()
-        plan = nullful_db.optimize_plan(
-            parse_select(
-                "SELECT p.pid FROM person p JOIN region r "
-                "ON p.region = r.region"
-            )
-        )
-        join = next(n for n in lp.walk(plan) if isinstance(n, lp.Join))
-        assert join.algorithm is None
+        sql = "SELECT p.pid FROM person p JOIN region r ON p.region = r.region"
+        rows = nullful_db.sql(sql, execution="columnar")
+        assert calls == [60]
+        assert rows == nullful_db.sql(sql, execution="row")
 
     def test_sort_merge_end_to_end_identity(self):
         db = self._big_join_db()
@@ -409,8 +503,9 @@ class TestSortMergeJoin:
             "WHERE l.x > 100"
         )
         base = db.sql(sql, execution="row")
+        assert len(base) == 499
         assert db.sql(sql, execution="columnar") == base
-        assert db.sql(sql, morsel_size=64) == base
+        assert grown_in_morsels(db, 64).sql(sql, execution="columnar") == base
 
 
 class TestConcatVectorsRegressions:
@@ -484,19 +579,24 @@ class TestInListSelectivity:
 
 
 class TestMorselExecutorDirect:
+    """A :class:`ColumnarExecutor` built by hand, outside ``Database.sql``."""
+
     def test_default_size_when_constructed_directly(self, nullful_db):
-        executor = MorselExecutor(nullful_db)
-        assert executor.morsel_size == 4096
+        executor = ColumnarExecutor(nullful_db)
+        assert executor.metrics is not nullful_db.metrics
+        executor.execute(lp.Scan("person"))
+        assert (executor.metrics.rows_scanned, executor.metrics.rows_output) == (
+            60, 60
+        )
+        assert nullful_db.metrics.rows_scanned == 0
 
     def test_explicit_backend_instance(self, nullful_db):
-        executor = MorselExecutor(
-            nullful_db, morsel_size=7, backend=get_backend("serial")
-        )
         plan = lp.Project(
             lp.Filter(lp.Scan("person"), col("age") > 30),
             (col("pid"),),
             ("pid",),
         )
+        executor = ColumnarExecutor(grown_in_morsels(nullful_db, 7))
         rows = executor.execute(plan)
         baseline = nullful_db.execute_plan(
             plan, optimized=False, execution="row"

@@ -1,12 +1,15 @@
-"""Partitioned tables: byte-identity at every partition count.
+"""Partitioned tables: catalog metadata that never changes an answer.
 
-Slice 1 of the sharded data plane answers to the same oracle as every
-other executor in this engine: registering a partitioning may change
-*how* a plan runs (one morsel stream per partition, fanned out through
-the ``repro.exec`` substrate), but never *what* it produces — values,
-``None`` placement, row order, ``ExecutionMetrics``, and the obs
-``values`` snapshot must be byte-identical to the unpartitioned plan at
-every partition count, on both schemes, on all three backends.
+A :class:`PartitionedTable` assigns every row to one partition by a key
+column (``hash`` or ``range``) and keeps its position arrays current as
+the table mutates; ``Database.partition_table`` registers one per table.
+No executor reads a partitioning, so registering one must leave *what*
+a plan produces — values, ``None`` placement, row order,
+``ExecutionMetrics``, and the obs ``values`` snapshot — byte-identical
+to the unpartitioned plan at every partition count, on both schemes,
+whatever ``REPRO_BACKEND`` says.  The rest of the file checks the
+metadata itself: assignment, refresh after appends and rebuilds, and
+catalog invalidation.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ import pytest
 
 import repro.obs as obs
 from repro.engine import (
-    Database,
+    ColumnarExecutor,
     ExecutionMetrics,
-    PARTITION_SCOPE,
-    PartitionedMorselExecutor,
     PartitionedTable,
     Schema,
     parse_select,
@@ -44,7 +45,6 @@ SCHEMES = ("hash", "range")
 def _clean_env(monkeypatch):
     # Neutralize the CI jobs' global knobs: this file sets execution
     # modes, backends, and fault plans explicitly per test.
-    monkeypatch.delenv("REPRO_ENGINE_MORSEL", raising=False)
     monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -80,14 +80,14 @@ class TestPartitionedIdentity:
     def test_corpus_fingerprint_range_any_key(self, nullful_db, n, key):
         # Range partitioning on every column type, including the NULL-
         # rich ones (NULL keys land on partition 0) and the group key
-        # itself, with a small morsel size to force multi-morsel fans.
+        # itself.
         baseline = result_fingerprint(
             [nullful_db.sql(sql, execution="row") for sql in CORPUS]
         )
         nullful_db.partition_table("person", key, n, scheme="range")
         try:
             partitioned = result_fingerprint(
-                [nullful_db.sql(sql, morsel_size=7) for sql in CORPUS]
+                [nullful_db.sql(sql, execution="columnar") for sql in CORPUS]
             )
         finally:
             nullful_db.unpartition_table("person")
@@ -108,11 +108,12 @@ class TestPartitionedIdentity:
                     if label == "row":
                         nullful_db.sql(sql, execution="row")
                     else:
-                        nullful_db.sql(sql, morsel_size=7)
+                        nullful_db.sql(sql, execution="columnar")
                 snapshots[label] = observer.metrics.snapshot()["values"]
             finally:
                 obs.disable()
-                nullful_db.unpartition_table("person")
+                if label == "partitioned":
+                    nullful_db.unpartition_table("person")
         assert snapshots["partitioned"] == snapshots["row"]
 
     @pytest.mark.parametrize("n", PARTITION_COUNTS)
@@ -128,50 +129,56 @@ class TestPartitionedIdentity:
             nullful_db.metrics.reset()
             try:
                 nullful_db.sql(
-                    sql,
-                    **(
-                        {"execution": "row"}
-                        if label == "row"
-                        else {"morsel_size": 7}
-                    ),
+                    sql, execution="row" if label == "row" else "columnar"
                 )
             finally:
-                nullful_db.unpartition_table("person")
+                if label == "partitioned":
+                    nullful_db.unpartition_table("person")
             m = nullful_db.metrics
             counts[label] = (m.rows_scanned, m.rows_output)
         assert counts["partitioned"] == counts["row"]
         assert counts["row"][0] == 60
 
-    def test_partitioning_alone_enables_morsel_execution(self, nullful_db):
-        # No morsel_size, no env knob: registering a partitioning is
-        # enough to route eligible plans through the partitioned
-        # executor, identically.
+    def test_partitioning_alone_enables_morsel_execution(
+        self, nullful_db, monkeypatch
+    ):
+        # No execution argument, no env knob: a query over a partitioned
+        # table runs on the default (columnar) executor, identically.
+        ran = []
+        execute = ColumnarExecutor.execute
+
+        def spy(self, plan):
+            ran.append(plan)
+            return execute(self, plan)
+
         baseline = nullful_db.sql(
             "SELECT pid FROM person WHERE age > 30", execution="row"
         )
+        monkeypatch.setattr(ColumnarExecutor, "execute", spy)
         nullful_db.partition_table("person", "region", 3)
         try:
             rows = nullful_db.sql("SELECT pid FROM person WHERE age > 30")
         finally:
             nullful_db.unpartition_table("person")
         assert rows == baseline
+        assert len(ran) == 1
 
     def test_fault_injection_recovers_identically(self, nullful_db):
-        # Kill the first attempt of the first partition morsel: the
-        # substrate's default retry policy recovers and the result is
-        # still byte-identical.
+        # Every task attempt in every scope is planned to fail, more
+        # often than any retry policy allows: the query still answers,
+        # because it runs in process and starts no substrate task.
         baseline = nullful_db.sql(
             "SELECT region, count(*) AS n FROM person GROUP BY region",
             execution="row",
         )
         nullful_db.partition_table("person", "pid", 3)
-        plan = FaultPlan(failures={(PARTITION_SCOPE, 0): 1})
+        plan = FaultPlan(rate=1.0, fail_attempts=100)
         try:
             with injected(plan):
                 rows = nullful_db.sql(
                     "SELECT region, count(*) AS n FROM person "
                     "GROUP BY region",
-                    morsel_size=7,
+                    execution="columnar",
                 )
         finally:
             nullful_db.unpartition_table("person")
@@ -350,27 +357,26 @@ class TestCatalogPartitioning:
         assert nullful_db.partitioning("region") is None
 
     def test_refresh_tracks_inserts_through_queries(self, nullful_db):
-        nullful_db.partition_table("person", "pid", 3)
-        try:
-            before = nullful_db.sql("SELECT count(*) AS n FROM person")
-            nullful_db.table("person").insert(
-                {"pid": 60, "age": 33, "region": "east", "income": 1.0}
-            )
-            after = nullful_db.sql("SELECT count(*) AS n FROM person")
-        finally:
-            nullful_db.unpartition_table("person")
-        assert before == [{"n": 60}]
-        assert after == [{"n": 61}]
+        parted = nullful_db.partition_table("person", "pid", 3)
+        assert sum(parted.partition_sizes()) == 60
+        nullful_db.table("person").insert(
+            {"pid": 60, "age": 33, "region": "east", "income": 1.0}
+        )
+        assert parted.stale
+        assert nullful_db.partitioning("person") is parted
+        assert not parted.stale
+        assert sum(parted.partition_sizes()) == 61
+        assert nullful_db.sql("SELECT count(*) AS n FROM person") == [{"n": 61}]
 
 
 class TestPartitionRunAccounting:
-    def _execute(self, db, sql, morsel_size=7):
+    """A query over a partitioned table records one whole-table scan."""
+
+    def _execute(self, db, sql):
         plan = db.optimize_plan(parse_select(sql))
-        executor = PartitionedMorselExecutor(
-            db, ExecutionMetrics(), morsel_size=morsel_size
-        )
-        batch = executor.execute(plan)
-        return executor, batch
+        executor = ColumnarExecutor(db, ExecutionMetrics())
+        rows = executor.execute(plan)
+        return executor, rows
 
     def test_chain_records_one_run(self, nullful_db):
         nullful_db.partition_table("person", "region", 3)
@@ -380,34 +386,29 @@ class TestPartitionRunAccounting:
             )
         finally:
             nullful_db.unpartition_table("person")
-        (run,) = executor.partition_runs
-        assert (run.table, run.key, run.scheme) == (
-            "person", "region", "hash"
+        m = executor.metrics
+        assert m.rows_scanned == 60
+        assert m.rows_output == len(rows)
+        assert rows == nullful_db.sql(
+            "SELECT pid FROM person WHERE age > 30", execution="row"
         )
-        assert run.partitions == 3
-        assert sum(run.partition_rows) == 60
-        assert run.rows_in == 60
-        assert run.rows_merged == len(rows)
-        # 60 rows over 3 partitions at morsel size 7 → at least one
-        # morsel per non-empty partition.
-        assert run.morsels >= sum(1 for r in run.partition_rows if r)
 
     def test_aggregate_records_merge_of_all_rows(self, nullful_db):
+        sql = "SELECT region, count(*) AS n FROM person GROUP BY region"
         nullful_db.partition_table("person", "pid", 7)
         try:
-            executor, _ = self._execute(
-                nullful_db,
-                "SELECT region, count(*) AS n FROM person GROUP BY region",
-            )
+            executor, rows = self._execute(nullful_db, sql)
         finally:
             nullful_db.unpartition_table("person")
-        (run,) = executor.partition_runs
-        assert run.rows_in == 60
-        assert run.rows_merged == 60  # no filter: every row reaches merge
-        assert run.partitions == 7
+        assert executor.metrics.rows_scanned == 60
+        assert sum(r["n"] for r in rows) == 60  # every row reaches a group
+        assert rows == nullful_db.sql(sql, execution="row")
 
     def test_non_partitioned_scan_records_nothing(self, nullful_db):
-        executor, _ = self._execute(
+        executor, rows = self._execute(
             nullful_db, "SELECT pid FROM person WHERE age > 30"
         )
-        assert executor.partition_runs == []
+        # Querying registers no partitioning.
+        assert nullful_db.partitioning("person") is None
+        assert executor.metrics.rows_scanned == 60
+        assert executor.metrics.rows_output == len(rows)

@@ -1,4 +1,4 @@
-"""The scan cache every vectorized executor reads.
+"""The scan cache the columnar executor reads.
 
 ``Table.column_batch`` keeps a table's columnar form in one slot and,
 after pure appends, converts only the new rows.  The oracles are a fresh
@@ -26,7 +26,6 @@ SCHEMA = Schema.of(i=int, x=float, s=str, b=bool)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_MORSEL", raising=False)
     monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
@@ -173,10 +172,9 @@ class TestExecutorsAfterAppends:
     def test_sql_matches_row_executor_after_appends(self, nullful_db):
         person = nullful_db.table("person")
         for step in range(3):
-            for kwargs in ({"execution": "columnar"}, {"morsel_size": 7}):
-                got = [nullful_db.sql(sql, **kwargs) for sql in CORPUS]
-                want = [nullful_db.sql(sql, execution="row") for sql in CORPUS]
-                assert result_fingerprint(got) == result_fingerprint(want)
+            got = [nullful_db.sql(sql, execution="columnar") for sql in CORPUS]
+            want = [nullful_db.sql(sql, execution="row") for sql in CORPUS]
+            assert result_fingerprint(got) == result_fingerprint(want)
             person.insert_many(_appended_person_rows(1000 + 10 * step, 5))
             person.insert(_appended_person_rows(2000 + step, 1)[0])
 

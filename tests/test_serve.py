@@ -508,6 +508,18 @@ class TestServerIntegration:
         assert first.result_bytes == second.result_bytes
         assert first.fingerprint == second.fingerprint
 
+    def test_sql_ignores_fields_it_does_not_read(self):
+        with start_server() as (host, port):
+            with Client(host, port) as client:
+                first = client.request(
+                    {"op": "sql", "statement": GROUP_SQL, "morsel_size": 7}
+                )
+                second = client.request(
+                    {"op": "sql", "statement": GROUP_SQL, "morsel_size": "x"}
+                )
+        assert (first.cache, second.cache) == ("miss", "hit")
+        assert first.result_bytes == second.result_bytes
+
     def test_concurrent_identical_clients_execute_exactly_once(
         self, observer
     ):
