@@ -226,8 +226,13 @@ def _walk(a: Any, b: Any, path: str, out: List[LeafDelta], cap: int) -> None:
             if len(out) >= cap:
                 return
         return
-    if a is not b and a != b:
+    if a is not b and a != b and not (_is_nan(a) and _is_nan(b)):
         out.append(LeafDelta(path, "value", _scalar_repr(a), _scalar_repr(b)))
+
+
+def _is_nan(value: Any) -> bool:
+    """NaN leaves compare equal here, as NaNs in arrays already do."""
+    return isinstance(value, (float, np.floating)) and value != value
 
 
 def _type_name(value: Any) -> str:

@@ -2,16 +2,17 @@
 
 A warm :func:`~repro.ensemble.scheduler.run_ensemble` already serves
 unchanged nodes from the :class:`~repro.ensemble.store.RunStore`, but it
-does so *naively*: every node is re-keyed, probed against the store, has
-its (possibly large) stored result loaded back from disk, and rides
-through the full wave dispatch — even when a perturbation touched one
+does so *naively*: every node is probed against the store, has its
+(possibly large) stored result loaded back from disk, and rides through
+the full wave dispatch — even when a perturbation touched one
 node out of thousands.  A :class:`DeltaPlan` makes the reuse explicit
 and the work proportional to the change:
 
 * **plan** (:func:`plan_delta`) — walk the target ensemble in
-  topological order, derive every node's Merkle-folded run key, and
-  classify each node ``reuse`` (key already committed in the store) or
-  ``recompute``, with a *reason* that explains the cone shape:
+  topological order, read every node's Merkle-folded run key (derived
+  once per ensemble; a :func:`perturb` copy re-hashes only its cone),
+  and classify each node ``reuse`` (key already committed in the store)
+  or ``recompute``, with a *reason* that explains the cone shape:
   ``changed`` (the node's own scenario/params/seed moved vs. the base),
   ``upstream`` (only its upstream fold moved — a cone descendant),
   ``added`` (no base counterpart), ``missing`` (key unchanged but
@@ -51,6 +52,7 @@ from repro.ensemble.scheduler import (
     EnsembleResult,
     NodePayload,
     NodeReport,
+    compute_run_keys,
     node_call,
 )
 from repro.ensemble.spec import (
@@ -60,7 +62,7 @@ from repro.ensemble.spec import (
     get_scenario,
     scenario_qualname,
 )
-from repro.ensemble.store import RunStore, run_key
+from repro.ensemble.store import RunStore
 from repro.errors import SimulationError
 from repro.exec.substrate import Substrate
 from repro.faults.plan import FaultPlan, get_fault_plan
@@ -238,21 +240,11 @@ def plan_delta(
     with observer.span(
         "delta.plan", ensemble=target.name, nodes=len(target)
     ):
-        keys: Dict[str, str] = {}
+        keys = compute_run_keys(target)
+        base_keys = compute_run_keys(base) if base is not None else {}
         plan = DeltaPlan(ensemble=target, keys=keys)
-        base_keys: Dict[str, str] = {}
-        if base is not None:
-            from repro.ensemble.scheduler import compute_run_keys
-
-            base_keys = compute_run_keys(base)
         for node in target.topological_order():
-            key = run_key(
-                scenario_qualname(node.spec.scenario),
-                node.spec.params,
-                node.spec.seed,
-                upstream={dep: keys[dep] for dep in node.deps},
-            )
-            keys[node.name] = key
+            key = keys[node.name]
             base_key = base_keys.get(node.name)
             if store.contains(key):
                 action, reason = REUSE, "hit"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Union
 
 from repro.ensemble.spec import Ensemble, get_scenario, scenario_qualname
 from repro.ensemble.store import (
@@ -251,15 +251,67 @@ class EnsembleResult:
 def compute_run_keys(
     ensemble: Ensemble,
 ) -> Dict[str, str]:
-    """Content address per node, dependency keys folded in Merkle-style."""
+    """Content address per node, dependency keys folded in Merkle-style.
+
+    Keys are derived at most once per ensemble and cached on it; the
+    dict returned is a copy, so mutating it changes nothing.  A copy
+    made by :meth:`Ensemble.with_specs` starts from its parent's keys
+    (deriving those first if need be): a node it shares with the parent
+    whose dependencies all kept their keys keeps the parent's key, and
+    only the other nodes — the replaced specs and the descendants their
+    keys reach — are hashed with :func:`run_key`.
+    """
+    # Walk up to the nearest ensemble with current keys (a loop, not
+    # recursion: a chain of perturbations may be arbitrarily long), then
+    # derive back down so each copy folds over its parent's keys.
+    lineage: List[Ensemble] = []
+    current: Optional[Ensemble] = ensemble
+    keys: Optional[Dict[str, str]] = None
+    while current is not None:
+        cached = current._keys
+        if cached is not None and len(cached) == len(current):
+            keys = cached
+            break
+        lineage.append(current)
+        current = current._parent
+    for member in reversed(lineage):
+        keys = _derive_run_keys(member, keys)
+    return dict(keys)
+
+
+def _derive_run_keys(
+    ensemble: Ensemble, parent_keys: Optional[Dict[str, str]]
+) -> Dict[str, str]:
+    """The Merkle loop: derive ``ensemble``'s keys and cache them on it.
+
+    A node keeps an already-known key when it is the very node object
+    that key was derived for and every dependency kept its key; that is
+    the parent's key for a ``with_specs`` copy, or, once nodes were
+    added after a derivation, the stale cache (``add`` only appends, so
+    every key in it still holds).  Every other node is hashed.
+    """
+    parent = ensemble._parent
+    if parent is not None and parent_keys is not None:
+        known_nodes, known = parent._nodes, parent_keys
+    else:
+        known_nodes, known = ensemble._nodes, ensemble._keys or {}
     keys: Dict[str, str] = {}
     for node in ensemble.topological_order():
-        keys[node.name] = run_key(
-            scenario_qualname(node.spec.scenario),
-            node.spec.params,
-            node.spec.seed,
-            upstream={dep: keys[dep] for dep in node.deps},
-        )
+        key = known.get(node.name)
+        if (
+            key is None
+            or known_nodes.get(node.name) is not node
+            or any(keys[dep] != known[dep] for dep in node.deps)
+        ):
+            key = run_key(
+                scenario_qualname(node.spec.scenario),
+                node.spec.params,
+                node.spec.seed,
+                upstream={dep: keys[dep] for dep in node.deps},
+            )
+        keys[node.name] = key
+    ensemble._keys = keys
+    ensemble._parent = None
     return keys
 
 

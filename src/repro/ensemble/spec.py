@@ -206,11 +206,26 @@ class Ensemble:
     the ready-wave decomposition the scheduler dispatches are all pure
     functions of the insertion sequence, so two processes that build the
     same ensemble schedule it identically.
+
+    The topological order, the waves, and the run keys
+    (:func:`~repro.ensemble.scheduler.compute_run_keys`) are derived at
+    most once and cached.  ``add`` is the only mutator and only appends,
+    so a cache is valid exactly while it covers every node — a length
+    check, with no bookkeeping in ``add`` — and stale keys still hold
+    for the nodes they cover.  The caches take no lock: two threads
+    racing on one derivation store equal values.
     """
 
     def __init__(self, name: str = "ensemble") -> None:
         self.name = name
         self._nodes: Dict[str, EnsembleNode] = {}
+        self._schedule: Optional[
+            Tuple[List[EnsembleNode], List[List[EnsembleNode]]]
+        ] = None
+        self._keys: Optional[Dict[str, str]] = None
+        #: The ensemble a :meth:`with_specs` copy was made from, kept
+        #: until the copy's own keys are derived from the parent's.
+        self._parent: Optional[Ensemble] = None
 
     # -- construction -------------------------------------------------------
     def add(
@@ -275,19 +290,30 @@ class Ensemble:
         :func:`repro.delta.perturb` builds what-if timelines from.
         Unknown replacement names are rejected — a silently ignored
         perturbation would masquerade as a fully reused plan.
+
+        The copy shares every unchanged (frozen) node with this
+        ensemble, takes over its order and waves by name, and derives
+        its run keys from this ensemble's: only the replaced nodes and
+        the descendants their keys reach are hashed again.
         """
         unknown = sorted(set(replacements) - set(self._nodes))
         if unknown:
             raise SimulationError(
                 f"with_specs got replacements for unknown node(s) {unknown}"
             )
-        clone = Ensemble(name or self.name)
-        for node in self._nodes.values():
-            clone.add(
-                node.name,
-                replacements.get(node.name, node.spec),
-                deps=node.deps,
+        nodes = dict(self._nodes)
+        for node_name, spec in replacements.items():
+            nodes[node_name] = EnsembleNode(
+                node_name, spec, nodes[node_name].deps
             )
+        order, waves = self._scheduled()
+        clone = Ensemble(name or self.name)
+        clone._nodes = nodes
+        clone._schedule = (
+            [nodes[node.name] for node in order],
+            [[nodes[node.name] for node in wave] for wave in waves],
+        )
+        clone._parent = self
         return clone
 
     # -- sweep constructors --------------------------------------------------
@@ -401,49 +427,59 @@ class Ensemble:
     def topological_order(self) -> List[EnsembleNode]:
         """Deterministic topo sort: insertion order among ready nodes.
 
-        ``add`` already rejects forward references, so insertion order
-        *is* a topological order; this method re-derives it by repeated
-        ready-scanning anyway, which validates the invariant and keeps
-        the ordering correct even for subclasses that relax ``add``.
+        ``add`` rejects forward references, so insertion order *is* a
+        topological order; the ready scan that derives it checks that
+        invariant (one pass over an ensemble built through ``add``) and
+        names the unsatisfiable nodes if it is broken.  Derived once and
+        cached; the list returned is a copy.
         """
-        done: Dict[str, None] = {}
-        order: List[EnsembleNode] = []
-        pending = list(self._nodes.values())
-        while pending:
-            progressed = False
-            remaining: List[EnsembleNode] = []
-            for node in pending:
-                if all(dep in done for dep in node.deps):
-                    order.append(node)
-                    done[node.name] = None
-                    progressed = True
-                else:
-                    remaining.append(node)
-            if not progressed:
-                cyclic = ", ".join(sorted(n.name for n in remaining))
-                raise SimulationError(
-                    f"ensemble has an unsatisfiable dependency among: {cyclic}"
-                )
-            pending = remaining
-        return order
+        return list(self._scheduled()[0])
 
     def waves(self) -> List[List[EnsembleNode]]:
         """Topological levels: wave ``k`` holds nodes whose longest
         dependency chain has length ``k``.  Nodes within a wave are
         mutually independent, so the scheduler fans each wave out
         through a parallel backend; wave membership and intra-wave order
-        are deterministic."""
+        are deterministic.  Derived once and cached; the lists returned
+        are copies."""
+        return [list(wave) for wave in self._scheduled()[1]]
+
+    def _scheduled(
+        self,
+    ) -> Tuple[List[EnsembleNode], List[List[EnsembleNode]]]:
+        """The cached ``(order, waves)`` pair — shared, never mutate it."""
+        schedule = self._schedule
+        if schedule is None or len(schedule[0]) != len(self._nodes):
+            schedule = self._schedule = self._derive_schedule()
+        return schedule
+
+    def _derive_schedule(
+        self,
+    ) -> Tuple[List[EnsembleNode], List[List[EnsembleNode]]]:
+        """One ready scan yields the order and each node's wave."""
         depth: Dict[str, int] = {}
+        order: List[EnsembleNode] = []
         waves: List[List[EnsembleNode]] = []
-        for node in self.topological_order():
-            level = (
-                max((depth[dep] + 1 for dep in node.deps), default=0)
-            )
-            depth[node.name] = level
-            while len(waves) <= level:
-                waves.append([])
-            waves[level].append(node)
-        return waves
+        pending = list(self._nodes.values())
+        while pending:
+            remaining: List[EnsembleNode] = []
+            for node in pending:
+                if any(dep not in depth for dep in node.deps):
+                    remaining.append(node)
+                    continue
+                level = max((depth[dep] + 1 for dep in node.deps), default=0)
+                depth[node.name] = level
+                order.append(node)
+                while len(waves) <= level:
+                    waves.append([])
+                waves[level].append(node)
+            if len(remaining) == len(pending):
+                cyclic = ", ".join(sorted(n.name for n in remaining))
+                raise SimulationError(
+                    f"ensemble has an unsatisfiable dependency among: {cyclic}"
+                )
+            pending = remaining
+        return order, waves
 
 
 __all__ = [

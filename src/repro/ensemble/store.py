@@ -59,7 +59,7 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -294,7 +294,10 @@ class RunStore:
 
     @staticmethod
     def _validate_key(key: str) -> None:
-        if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
+        # 64 lowercase hex digits, nothing else: the key names a path.
+        # ``strip`` leaves a non-empty remainder iff any character is
+        # outside the set, and runs in C on every contains/get/put.
+        if len(key) != 64 or key.strip("0123456789abcdef"):
             raise SimulationError(f"malformed run key {key!r}")
 
     # -- read path -----------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.ensemble import (
     Ensemble,
     RunStore,
     ScenarioSpec,
+    ShardedRunStore,
     result_fingerprint,
     run_ensemble,
 )
@@ -65,6 +66,35 @@ def sweep(runs=12, seed=3):
 
 def eq(column, value):
     return BinaryOp("=", Col(column), Literal(value))
+
+
+@pytest.fixture(params=["flat", "sharded", "flat-reopened-sharded"])
+def materialize(request, tmp_path):
+    """Run ensembles into a store of each layout; returns the store.
+
+    ``flat-reopened-sharded`` runs into a flat :class:`RunStore` and
+    reopens it as a :class:`ShardedRunStore`, so every materialized
+    entry stays in ``objects/`` and is found through the fallback.
+    """
+
+    def run_into(*ensembles):
+        if request.param == "sharded":
+            store = ShardedRunStore(tmp_path, shards=3)
+        else:
+            store = RunStore(tmp_path)
+        with injected(None):
+            for ensemble in ensembles:
+                run_ensemble(ensemble, store=store).raise_if_failed()
+        if request.param == "flat-reopened-sharded":
+            store = ShardedRunStore(tmp_path, shards=3)
+            assert store.summary()[0] > 0
+            assert not any(
+                os.listdir(store._shard_objects_dir(shard))
+                for shard in range(store.shards)
+            )
+        return store
+
+    return run_into
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +118,9 @@ class TestPlanDelta:
         assert plan.cone == []
         assert "3 reused, 0 recomputed (0.0%)" in plan.render()
 
-    def test_perturbation_cone_is_changed_plus_descendants(self, tmp_path):
-        store = RunStore(tmp_path)
+    def test_perturbation_cone_is_changed_plus_descendants(self, materialize):
         base = chain(4)
-        with injected(None):
-            run_ensemble(base, store=store)
+        store = materialize(base)
         target = perturb(base, params={"n1": {"x": 99}})
         plan = plan_delta(target, store, base=base)
         assert plan.nodes["n0"].action == "reuse"
@@ -103,11 +131,9 @@ class TestPlanDelta:
         assert plan.cone == ["n1", "n2", "n3"]
         assert plan.nodes["n1"].base_key != plan.nodes["n1"].key
 
-    def test_added_and_missing_reasons(self, tmp_path):
-        store = RunStore(tmp_path)
+    def test_added_and_missing_reasons(self, materialize):
         base = chain(2)
-        with injected(None):
-            run_ensemble(base, store=store)
+        store = materialize(base)
         target = Ensemble("chain")
         for node in base.topological_order():
             target.add(node.name, node.spec, deps=node.deps)
@@ -124,11 +150,9 @@ class TestPlanDelta:
         replan = plan_delta(base, store, base=base)
         assert replan.reasons() == {"missing": 2}
 
-    def test_sweep_single_factor_cone_is_one_node(self, tmp_path):
-        store = RunStore(tmp_path)
+    def test_sweep_single_factor_cone_is_one_node(self, materialize):
         base = sweep(runs=20)
-        with injected(None):
-            run_ensemble(base, store=store)
+        store = materialize(base)
         target = perturb(base, params={"sweep/007": {"x1": 0.42}})
         plan = plan_delta(target, store, base=base)
         # Independent DoE rows: the cone is exactly the perturbed node.
@@ -527,13 +551,10 @@ class TestTimelineDiff:
         assert report.summary() == {"same": 3}
         assert [n.status for n in report.nodes] == ["same"] * 3
 
-    def test_branch_diff_statuses_and_deltas(self, tmp_path):
-        store = RunStore(tmp_path)
+    def test_branch_diff_statuses_and_deltas(self, materialize):
         base = chain(3)
         target = perturb(base, params={"n1": {"x": 50}})
-        with injected(None):
-            run_ensemble(base, store=store)
-            run_ensemble(target, store=store)
+        store = materialize(base, target)
         report = diff_timelines(store, base, target)
         assert not report.identical
         assert report.summary() == {"changed": 2, "same": 1}
@@ -563,11 +584,9 @@ class TestTimelineDiff:
         # b-only nodes come after a's topological order.
         assert [n.name for n in report.nodes][-1] == "side"
 
-    def test_unstored_branch_reports_instead_of_running(self, tmp_path):
-        store = RunStore(tmp_path)
+    def test_unstored_branch_reports_instead_of_running(self, materialize):
         base = chain(2)
-        with injected(None):
-            run_ensemble(base, store=store)
+        store = materialize(base)
         never_ran = perturb(base, params={"n0": {"x": 77}})
         report = diff_timelines(store, base, never_ran)
         assert report.summary() == {"unstored": 2}
@@ -607,6 +626,14 @@ class TestTimelineDiff:
         assert typed[0].kind == "type"
         lists = value_deltas([1, 2], [1, 3, 4])
         assert any(d.kind == "value" for d in lists)
+
+    def test_equal_scalar_nans_are_no_delta(self):
+        # Two separately made NaNs, as two decoded results would hold.
+        assert value_deltas({"v": float("nan")}, {"v": float("nan")}) == []
+        assert value_deltas([1.0, float("nan")], [1.0, float("nan")]) == []
+        assert value_deltas(np.float32("nan"), np.float64("nan")) == []
+        moved = value_deltas({"v": float("nan")}, {"v": 1.0})
+        assert [d.path for d in moved] == ["$.v"]
 
     def test_leaf_delta_cap_records_overflow(self):
         a = {f"k{i}": i for i in range(10)}

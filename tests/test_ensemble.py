@@ -17,22 +17,30 @@ via :func:`repro.faults.injected`.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.delta import MaterializedView, perturb
 from repro.ensemble import (
     STORE_SCHEMA_VERSION,
     Ensemble,
+    EnsembleNode,
     EnsembleResult,
     RunStore,
     ScenarioSpec,
+    ShardedRunStore,
     canonical_json,
     canonical_params,
     compute_run_keys,
@@ -237,6 +245,216 @@ class TestEnsembleDag:
 
 
 # ---------------------------------------------------------------------------
+# Run keys: pinned bytes, and cached/incremental derivation
+# ---------------------------------------------------------------------------
+
+def golden_dag():
+    """A fixed DAG: numpy-scalar, tuple and nested-dict params, a branch."""
+    dag = Ensemble("golden")
+    dag.add(
+        "root",
+        ScenarioSpec(
+            "test.double",
+            {"x": np.int64(3), "rate": np.float64(0.25)},
+            seed=7,
+        ),
+    )
+    dag.add(
+        "mid",
+        ScenarioSpec(
+            "test.double",
+            {
+                "x": 1,
+                "window": (2, 4),
+                "opts": {"mode": "fast", "grid": {"lo": -1.5, "hi": 2}},
+                "upstream_node": "root",
+            },
+            seed=7,
+        ),
+        deps=("root",),
+    )
+    dag.branch("root", "alt", ScenarioSpec("test.array", {"n": 4}, seed=9))
+    dag.add(
+        "join",
+        ScenarioSpec("test.double", {"x": 2, "upstream_node": "mid"}),
+        deps=("mid", "alt"),
+    )
+    return dag
+
+
+#: Keys of ``golden_dag()`` and of its copy with ``mid.x = 5``.  A change
+#: here orphans every entry of every existing on-disk store.
+GOLDEN_KEYS = {
+    "root": "8382374b6466451a901563633975d10396e7c472c33fadf956133d6da88d2846",
+    "mid": "d0ab3efeb30fabc70c9067b98dbb21d352feba706b1ded1884b79b93893df9a9",
+    "alt": "571eb34051f7acace87be34251ba8d2605d7be12fe592e4314d0383d02fd3f62",
+    "join": "7e350010f23d1a34af96503caeb01a31aa18e8dcc5d940df418291366488f30c",
+}
+GOLDEN_PERTURBED_KEYS = dict(
+    GOLDEN_KEYS,
+    mid="5b3899a40ccb3c014647865369c6344af5867127da7268b99be06e6619aabd94",
+    join="0be9d54cb323b7f846c4ccd274928325d5e79f3470db4172681e7bfc52486366",
+)
+
+
+def rebuilt(ensemble):
+    """The same ensemble added node by node: nothing cached or shared."""
+    copy = Ensemble(ensemble.name)
+    for node in ensemble.nodes():
+        copy.add(node.name, node.spec, deps=node.deps)
+    return copy
+
+
+@st.composite
+def dags(draw):
+    """Random DAGs: up to 30 nodes with at most 3 deps each."""
+    ensemble = Ensemble("random")
+    names = []
+    for i in range(draw(st.integers(1, 30))):
+        deps = draw(
+            st.lists(st.sampled_from(names), max_size=3, unique=True)
+        ) if names else []
+        spec = ScenarioSpec(
+            "test.flaky", {"x": draw(st.integers(0, 3))}, seed=i % 3
+        )
+        names.append(ensemble.add(f"n{i}", spec, deps=deps))
+    return ensemble
+
+
+class TestRunKeys:
+    def test_golden_keys_do_not_move(self):
+        dag = golden_dag()
+        assert compute_run_keys(dag) == GOLDEN_KEYS
+        moved = perturb(dag, params={"mid": {"x": 5}})
+        assert compute_run_keys(moved) == GOLDEN_PERTURBED_KEYS
+
+    def test_golden_keys_of_a_copy_made_before_its_parent_was_keyed(self):
+        dag = golden_dag()
+        moved = perturb(dag, params={"mid": {"x": 5}})
+        assert compute_run_keys(moved) == GOLDEN_PERTURBED_KEYS
+        assert compute_run_keys(dag) == GOLDEN_KEYS
+
+    @given(base=dags(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_incremental_derivation_equals_a_rebuild(self, base, data):
+        """Keys, order and waves of perturb chains equal a rebuild's."""
+        chain_ = [base]
+        for step in range(data.draw(st.integers(1, 4), label="perturbs")):
+            parent = chain_[-1]
+            if data.draw(st.booleans(), label="key parent first"):
+                compute_run_keys(parent)
+            names = [node.name for node in parent.nodes()]
+            changes = {}
+            for name in data.draw(
+                st.lists(st.sampled_from(names), min_size=1, max_size=3,
+                         unique=True),
+                label="perturbed nodes",
+            ):
+                if name in base and data.draw(st.booleans(), label="restore"):
+                    changes[name] = {"x": base.node(name).spec.params["x"]}
+                else:
+                    changes[name] = {"x": data.draw(st.integers(0, 9))}
+            child = perturb(parent, params=changes)
+            if data.draw(st.booleans(), label="key copy before add"):
+                compute_run_keys(child)
+            if data.draw(st.booleans(), label="add after perturb"):
+                deps = data.draw(
+                    st.lists(st.sampled_from(names), max_size=3, unique=True)
+                )
+                grown = data.draw(st.sampled_from([child, parent]))
+                grown.add(
+                    f"extra{step}",
+                    ScenarioSpec("test.flaky", {"x": step}),
+                    deps=deps,
+                )
+            chain_.append(child)
+        for ensemble in reversed(chain_):
+            fresh = rebuilt(ensemble)
+            expected = compute_run_keys(fresh)
+            keys = compute_run_keys(ensemble)
+            assert keys == expected
+            assert ensemble.topological_order() == fresh.topological_order()
+            assert ensemble.waves() == fresh.waves()
+            # Results are copies: mutating them cannot poison the caches.
+            poison = EnsembleNode("poison", ScenarioSpec("test.flaky"))
+            keys[next(iter(keys))] = "0" * 64
+            ensemble.topological_order()[0] = poison
+            waves = ensemble.waves()
+            waves[0][0] = poison
+            waves[-1] = [poison]
+            assert compute_run_keys(ensemble) == expected
+            assert ensemble.topological_order() == fresh.topological_order()
+            assert ensemble.waves() == fresh.waves()
+
+    def test_racing_derivations_agree(self):
+        """Unlocked caches: threads racing on one derivation agree."""
+        base = Ensemble("wide")
+        for i in range(120):
+            deps = [f"n{j}" for j in (i - 1, i // 2) if 0 <= j < i]
+            base.add(
+                f"n{i}", ScenarioSpec("test.flaky", {"x": i}),
+                deps=sorted(set(deps)),
+            )
+        copies = [base]
+        for step in range(3):
+            copies.append(perturb(copies[-1], params={f"n{step}": {"x": -1}}))
+        expected = [compute_run_keys(rebuilt(copy)) for copy in copies]
+        orders = [rebuilt(copy).topological_order() for copy in copies]
+        seen = []
+
+        def derive(offset):
+            for step in range(len(copies)):
+                index = (step + offset) % len(copies)
+                copy = copies[index]
+                seen.append(
+                    (index, compute_run_keys(copy), copy.topological_order())
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=derive, args=(offset,))
+                for offset in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seen) == 8 * len(copies)
+        for index, keys, order in seen:
+            assert keys == expected[index]
+            assert order == orders[index]
+
+    def test_keyed_copy_releases_its_parent(self):
+        base = chain(3)
+        copy = perturb(base, params={"n1": {"x": 9}})
+        parent = weakref.ref(base)
+        del base
+        gc.collect()
+        assert parent() is not None  # held until the copy is keyed
+        compute_run_keys(copy)
+        gc.collect()
+        assert parent() is None
+        assert compute_run_keys(copy) == compute_run_keys(rebuilt(copy))
+
+    def test_view_refreshes_release_earlier_definitions(self, tmp_path):
+        view = MaterializedView(chain(3), RunStore(tmp_path))
+        first = weakref.ref(view.ensemble)
+        with injected(None):
+            view.build()
+            for x in (7, 8, 9):
+                assert view.refresh(params={"n1": {"x": x}}).ok
+        gc.collect()
+        assert first() is None
+        assert compute_run_keys(view.ensemble) == \
+            compute_run_keys(rebuilt(view.ensemble))
+
+
+# ---------------------------------------------------------------------------
 # The run store
 # ---------------------------------------------------------------------------
 
@@ -289,6 +507,31 @@ class TestRunStore:
             store.get("../../etc/passwd")
         with pytest.raises(SimulationError):
             store.put("short", {})
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("bad", ["A", "/", ".", " ", "\n", "\u0663"])
+    def test_one_bad_character_in_a_full_length_key_rejected(
+        self, tmp_path, bad, sharded
+    ):
+        """A 64-character key must be all lowercase hex: it names a path."""
+        store = (
+            ShardedRunStore(tmp_path, shards=3) if sharded
+            else RunStore(tmp_path)
+        )
+        good = run_key("f", {"x": 1}, 0)
+        operations = {
+            "get": store.get,
+            "put": lambda key: store.put(key, {"v": 1}),
+            "contains": store.contains,
+            "evict": store.evict,
+        }
+        for position in (0, 32, 63):
+            key = good[:position] + bad + good[position + 1:]
+            assert len(key) == 64
+            for name, operation in operations.items():
+                with pytest.raises(SimulationError, match="malformed"):
+                    operation(key)
+        assert store.ls() == []
 
     def test_ls_oldest_first_and_gc(self, tmp_path):
         store = RunStore(tmp_path)
