@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
@@ -29,10 +29,10 @@ from repro.assimilation.importance import (
 )
 from repro.assimilation.resampling import get_resampler
 from repro.errors import FilteringError
-from repro.exec.substrate import Substrate, split_failures
 from repro.faults.retry import RetryPolicy, TaskFailed
 from repro.obs import get_observer
-from repro.parallel.backend import Backend
+from repro.parallel.backend import Backend, get_backend
+from repro.stats.rng import RandomStreamFactory
 
 
 @dataclass
@@ -107,9 +107,10 @@ def _drop_dead_shards(outputs: List[Any], scope: str) -> List[Any]:
     byte-identical to a failure-free one.  Losing *every* shard leaves
     nothing to filter with and raises.
     """
-    survivors, failures = split_failures(outputs)
+    failures = [o for o in outputs if isinstance(o, TaskFailed)]
     if not failures:
         return outputs
+    survivors = [o for o in outputs if not isinstance(o, TaskFailed)]
     dead = sorted(f.index for f in failures)
     warnings.warn(
         f"particle filter dropped {len(failures)} dead shard(s) {dead} "
@@ -223,8 +224,8 @@ def particle_filter(
             )
         if n_shards < 1:
             raise FilteringError("n_shards must be >= 1")
-        executor = Substrate(backend)
-        factory = executor.stream_factory(seed)
+        executor = get_backend(backend)
+        factory = RandomStreamFactory(seed)
         shard_count = min(n_shards, n_particles)
         shard_sizes = [
             block.size
@@ -253,7 +254,7 @@ def particle_filter(
         # Step 1: particles at time 0 (before the first observation).
         with observer.span("assimilation.init"):
             if parallel:
-                shard_outputs = executor.submit(
+                shard_outputs = executor.map(
                     partial(_initial_shard, model),
                     [
                         (factory.sequence(("pf", "init", s)), size)
@@ -291,7 +292,7 @@ def particle_filter(
                         effective_shards = min(
                             shard_count, int(particles.shape[0])
                         )
-                        shard_results = executor.submit(
+                        shard_results = executor.map(
                             partial(
                                 _propose_shard, model, proposal, observation
                             ),

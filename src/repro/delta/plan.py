@@ -22,9 +22,9 @@ and the work proportional to the change:
   the invalidation cone — and everything outside it is provably
   reusable byte-for-byte.
 * **execute** (:func:`execute_plan`) — dispatch *only* the cone through
-  the :class:`~repro.exec.substrate.Substrate`, loading a reused
-  upstream result from the store only when a cone node actually
-  consumes it.  Reused nodes that feed nothing recomputed are never
+  the scheduler's :class:`~repro.ensemble.scheduler.NodeDispatch`,
+  loading a reused upstream result from the store only when a cone node
+  actually consumes it.  Reused nodes that feed nothing recomputed are never
   deserialized, which is what makes a one-factor perturbation of a
   thousands-of-node sweep cost O(cone), not O(sweep).
 
@@ -50,10 +50,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.ensemble.scheduler import (
     EnsembleResult,
+    NodeDispatch,
     NodePayload,
     NodeReport,
     compute_run_keys,
-    node_call,
 )
 from repro.ensemble.spec import (
     Ensemble,
@@ -64,15 +64,8 @@ from repro.ensemble.spec import (
 )
 from repro.ensemble.store import RunStore
 from repro.errors import SimulationError
-from repro.exec.substrate import Substrate
-from repro.faults.plan import FaultPlan, get_fault_plan
-from repro.faults.retry import (
-    DEFAULT_RETRY_POLICY,
-    NO_RETRY,
-    RetryPolicy,
-    RetryStats,
-    TaskFailed,
-)
+from repro.faults.plan import FaultPlan
+from repro.faults.retry import RetryPolicy, RetryStats
 from repro.obs import get_observer
 from repro.parallel.backend import Backend
 
@@ -355,25 +348,14 @@ def execute_plan(
     it is loaded from the store once and shared by every consumer in
     the wave set.
     """
-    fplan = faults if faults is not None else get_fault_plan()
-    policy = retry if retry is not None else (
-        DEFAULT_RETRY_POLICY if fplan is not None else NO_RETRY
-    )
     ensemble = plan.ensemble
-    # Constructed lazily at the first non-empty wave: an all-reused plan
-    # (the warm-cache fast path) must not pay backend setup — on the
-    # process backend that is a whole worker pool — just to run nothing.
-    substrate: Optional[Substrate] = None
-    observer = get_observer()
-    indices = {
-        node.name: i for i, node in enumerate(ensemble.topological_order())
-    }
-    checkpoint_dir = store.checkpoint_dir()
-
     outcome = DeltaResult(ensemble.name, plan, store)
+    nodes = NodeDispatch(
+        ensemble, outcome, store, backend, retry, faults,
+        scope="delta.dispatch", timer="delta.node_seconds",
+    )
+    observer = get_observer()
     loaded: Dict[str, Any] = {}  # store-loaded reused upstream results
-    dead: Dict[str, str] = {}
-    totals = RetryStats()
     loads = 0
 
     def upstream_result(dep: str) -> Any:
@@ -407,78 +389,18 @@ def execute_plan(
                         node.name, node_plan.key, "reused"
                     )
                     continue
-                broken = next(
-                    (dep for dep in node.deps if dep in dead), None
-                )
-                if broken is not None:
-                    root = dead[broken]
-                    dead[node.name] = root
-                    outcome.reports[node.name] = NodeReport(
-                        node.name, node_plan.key, "skipped", blocked_on=root
-                    )
+                if nodes.skipped(node, node_plan.key):
                     continue
                 pending.append(
-                    NodePayload(
-                        name=node.name,
-                        scenario=node.spec.scenario,
-                        fn=get_scenario(node.spec.scenario),
-                        params=dict(node.spec.params),
-                        seed=node.spec.seed,
-                        upstream={
-                            dep: upstream_result(dep) for dep in node.deps
-                        },
-                        index=indices[node.name],
-                        policy=policy,
-                        plan=fplan,
-                        checkpoint_dir=checkpoint_dir,
-                        key=node_plan.key,
+                    nodes.payload(
+                        node,
+                        node_plan.key,
+                        {dep: upstream_result(dep) for dep in node.deps},
                     )
                 )
-            if not pending:
-                continue
-            if substrate is None:
-                substrate = Substrate(backend)
-            resolved = substrate.dispatch_isolated(
-                [node_call(payload) for payload in pending],
-                scope="delta.dispatch",
-            )
-            node_timer = observer.timer("delta.node_seconds")
-            for payload, (status, value, stats, seconds) in zip(
-                pending, resolved
-            ):
-                totals.absorb(stats)
-                node_timer.add(seconds)
-                if status == "ok":
-                    spec = ensemble.node(payload.name).spec
-                    outcome.results[payload.name] = store.put(
-                        payload.key,
-                        value,
-                        scenario=spec.scenario,
-                        params=spec.params,
-                        seed=spec.seed,
-                    )
-                    outcome.reports[payload.name] = NodeReport(
-                        payload.name,
-                        payload.key,
-                        "run",
-                        seconds=seconds,
-                        attempts=stats.attempts,
-                        retried=stats.tasks_retried > 0,
-                    )
-                else:
-                    failure: TaskFailed = value
-                    dead[payload.name] = payload.name
-                    outcome.reports[payload.name] = NodeReport(
-                        payload.name,
-                        payload.key,
-                        "failed",
-                        seconds=seconds,
-                        attempts=stats.attempts,
-                        retried=stats.tasks_retried > 0,
-                        error=f"{failure}\n{failure.history()}",
-                    )
+            nodes.dispatch(pending)
 
-    _emit_execute_metrics(observer, outcome, totals, loads)
+    _emit_execute_metrics(observer, outcome, nodes.totals, loads)
     outcome.store_stats = store.stats.as_dict()
     return outcome
 

@@ -3,7 +3,7 @@
 A :class:`PartitionedTable` assigns every row of an engine
 :class:`~repro.engine.table.Table` to one of ``n`` partitions by a key
 column — ``hash`` partitioning via the same CRC-32 canonical-key
-assignment the mapreduce shuffle uses (:mod:`repro.exec.keys`), or
+assignment the mapreduce shuffle uses (:mod:`repro.parallel.keys`), or
 ``range`` partitioning over deterministic boundaries derived from the
 sorted distinct keys.  ``Database.partition_table`` registers one per
 table; no executor reads it, so registering a partitioning never changes
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.engine.table import Table
 from repro.errors import CatalogError
-from repro.exec.keys import partition_index
+from repro.parallel.keys import partition_index
 
 __all__ = ["PartitionedTable"]
 

@@ -25,10 +25,16 @@ itself, per-node timers, and an ``ensemble.run`` span.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Union
 
-from repro.ensemble.spec import Ensemble, get_scenario, scenario_qualname
+from repro.ensemble.spec import (
+    Ensemble,
+    EnsembleNode,
+    get_scenario,
+    scenario_qualname,
+)
 from repro.ensemble.store import (
     RunStore,
     normalize_result,
@@ -36,7 +42,6 @@ from repro.ensemble.store import (
     run_key,
 )
 from repro.errors import SimulationError
-from repro.exec.substrate import IsolatedCall, Substrate
 from repro.faults.plan import FaultPlan, get_fault_plan
 from repro.faults.retry import (
     DEFAULT_RETRY_POLICY,
@@ -44,9 +49,10 @@ from repro.faults.retry import (
     RetryPolicy,
     RetryStats,
     TaskFailed,
+    run_with_retry,
 )
 from repro.obs import get_observer
-from repro.parallel.backend import Backend
+from repro.parallel.backend import Backend, get_backend
 
 #: Fault-plan scope under which every ensemble node executes; the task
 #: index is the node's global position in topological order.
@@ -118,25 +124,42 @@ def _invoke_scenario(payload: NodePayload) -> Any:
         _context.value = None
 
 
-def node_call(payload: NodePayload) -> IsolatedCall:
-    """The substrate call that runs one node to a terminal state.
+class TaskOutcome(NamedTuple):
+    """Terminal record of one node run (never an exception)."""
 
-    :func:`repro.exec.substrate.run_isolated` executes the call under
-    ``run_with_retry`` inside the worker and returns a
-    :class:`~repro.exec.substrate.TaskOutcome` instead of raising —
-    which is what turns a dead node into a report rather than a crashed
-    ensemble.  The fault index is the node's *global topological index*,
-    so ``REPRO_FAULTS=at=ensemble.node:<i>`` targets the same node on
-    every backend and wave packing.
+    status: str  # "ok" | "failed"
+    value: Any  # result, or the terminal TaskFailed
+    stats: RetryStats
+    seconds: float
+
+
+def run_node(payload: NodePayload) -> TaskOutcome:
+    """Run one node to a terminal state inside the worker; never raises.
+
+    Module-level so it pickles for the process backend.  Catching the
+    terminal :class:`TaskFailed` here — instead of letting it propagate
+    through the backend — is what turns a dead node into a report
+    rather than a crashed ensemble.  The fault index is the node's
+    *global topological index*, so ``REPRO_FAULTS=at=ensemble.node:<i>``
+    targets the same node on every backend and wave packing.
     """
-    return IsolatedCall(
-        fn=_invoke_scenario,
-        item=payload,
-        scope=NODE_SCOPE,
-        index=payload.index,
-        policy=payload.policy,
-        plan=payload.plan,
-    )
+    stats = RetryStats()
+    start = time.perf_counter()
+    try:
+        result = run_with_retry(
+            _invoke_scenario,
+            payload,
+            scope=NODE_SCOPE,
+            index=payload.index,
+            policy=payload.policy,
+            plan=payload.plan,
+            stats=stats,
+        )
+    except TaskFailed as failure:
+        return TaskOutcome(
+            "failed", failure, stats, time.perf_counter() - start
+        )
+    return TaskOutcome("ok", result, stats, time.perf_counter() - start)
 
 
 # -- reports ----------------------------------------------------------------
@@ -315,6 +338,130 @@ def _derive_run_keys(
     return keys
 
 
+class NodeDispatch:
+    """Node dispatch shared by :func:`run_ensemble` and ``execute_plan``.
+
+    One instance serves one run of :func:`run_ensemble` or
+    :func:`repro.delta.execute_plan`.  It resolves the per-node recovery
+    once — defaulting like :meth:`Backend.map`, except that with no plan
+    a node runs once (:data:`NO_RETRY`) and a real failure ends the
+    *node*, never the run — and keeps the run's terminal bookkeeping:
+    ``dead`` maps each failed or skipped node to the failed node that
+    ended it, and ``totals`` sums every node's retry stats.  Each ready
+    wave's payloads go through :meth:`dispatch`, one :meth:`Backend.map`
+    of :func:`run_node` under the caller's dispatch ``scope``.
+    """
+
+    def __init__(
+        self,
+        ensemble: Ensemble,
+        outcome: EnsembleResult,
+        store: Optional[RunStore],
+        backend: Union[str, Backend, None],
+        retry: Optional[RetryPolicy],
+        faults: Optional[FaultPlan],
+        *,
+        scope: str,
+        timer: str,
+    ) -> None:
+        self.plan = faults if faults is not None else get_fault_plan()
+        self.policy = retry if retry is not None else (
+            DEFAULT_RETRY_POLICY if self.plan is not None else NO_RETRY
+        )
+        self.ensemble = ensemble
+        self.outcome = outcome
+        self.store = store
+        self.backend = backend
+        self.scope = scope
+        self.timer = timer
+        self.indices = {
+            node.name: i
+            for i, node in enumerate(ensemble.topological_order())
+        }
+        self.checkpoint_dir = (
+            store.checkpoint_dir() if store is not None else None
+        )
+        self.dead: Dict[str, str] = {}
+        self.totals = RetryStats()
+
+    def skipped(self, node: EnsembleNode, key: str) -> bool:
+        """Report ``node`` skipped if an upstream node did not complete."""
+        broken = next((dep for dep in node.deps if dep in self.dead), None)
+        if broken is None:
+            return False
+        root = self.dead[broken]
+        self.dead[node.name] = root
+        self.outcome.reports[node.name] = NodeReport(
+            node.name, key, "skipped", blocked_on=root
+        )
+        return True
+
+    def payload(
+        self, node: EnsembleNode, key: str, upstream: Dict[str, Any]
+    ) -> NodePayload:
+        """The worker payload that runs ``node`` on ``upstream`` results."""
+        return NodePayload(
+            name=node.name,
+            scenario=node.spec.scenario,
+            fn=get_scenario(node.spec.scenario),
+            params=dict(node.spec.params),
+            seed=node.spec.seed,
+            upstream=upstream,
+            index=self.indices[node.name],
+            policy=self.policy,
+            plan=self.plan,
+            checkpoint_dir=self.checkpoint_dir,
+            key=key,
+        )
+
+    def dispatch(self, pending: List[NodePayload]) -> None:
+        """Run one wave's payloads and record each terminal outcome.
+
+        A completed node is persisted (or normalized, without a store)
+        and reported ``"run"``; a failed one is reported with its
+        attempt history and marked dead.  An empty wave returns before
+        resolving the backend: on the process backend that would start
+        a worker pool just to run nothing.
+        """
+        if not pending:
+            return
+        resolved = get_backend(self.backend).map(
+            run_node, pending, scope=self.scope
+        )
+        node_timer = get_observer().timer(self.timer)
+        for payload, (status, value, stats, seconds) in zip(
+            pending, resolved
+        ):
+            self.totals.absorb(stats)
+            node_timer.add(seconds)
+            if status == "ok":
+                if self.store is not None:
+                    spec = self.ensemble.node(payload.name).spec
+                    value = self.store.put(
+                        payload.key,
+                        value,
+                        scenario=spec.scenario,
+                        params=spec.params,
+                        seed=spec.seed,
+                    )
+                else:
+                    value = normalize_result(value)
+                self.outcome.results[payload.name] = value
+                error = None
+            else:
+                self.dead[payload.name] = payload.name
+                error = f"{value}\n{value.history()}"
+            self.outcome.reports[payload.name] = NodeReport(
+                payload.name,
+                payload.key,
+                "run" if status == "ok" else "failed",
+                seconds=seconds,
+                attempts=stats.attempts,
+                retried=stats.tasks_retried > 0,
+                error=error,
+            )
+
+
 def run_ensemble(
     ensemble: Ensemble,
     store: Optional[RunStore] = None,
@@ -339,21 +486,13 @@ def run_ensemble(
         and real failures terminate the *node* (descendants skipped),
         never the ensemble.
     """
-    plan = faults if faults is not None else get_fault_plan()
-    policy = retry if retry is not None else (
-        DEFAULT_RETRY_POLICY if plan is not None else NO_RETRY
+    outcome = EnsembleResult(name=ensemble.name)
+    nodes = NodeDispatch(
+        ensemble, outcome, store, backend, retry, faults,
+        scope="ensemble.dispatch", timer="ensemble.node_seconds",
     )
-    substrate = Substrate(backend)
     observer = get_observer()
     keys = compute_run_keys(ensemble)
-    indices = {
-        node.name: i for i, node in enumerate(ensemble.topological_order())
-    }
-    checkpoint_dir = store.checkpoint_dir() if store is not None else None
-
-    outcome = EnsembleResult(name=ensemble.name)
-    dead: Dict[str, str] = {}  # failed/skipped node -> terminal ancestor
-    totals = RetryStats()
 
     with observer.span(
         "ensemble.run", ensemble=ensemble.name, nodes=len(ensemble)
@@ -362,15 +501,7 @@ def run_ensemble(
             pending: List[NodePayload] = []
             for node in wave:
                 key = keys[node.name]
-                broken = next(
-                    (dep for dep in node.deps if dep in dead), None
-                )
-                if broken is not None:
-                    root = dead[broken]
-                    dead[node.name] = root
-                    outcome.reports[node.name] = NodeReport(
-                        node.name, key, "skipped", blocked_on=root
-                    )
+                if nodes.skipped(node, key):
                     continue
                 cached = store.get(key) if store is not None else None
                 if cached is not None:
@@ -380,69 +511,15 @@ def run_ensemble(
                     )
                     continue
                 pending.append(
-                    NodePayload(
-                        name=node.name,
-                        scenario=node.spec.scenario,
-                        fn=get_scenario(node.spec.scenario),
-                        params=dict(node.spec.params),
-                        seed=node.spec.seed,
-                        upstream={
-                            dep: outcome.results[dep] for dep in node.deps
-                        },
-                        index=indices[node.name],
-                        policy=policy,
-                        plan=plan,
-                        checkpoint_dir=checkpoint_dir,
-                        key=key,
+                    nodes.payload(
+                        node,
+                        key,
+                        {dep: outcome.results[dep] for dep in node.deps},
                     )
                 )
-            if not pending:
-                continue
-            resolved = substrate.dispatch_isolated(
-                [node_call(payload) for payload in pending],
-                scope="ensemble.dispatch",
-            )
-            node_timer = observer.timer("ensemble.node_seconds")
-            for payload, (status, value, stats, seconds) in zip(
-                pending, resolved
-            ):
-                totals.absorb(stats)
-                node_timer.add(seconds)
-                if status == "ok":
-                    spec = ensemble.node(payload.name).spec
-                    if store is not None:
-                        normalized = store.put(
-                            payload.key,
-                            value,
-                            scenario=spec.scenario,
-                            params=spec.params,
-                            seed=spec.seed,
-                        )
-                    else:
-                        normalized = normalize_result(value)
-                    outcome.results[payload.name] = normalized
-                    outcome.reports[payload.name] = NodeReport(
-                        payload.name,
-                        payload.key,
-                        "run",
-                        seconds=seconds,
-                        attempts=stats.attempts,
-                        retried=stats.tasks_retried > 0,
-                    )
-                else:
-                    failure: TaskFailed = value
-                    dead[payload.name] = payload.name
-                    outcome.reports[payload.name] = NodeReport(
-                        payload.name,
-                        payload.key,
-                        "failed",
-                        seconds=seconds,
-                        attempts=stats.attempts,
-                        retried=stats.tasks_retried > 0,
-                        error=f"{failure}\n{failure.history()}",
-                    )
+            nodes.dispatch(pending)
 
-    _emit_ensemble_metrics(observer, outcome, totals)
+    _emit_ensemble_metrics(observer, outcome, nodes.totals)
     if store is not None:
         outcome.store_stats = store.stats.as_dict()
     return outcome
@@ -474,12 +551,14 @@ def _emit_ensemble_metrics(
 
 __all__ = [
     "NODE_SCOPE",
+    "NodeDispatch",
     "NodePayload",
     "EnsembleResult",
     "NodeContext",
     "NodeReport",
+    "TaskOutcome",
     "compute_run_keys",
     "current_node_context",
-    "node_call",
     "run_ensemble",
+    "run_node",
 ]

@@ -32,7 +32,7 @@ first-class shards (the paper's §2.1 parallel-RDBMS storage argument)::
       objects/...                              # flat layout, still read
       checkpoints/  tmp/                       # shared across shards
 
-A key's shard is :func:`repro.exec.keys.partition_index` — the same
+A key's shard is :func:`repro.parallel.keys.partition_index` — the same
 canonical CRC-32 the engine's hash partitioning and the mapreduce
 shuffle use — so a content address keeps its shard across subsystem
 boundaries.  Reads fall back to the flat ``objects/`` tree, which makes
@@ -40,8 +40,8 @@ opening an old flat store as a sharded one a transparent migration
 (``migrate_layout`` renames entries into their shards for real).  Stat
 passes run per shard and merge into one *global* oldest-first order, so
 ``ls(limit=)`` and size-ordered ``gc`` are byte-identical to the flat
-store; ``gc`` deletions fan out one-shard-per-task through the
-:mod:`repro.exec` substrate under fault scope ``store.shard``.
+store; ``gc`` deletions fan out one-shard-per-task through a
+:mod:`repro.parallel` backend under fault scope ``store.shard``.
 
 Writes are atomic: each entry is staged in a scratch directory and
 ``os.rename``d into place, so readers never observe a half-written
@@ -67,6 +67,8 @@ import numpy as np
 from repro.ensemble.spec import canonical_json, canonical_params
 from repro.errors import SimulationError
 from repro.obs import get_observer
+from repro.parallel.backend import get_backend
+from repro.parallel.keys import partition_index
 
 #: Bump when the entry format or result encoding changes; participates
 #: in every run key, so old entries become unreachable (and collectable
@@ -589,7 +591,7 @@ class RunStore:
 # -- the sharded store -------------------------------------------------------
 
 def _evict_shard_batch(task: List[Tuple[str, List[str], str]]) -> List[str]:
-    """Substrate worker: delete one shard's planned entry directories.
+    """Backend task: delete one shard's planned entry directories.
 
     ``task`` is ``[(key, entry_dirs, checkpoint_path), ...]`` for one
     shard.  Idempotent by construction — fault injection fires *before*
@@ -617,7 +619,7 @@ def _evict_shard_batch(task: List[Tuple[str, List[str], str]]) -> List[str]:
 class ShardedRunStore(RunStore):
     """A :class:`RunStore` whose entries spread over ``shards`` roots.
 
-    Key→shard assignment is :func:`repro.exec.keys.partition_index` over
+    Key→shard assignment is :func:`repro.parallel.keys.partition_index` over
     the content address — the engine's canonical CRC-32 — so the layout
     is a pure function of the key.  Each shard has its own lock (same-
     shard operations serialize, cross-shard operations proceed in
@@ -627,7 +629,7 @@ class ShardedRunStore(RunStore):
     global oldest-first order, which keeps ``ls(limit=)`` ordering and
     size-ordered ``gc`` eviction byte-identical to the flat store on the
     same corpus.  ``gc`` deletions fan out one-shard-per-task through
-    the :class:`~repro.exec.substrate.Substrate` under fault scope
+    :meth:`~repro.parallel.backend.Backend.map` under fault scope
     ``store.shard`` while the driver holds the affected shard locks, so
     in-process readers never lose files mid-read.
     """
@@ -658,8 +660,6 @@ class ShardedRunStore(RunStore):
     def shard_of(self, key: str) -> int:
         """The shard holding ``key`` (pure CRC-32 of the address)."""
         self._validate_key(key)
-        from repro.exec.keys import partition_index
-
         return partition_index(key, self.shards)
 
     def _entry_dir(self, key: str) -> str:
@@ -740,8 +740,6 @@ class ShardedRunStore(RunStore):
         """
         if not keys:
             return []
-        from repro.exec.substrate import Substrate
-
         groups: Dict[int, List[str]] = {}
         for key in keys:
             groups.setdefault(self.shard_of(key), []).append(key)
@@ -757,7 +755,7 @@ class ShardedRunStore(RunStore):
         for lock in locks:
             lock.acquire()
         try:
-            outputs = Substrate(self._backend).submit(
+            outputs = get_backend(self._backend).map(
                 _evict_shard_batch,
                 tasks,
                 scope=STORE_SHARD_SCOPE,

@@ -22,8 +22,6 @@ from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
-from repro.exec.keys import partition_index as _partition_index
-from repro.exec.substrate import Substrate
 from repro.faults.retry import RetryPolicy, TaskFailed
 from repro.mapreduce.checkpoint import ChainCheckpoint
 from repro.mapreduce.counters import (
@@ -33,7 +31,8 @@ from repro.mapreduce.counters import (
 )
 from repro.mapreduce.job import KeyValue, MapReduceJob
 from repro.obs import get_observer
-from repro.parallel.backend import Backend
+from repro.parallel.backend import Backend, get_backend
+from repro.parallel.keys import partition_index as _partition_index
 
 
 def _run_map_task(
@@ -123,8 +122,7 @@ class Cluster:
         if num_workers < 1:
             raise SimulationError("cluster needs at least one worker")
         self.num_workers = num_workers
-        self.substrate = Substrate(backend)
-        self.backend = self.substrate.backend
+        self.backend = get_backend(backend)
         self.retry = retry
         self.history: List[Tuple[str, JobCounters]] = []
 
@@ -156,7 +154,7 @@ class Cluster:
                     splits = self._split(list(inputs), counters)
                 map_outputs: List[List[KeyValue]] = []
                 with observer.span("mapreduce.map", tasks=len(splits)):
-                    map_results, map_stats = self.substrate.submit_with_stats(
+                    map_results, map_stats = self.backend.map_with_stats(
                         partial(_run_map_task, job),
                         splits,
                         scope="mapreduce.map",
@@ -174,7 +172,7 @@ class Cluster:
                 with observer.span(
                     "mapreduce.reduce", partitions=len(partitions)
                 ):
-                    red_results, red_stats = self.substrate.submit_with_stats(
+                    red_results, red_stats = self.backend.map_with_stats(
                         partial(_run_reduce_task, job),
                         partitions,
                         scope="mapreduce.reduce",

@@ -21,20 +21,20 @@ Both strategies sample the same distributions; the benchmark
 from __future__ import annotations
 
 import time
+import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.engine.catalog import Database
 from repro.errors import QueryError, SimulationError
-from repro.exec.substrate import Substrate, crc32_rng, spawned_rng
 from repro.faults.retry import RetryPolicy
 from repro.mcdb.random_table import RandomTableSpec
 from repro.mcdb.tuple_bundle import BundledTable
 from repro.obs import get_observer
-from repro.parallel.backend import Backend
+from repro.parallel.backend import Backend, get_backend
 from repro.stats.estimators import (
     ConfidenceInterval,
     mean_confidence_interval,
@@ -123,7 +123,11 @@ class MonteCarloDatabase:
         return sorted(self._specs)
 
     def _rng_for(self, iteration: int) -> np.random.Generator:
-        return spawned_rng(self.seed, iteration)
+        # Iteration ``i`` draws from ``spawn_key=(i,)``: independent of
+        # every other iteration, so worlds fan out on any backend.
+        return np.random.default_rng(
+            np.random.SeedSequence(entropy=self.seed, spawn_key=(iteration,))
+        )
 
     # -- naive execution ----------------------------------------------------
     def instantiate(self, rng: np.random.Generator) -> Database:
@@ -167,7 +171,7 @@ class MonteCarloDatabase:
         with observer.span("mcdb.run_naive", n_mc=n_mc):
             if backend is not None:
                 samples = np.asarray(
-                    Substrate(backend).submit(
+                    get_backend(backend).map(
                         partial(_naive_iteration, self, query),
                         range(n_mc),
                         scope="mcdb.naive",
@@ -186,7 +190,12 @@ class MonteCarloDatabase:
         # Each random table draws from its own dedicated stream, keyed
         # by CRC-32 of the table name (stable across processes, unlike
         # builtin ``hash``).
-        return crc32_rng(self.seed, name)
+        return np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=self.seed,
+                spawn_key=(zlib.crc32(name.encode("utf-8")),),
+            )
+        )
 
     def instantiate_bundles(
         self,
@@ -209,7 +218,7 @@ class MonteCarloDatabase:
             "mcdb.instantiate_bundles", tables=len(names), n_mc=n_mc
         ):
             if backend is not None:
-                timed_tables = Substrate(backend).submit(
+                timed_tables = get_backend(backend).map(
                     partial(_bundle_for_table, self, n_mc),
                     names,
                     scope="mcdb.bundle",

@@ -5,18 +5,24 @@ processing is *embarrassingly parallel*: MCDB instantiates database
 instances independently per iteration, SimSQL runs map tasks and reduce
 partitions independently, and every replication loop in Sections 2-4
 (result caching, particle filtering, calibration sweeps) fans out over
-independent random streams.  This subpackage provides the substrate that
-exploits that structure:
+independent random streams.  This subpackage is the library's one
+fan-out surface: mapreduce, MCDB, the particle filter, the sharded
+store's gc and ensemble/delta node dispatch all call
+``get_backend(spec).map(...)`` (or ``map_with_stats``) directly.
 
 * :class:`~repro.parallel.backend.Backend` — the executor protocol: an
-  ordered ``map`` over picklable task closures;
+  ordered ``map`` over picklable task closures, retried per
+  :mod:`repro.faults` under a named fault ``scope``;
 * :func:`~repro.parallel.backend.get_backend` — factory resolving
   ``"serial"``, ``"thread"``, or ``"process"`` (or the ``REPRO_BACKEND``
   environment variable) to a shared backend instance;
 * :func:`~repro.stats.rng.task_seed_sequences` (re-exported here) —
   deterministic per-task RNG stream spawning, so that any backend
   produces *byte-identical* results to ``serial`` (the EFECT
-  bit-reproducibility requirement for parallel stochastic runs).
+  bit-reproducibility requirement for parallel stochastic runs);
+* :mod:`repro.parallel.keys` — the canonical CRC-32 key-to-partition
+  assignment shared by the mapreduce shuffle, hash-partitioned tables
+  and the sharded store.
 
 Determinism contract
 --------------------

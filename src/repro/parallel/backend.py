@@ -63,25 +63,15 @@ _QUIET = NullObserver()
 
 #: Environment variable naming the default backend for the whole library.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-#: Environment variable overriding the worker count of pooled backends.
-WORKERS_ENV_VAR = "REPRO_PARALLEL_WORKERS"
 
 
 def default_worker_count() -> int:
     """Worker count for pooled backends.
 
-    ``REPRO_PARALLEL_WORKERS`` wins when set; otherwise the scheduler
-    affinity (falling back to ``os.cpu_count()``), floored at 2 so the
+    The scheduler affinity (falling back to ``os.cpu_count()``), so
+    ``taskset`` or a cgroup cpuset caps the pool; floored at 2 so the
     pooled backends exercise real concurrency even on one-core hosts.
     """
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        count = int(env)
-        if count < 1:
-            raise SimulationError(
-                f"{WORKERS_ENV_VAR} must be >= 1, got {count}"
-            )
-        return count
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux platforms
@@ -171,23 +161,30 @@ def _run_chunk(
     policy: Optional[RetryPolicy] = None,
     plan: Optional[FaultPlan] = None,
     on_error: str = "raise",
-) -> Tuple[List[Any], float, RetryStats]:
+) -> Tuple[List[Any], float, RetryStats, Optional[TaskFailed]]:
     """Execute one contiguous chunk of tasks (runs inside a worker).
 
     Returns the results along with the chunk's own wall-clock seconds so
     the driver can account worker run time vs queue time, plus the
     chunk's :class:`RetryStats` for deterministic driver-side merging.
+    A terminal :class:`TaskFailed` is returned rather than raised, so
+    the stats gathered up to the failure reach the driver with it.
     Task bodies execute under :func:`repro.obs.suppressed` —
     observability is recorded at the driver from returned values, never
     from inside a task, which keeps metrics identical on every backend.
     """
     stats = RetryStats()
+    results: List[Any] = []
+    failure: Optional[TaskFailed] = None
     start = time.perf_counter()
-    with suppressed():
-        results = _run_tasks(
-            fn, chunk, start_index, scope, policy, plan, on_error, stats
-        )
-    return results, time.perf_counter() - start, stats
+    try:
+        with suppressed():
+            results = _run_tasks(
+                fn, chunk, start_index, scope, policy, plan, on_error, stats
+            )
+    except TaskFailed as exc:
+        failure = exc
+    return results, time.perf_counter() - start, stats, failure
 
 
 def _emit_fault_stats(observer, stats: RetryStats) -> None:
@@ -216,7 +213,9 @@ def _emit_fault_stats(observer, stats: RetryStats) -> None:
 class Backend:
     """Protocol for execution backends.
 
-    Subclasses override :meth:`map_with_stats`; the contract is strict
+    :meth:`map_with_stats` lists the items, counts the call, resolves
+    recovery and short-circuits empty input; subclasses implement only
+    :meth:`_run`.  The contract is strict
     ordering — ``backend.map(fn, items)[i] == fn(items[i])`` regardless
     of the actual execution schedule — plus per-task recovery: injected
     or real failures are retried per the resolved
@@ -275,7 +274,40 @@ class Backend:
         fanned out (``ShardedRunStore.gc``, whose obs must match the flat
         store's).
         """
+        items = list(items)
+        observer = _QUIET if quiet else get_observer()
+        observer.counter("parallel.map_calls").inc()
+        observer.counter("parallel.tasks").add(len(items))
+        policy, plan = _resolve_recovery(retry, faults)
+        if not items:
+            return [], RetryStats()
+        return self._run(
+            fn, items, chunksize, scope, policy, plan, on_error, observer
+        )
+
+    def _run(
+        self, fn, items, chunksize, scope, policy, plan, on_error, observer
+    ) -> Tuple[List[Any], RetryStats]:
+        """Run a non-empty map with resolved recovery (subclasses)."""
         raise NotImplementedError
+
+    def _run_inline(
+        self, fn, items, scope, policy, plan, on_error, observer, **attrs
+    ) -> Tuple[List[Any], RetryStats]:
+        """Run the whole map in-process, in order, under one span."""
+        stats = RetryStats()
+        try:
+            with observer.span(
+                "parallel.map", backend=self.name, tasks=len(items), **attrs
+            ), suppressed():
+                results = _run_tasks(
+                    fn, items, 0, scope, policy, plan, on_error, stats
+                )
+        except TaskFailed:
+            _emit_fault_stats(observer, stats)
+            raise
+        _emit_fault_stats(observer, stats)
+        return results, stats
 
     def shutdown(self) -> None:
         """Release pooled resources (no-op for poolless backends)."""
@@ -289,38 +321,12 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def map_with_stats(
-        self,
-        fn,
-        items,
-        chunksize=None,
-        *,
-        scope="parallel",
-        retry=None,
-        faults=None,
-        on_error="raise",
-        quiet=False,
+    def _run(
+        self, fn, items, chunksize, scope, policy, plan, on_error, observer
     ):
-        items = list(items)
-        observer = _QUIET if quiet else get_observer()
-        observer.counter("parallel.map_calls").inc()
-        observer.counter("parallel.tasks").add(len(items))
-        policy, plan = _resolve_recovery(retry, faults)
-        stats = RetryStats()
-        if not items:
-            return [], stats
-        try:
-            with observer.span(
-                "parallel.map", backend=self.name, tasks=len(items)
-            ), suppressed():
-                results = _run_tasks(
-                    fn, items, 0, scope, policy, plan, on_error, stats
-                )
-        except TaskFailed:
-            _emit_fault_stats(observer, stats)
-            raise
-        _emit_fault_stats(observer, stats)
-        return results, stats
+        return self._run_inline(
+            fn, items, scope, policy, plan, on_error, observer
+        )
 
 
 class _PooledBackend(Backend):
@@ -350,53 +356,13 @@ class _PooledBackend(Backend):
     def _submittable(self, fn, items) -> bool:
         return True
 
-    def _fallback_inline(
-        self, fn, items, scope, policy, plan, on_error, observer
-    ) -> Tuple[List[Any], RetryStats]:
-        """Execute the whole map in-process (probe or pool-side fallback).
-
-        Tasks are pure functions of their payloads, so re-running any
-        that a worker may already have completed reproduces the same
-        results; retry statistics are recomputed from scratch for the
-        same reason.
-        """
-        stats = RetryStats()
-        try:
-            with observer.span(
-                "parallel.map", backend=self.name, tasks=len(items),
-                inline=True,
-            ), suppressed():
-                results = _run_tasks(
-                    fn, items, 0, scope, policy, plan, on_error, stats
-                )
-        except TaskFailed:
-            _emit_fault_stats(observer, stats)
-            raise
-        _emit_fault_stats(observer, stats)
-        return results, stats
-
-    def map_with_stats(
-        self,
-        fn,
-        items,
-        chunksize=None,
-        *,
-        scope="parallel",
-        retry=None,
-        faults=None,
-        on_error="raise",
-        quiet=False,
+    def _run(
+        self, fn, items, chunksize, scope, policy, plan, on_error, observer
     ):
-        items = list(items)
-        observer = _QUIET if quiet else get_observer()
-        observer.counter("parallel.map_calls").inc()
-        observer.counter("parallel.tasks").add(len(items))
-        policy, plan = _resolve_recovery(retry, faults)
-        if not items:
-            return [], RetryStats()
         if len(items) == 1 or not self._submittable(fn, items):
-            return self._fallback_inline(
-                fn, items, scope, policy, plan, on_error, observer
+            return self._run_inline(
+                fn, items, scope, policy, plan, on_error, observer,
+                inline=True,
             )
         if chunksize is None:
             # Several chunks per worker so stragglers rebalance.
@@ -440,18 +406,22 @@ class _PooledBackend(Backend):
                 for position, future in enumerate(futures):
                     # Submission order == input order.
                     waiting_on = position
-                    chunk_results, run_seconds, chunk_stats = future.result()
+                    chunk_results, run_seconds, chunk_stats, failure = (
+                        future.result()
+                    )
                     # Queue time: turnaround since submission minus the
                     # worker's own run time (clamped; retrieval overlaps).
                     turnaround = time.perf_counter() - submitted
                     run_timer.add(run_seconds)
                     queue_timer.add(max(turnaround - run_seconds, 0.0))
                     stats.absorb(chunk_stats)
+                    if failure is not None:
+                        # Chunks before this one ran in full and this one
+                        # stopped at its failure, so the stats cover the
+                        # same tasks the serial backend's would.
+                        raise failure
                     results.extend(chunk_results)
         except TaskFailed:
-            # The failing chunk's own stats were lost with its raise;
-            # account the terminal failure itself at the driver.
-            stats.tasks_failed += 1
             _emit_fault_stats(observer, stats)
             raise
         except Exception as exc:
@@ -464,7 +434,8 @@ class _PooledBackend(Backend):
             # pickling error, not a task error), or the pool itself died
             # (worker killed, payload broke a worker mid-unpickle).
             # Either way, degrade to in-process execution — tasks are
-            # pure, so results are identical.
+            # pure, so results are identical, and retry stats are
+            # recomputed from scratch for the same reason.
             for future in futures:
                 future.cancel()
             if pool_broken:
@@ -475,12 +446,13 @@ class _PooledBackend(Backend):
                     "in-process (results are identical, only the "
                     "parallel speedup is lost)",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
             else:
                 self._warn_unpicklable()
-            return self._fallback_inline(
-                fn, items, scope, policy, plan, on_error, observer
+            return self._run_inline(
+                fn, items, scope, policy, plan, on_error, observer,
+                inline=True,
             )
         _emit_fault_stats(observer, stats)
         return results, stats
@@ -553,7 +525,7 @@ class ProcessBackend(_PooledBackend):
                 "executing in-process instead (results are identical, "
                 "only the parallel speedup is lost)",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
 
     def _pickling_failure(self, exc: BaseException, fn, chunk) -> bool:

@@ -51,6 +51,7 @@ from repro.ensemble import (
 )
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, injected
+from repro.parallel import SerialBackend
 from tests.test_ensemble import BACKENDS, REPO_ROOT, chain
 
 
@@ -748,15 +749,15 @@ class TestEmptyConeShortCircuit:
         base = chain(3)
         run_ensemble(base, store=store)
 
-        import repro.delta.plan as delta_plan_module
+        import repro.ensemble.scheduler as scheduler_module
 
-        def exploding_substrate(*args, **kwargs):  # pragma: no cover
+        def exploding_get_backend(*args, **kwargs):  # pragma: no cover
             raise AssertionError(
-                "empty cone constructed a Substrate (backend setup)"
+                "empty cone resolved a backend (backend setup)"
             )
 
         monkeypatch.setattr(
-            delta_plan_module, "Substrate", exploding_substrate
+            scheduler_module, "get_backend", exploding_get_backend
         )
         plan = plan_delta(base, store, base=base)
         assert plan.nodes_recomputed == 0
@@ -789,11 +790,81 @@ class TestEmptyConeShortCircuit:
         # may appear for a dispatch of zero nodes.
         assert not any(name.startswith("parallel.") for name in counters)
 
-    def test_dispatch_isolated_empty_returns_without_backend(self):
-        from repro.exec.substrate import Substrate
+    def test_dispatch_isolated_empty_returns_without_backend(
+        self, monkeypatch
+    ):
+        import repro.ensemble.scheduler as scheduler_module
+        from repro.ensemble import EnsembleResult
 
-        substrate = Substrate.__new__(Substrate)  # no backend attribute
-        assert substrate.dispatch_isolated([], scope="delta.dispatch") == []
+        def exploding_get_backend(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("empty wave resolved a backend")
+
+        monkeypatch.setattr(
+            scheduler_module, "get_backend", exploding_get_backend
+        )
+        outcome = EnsembleResult(name="chain")
+        nodes = scheduler_module.NodeDispatch(
+            chain(3), outcome, None, "process", None, None,
+            scope="delta.dispatch", timer="delta.node_seconds",
+        )
+        nodes.dispatch([])
+        assert outcome.reports == {} and outcome.results == {}
+        assert nodes.totals.attempts == 0
+
+
+class CountingBackend(SerialBackend):
+    """A serial backend that overrides only ``map`` and counts items."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.tasks = 0
+
+    def map(self, fn, items, chunksize=None, **kwargs):
+        items = list(items)
+        self.calls += 1
+        self.tasks += len(items)
+        return super().map(fn, items, chunksize, **kwargs)
+
+
+class TestNodeDispatchHook:
+    """Node dispatch goes through ``Backend.map``: a subclass overriding
+    only ``map`` sees every dispatched node and nothing else."""
+
+    def test_cold_warm_and_cone_task_counts(self, tmp_path, monkeypatch):
+        import repro.ensemble.scheduler as scheduler_module
+
+        store = RunStore(tmp_path)
+        base = chain(6)
+        cold = CountingBackend()
+        run_ensemble(base, store=store, backend=cold).raise_if_failed()
+        assert cold.tasks == 6
+        assert cold.calls == 6  # a chain is one node per wave
+
+        resolved = []
+        real_get_backend = scheduler_module.get_backend
+
+        def counting_get_backend(spec=None):
+            resolved.append(spec)
+            return real_get_backend(spec)
+
+        monkeypatch.setattr(
+            scheduler_module, "get_backend", counting_get_backend
+        )
+        warm = CountingBackend()
+        rerun = run_ensemble(base, store=store, backend=warm)
+        assert rerun.nodes_cached == 6
+        assert (warm.calls, warm.tasks) == (0, 0)
+        assert resolved == []
+
+        target = perturb(base, params={"n2": {"x": 99}}, name="chain~n2")
+        plan = plan_delta(target, store, base=base)
+        cone = CountingBackend()
+        outcome = execute_plan(plan, store, backend=cone)
+        outcome.raise_if_failed()
+        assert plan.nodes_recomputed == 4  # n2 and its descendants
+        assert cone.tasks == plan.nodes_recomputed == outcome.nodes_run
+        assert resolved == [cone] * cone.calls
 
 
 class TestDiffEvictionRace:

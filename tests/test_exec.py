@@ -1,14 +1,17 @@
-"""The unified execution substrate: behavior-preservation goldens + units.
+"""The fan-out surface: behavior-preservation goldens + units.
 
-The substrate port (mapreduce, MCDB, the sharded particle filter, the
-ensemble scheduler) claims *zero behavior change*.  The goldens below
-pin result fingerprints captured on the pre-refactor implementations;
-if a port drifts — seeds, ordering, retry semantics, anything — a
-fingerprint moves and the test names which subsystem.
+Every fan-out (mapreduce, MCDB, the sharded particle filter, the
+ensemble scheduler) calls a :mod:`repro.parallel` backend directly and
+claims *zero behavior change* across refactors of that path.  The
+goldens below pin result fingerprints captured on the original
+implementations; if a fan-out drifts — seeds, ordering, retry
+semantics, anything — a fingerprint moves and the test names which
+subsystem.
 
-The unit half covers the substrate surface itself: ordered fan-out,
-retry accounting, isolated (run-to-terminal-state) dispatch, degrade-
-mode splitting, the two seed-spawning conventions, and the canonical
+The unit half covers the surface itself: ordered fan-out through
+``Backend.map``/``map_with_stats``, retry accounting, run-to-terminal-
+state node dispatch (``run_node``), degrade-mode collection, the two
+seed-spawning conventions of ``MonteCarloDatabase``, and the canonical
 key hashing shared by the mapreduce shuffle and partitioned tables.
 """
 
@@ -26,21 +29,13 @@ from repro.assimilation.particle_filter import (
 from repro.engine import Database, Schema
 from repro.ensemble import result_fingerprint, run_ensemble
 from repro.ensemble.scenarios import response_sweep_ensemble
-from repro.exec import (
-    IsolatedCall,
-    Substrate,
-    TaskOutcome,
-    canonical_key_bytes,
-    crc32_rng,
-    partition_index,
-    run_isolated,
-    spawned_rng,
-    split_failures,
-)
+from repro.ensemble.scheduler import NodePayload, TaskOutcome, run_node
 from repro.faults.plan import FaultPlan, injected
 from repro.faults.retry import NO_RETRY, RetryPolicy, TaskFailed
 from repro.mapreduce import Cluster, MapReduceJob, sum_reducer
 from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
+from repro.parallel import get_backend
+from repro.parallel.keys import canonical_key_bytes, partition_index
 from repro.stats import make_rng
 
 
@@ -178,33 +173,52 @@ class TestPortGoldens:
         assert fp == GOLDEN["mapreduce"]
 
 
-# -- substrate units ---------------------------------------------------------
+# -- fan-out units -----------------------------------------------------------
 
 def _square(x):
     return x * x
 
 
-def _boom(x):
-    raise ValueError(f"boom {x}")
+def _node_square(params, seed, upstream):
+    return params["x"] * params["x"]
+
+
+def _node_boom(params, seed, upstream):
+    raise ValueError(f"boom {params['x']}")
+
+
+def _node_payload(fn, x, index):
+    return NodePayload(
+        name=f"n{index}",
+        scenario="t.node",
+        fn=fn,
+        params={"x": x},
+        seed=0,
+        upstream={},
+        index=index,
+        policy=NO_RETRY,
+        plan=None,
+        checkpoint_dir=None,
+        key=f"k{index}",
+    )
 
 
 class TestSubstrate:
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
     def test_submit_preserves_item_order(self, backend):
-        sub = Substrate(backend)
         items = list(range(23))
-        assert sub.submit(_square, items, scope="t.sq") == [
+        assert get_backend(backend).map(_square, items, scope="t.sq") == [
             i * i for i in items
         ]
 
     def test_backend_instance_passthrough(self):
-        sub = Substrate("serial")
-        assert Substrate(sub.backend).backend is sub.backend
+        backend = get_backend("serial")
+        assert get_backend(backend) is backend
+        assert get_backend("serial") is backend
 
     def test_submit_with_stats_counts_injected_retries(self):
         plan = FaultPlan(failures={("t.flaky", 2): 1})
-        sub = Substrate("serial")
-        results, stats = sub.submit_with_stats(
+        results, stats = get_backend("serial").map_with_stats(
             _square,
             range(5),
             scope="t.flaky",
@@ -219,8 +233,7 @@ class TestSubstrate:
 
     def test_submit_collect_marks_terminal_failures(self):
         plan = FaultPlan(failures={("t.dead", 1): 3})
-        sub = Substrate("serial")
-        outputs = sub.submit(
+        outputs = get_backend("serial").map(
             _square,
             range(3),
             scope="t.dead",
@@ -228,21 +241,17 @@ class TestSubstrate:
             retry=RetryPolicy(max_attempts=2),
             on_error="collect",
         )
-        survivors, failures = split_failures(outputs)
+        failures = [o for o in outputs if isinstance(o, TaskFailed)]
+        survivors = [o for o in outputs if not isinstance(o, TaskFailed)]
         assert survivors == [0, 4]
         assert [f.index for f in failures] == [1]
-        assert all(isinstance(f, TaskFailed) for f in failures)
 
     def test_run_isolated_ok_and_failed(self):
-        ok = run_isolated(
-            IsolatedCall(_square, 7, "t.iso", 0, NO_RETRY, None)
-        )
+        ok = run_node(_node_payload(_node_square, 7, 0))
         assert isinstance(ok, TaskOutcome)
         assert (ok.status, ok.value) == ("ok", 49)
         assert ok.stats.attempts == 1
-        dead = run_isolated(
-            IsolatedCall(_boom, 7, "t.iso", 1, NO_RETRY, None)
-        )
+        dead = run_node(_node_payload(_node_boom, 7, 1))
         assert dead.status == "failed"
         assert isinstance(dead.value, TaskFailed)
         assert dead.value.index == 1
@@ -250,14 +259,12 @@ class TestSubstrate:
 
     @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_dispatch_isolated_never_raises(self, backend):
-        calls = [
-            IsolatedCall(
-                _boom if i == 1 else _square, i, "t.iso", i, NO_RETRY, None
-            )
+        payloads = [
+            _node_payload(_node_boom if i == 1 else _node_square, i, i)
             for i in range(4)
         ]
-        outcomes = Substrate(backend).dispatch_isolated(
-            calls, scope="t.dispatch"
+        outcomes = get_backend(backend).map(
+            run_node, payloads, scope="t.dispatch"
         )
         assert [o.status for o in outcomes] == ["ok", "failed", "ok", "ok"]
         assert [o.value for o in outcomes if o.status == "ok"] == [0, 4, 9]
@@ -266,7 +273,8 @@ class TestSubstrate:
         expected = np.random.default_rng(
             np.random.SeedSequence(entropy=123, spawn_key=(5,))
         )
-        assert spawned_rng(123, 5).random(4).tolist() == expected.random(
+        mc = MonteCarloDatabase(Database(), seed=123)
+        assert mc._rng_for(5).random(4).tolist() == expected.random(
             4
         ).tolist()
 
@@ -276,9 +284,10 @@ class TestSubstrate:
                 entropy=9, spawn_key=(zlib.crc32(b"sbp_data"),)
             )
         )
-        assert crc32_rng(9, "sbp_data").random(4).tolist() == expected.random(
-            4
-        ).tolist()
+        mc = MonteCarloDatabase(Database(), seed=9)
+        assert mc._bundle_rng_for("sbp_data").random(4).tolist() == (
+            expected.random(4).tolist()
+        )
 
 
 class TestCanonicalKeys:

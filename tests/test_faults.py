@@ -31,7 +31,6 @@ from repro.errors import (
 )
 from repro.faults import (
     DEFAULT_CHAOS_RATE,
-    NO_RETRY,
     AttemptRecord,
     FaultPlan,
     InjectedFault,
@@ -453,6 +452,33 @@ class TestBackendRecovery:
         assert values["counters"]["faults.tasks_retried"] == 1
         assert values["counters"]["faults.injected"] == 1
         assert values["counters"]["faults.retries"] == 1
+
+    @pytest.mark.parametrize(
+        "failures",
+        (
+            {("parallel", 5): 9},
+            {("parallel", 0): 9},
+            {("parallel", 11): 9, ("parallel", 2): 1},
+            {("parallel", 3): 2, ("parallel", 6): 9, ("parallel", 9): 1},
+        ),
+    )
+    def test_values_metrics_identical_on_terminal_failure(self, failures):
+        # A task that fails for good stops the map; every backend must
+        # account exactly the tasks up to it, the failed one included.
+        plan = FaultPlan(failures=failures)
+        serialized = {}
+        for name in BACKENDS:
+            obs.disable()
+            observer = obs.enable()
+            with pytest.raises(TaskFailed):
+                get_backend(name).map(square, range(12), faults=plan)
+            serialized[name] = observer.metrics.values_json()
+            obs.disable()
+        assert serialized["thread"] == serialized["serial"]
+        assert serialized["process"] == serialized["serial"]
+        counters = json.loads(serialized["serial"])["counters"]
+        assert counters["faults.tasks_failed"] == 1
+        assert counters["faults.injected"] >= 3
 
     def test_fault_free_run_creates_no_fault_metrics(self):
         obs.disable()

@@ -34,7 +34,7 @@ from repro.ensemble.store import (
 )
 from repro.delta import delta_run
 from repro.errors import SimulationError
-from repro.exec.keys import partition_index
+from repro.parallel.keys import partition_index
 from repro.faults.plan import FaultPlan, injected
 from tests.test_ensemble import chain
 
