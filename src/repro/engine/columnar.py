@@ -17,7 +17,14 @@ float bit patterns included.  That drives several representation rules:
   int/float arithmetic and comparisons would round where Python computes
   exactly, so such columns fall back to ``object`` dtype.
 * Mixed-type columns (``int`` with ``float``, ``bool`` with ``int``,
-  strings, …) stay ``object`` dtype holding the original Python values.
+  …) stay ``object`` dtype holding the original Python values.
+* A schema-typed ``str`` column whose values are all exactly ``str``
+  takes the ``str`` kind: int32 codes into a per-column dictionary of
+  the distinct strings in first-appearance order.  Comparisons, ``IN``,
+  group and join keys and sorts run on the codes (or on the dictionary's
+  ranks in ``sorted()`` order); every other operator turns the vector
+  into the ``object`` form first, so its results and errors are the
+  row engine's.
 * Vectorized operators replicate the row engine's null semantics
   (null-safe arithmetic/comparison, three-valued AND/OR) and its error
   behaviour (``ZeroDivisionError`` on any evaluated division by zero,
@@ -63,18 +70,28 @@ _NUMERIC_KINDS = ("bool", "int", "float")
 class ColumnVector:
     """One column of values plus a validity mask.
 
-    ``kind`` is ``"bool"``, ``"int"``, ``"float"`` or ``"object"``.
-    Invariants: numeric/boolean vectors hold a neutral filler (``0``,
-    ``0.0``, ``False``) at invalid slots; object vectors hold ``None``
-    there and the original Python objects elsewhere.
+    ``kind`` is ``"bool"``, ``"int"``, ``"float"``, ``"str"`` or
+    ``"object"``.  Invariants: numeric/boolean vectors hold a neutral
+    filler (``0``, ``0.0``, ``False``) at invalid slots; object vectors
+    hold ``None`` there and the original Python objects elsewhere.  A
+    ``str`` vector's ``values`` are int32 codes into ``dictionary`` (an
+    object array of distinct, exactly-``str`` entries), ``-1`` at invalid
+    slots; ``dictionary`` is ``None`` for every other kind.
     """
 
-    __slots__ = ("kind", "values", "valid")
+    __slots__ = ("kind", "values", "valid", "dictionary")
 
-    def __init__(self, kind: str, values: np.ndarray, valid: np.ndarray) -> None:
+    def __init__(
+        self,
+        kind: str,
+        values: np.ndarray,
+        valid: np.ndarray,
+        dictionary: Optional[np.ndarray] = None,
+    ) -> None:
         self.kind = kind
         self.values = values
         self.valid = valid
+        self.dictionary = dictionary
 
     def __len__(self) -> int:
         return int(self.values.shape[0])
@@ -85,7 +102,8 @@ class ColumnVector:
     def take(self, indexer: np.ndarray) -> "ColumnVector":
         """Select rows by boolean mask or integer index array."""
         return ColumnVector(
-            self.kind, self.values[indexer], self.valid[indexer]
+            self.kind, self.values[indexer], self.valid[indexer],
+            self.dictionary,
         )
 
     def to_pylist(self) -> List[Any]:
@@ -97,6 +115,8 @@ class ColumnVector:
         """
         if self.kind == "object":
             return list(self.values)
+        if self.kind == "str":
+            return _decoded(self).tolist()
         values = self.values.tolist()
         if bool(self.valid.all()):
             return values
@@ -113,10 +133,15 @@ def all_null(n: int) -> "ColumnVector":
     )
 
 
+def _object_array(items: Sequence[Any]) -> np.ndarray:
+    arr = np.empty(len(items), dtype=object)
+    arr[:] = items
+    return arr
+
+
 def _object_vector(values: Sequence[Any]) -> ColumnVector:
     n = len(values)
-    arr = np.empty(n, dtype=object)
-    arr[:] = values
+    arr = _object_array(values)
     # ``in`` scans by identity first, so the common all-present case is
     # a C-speed pass with no per-element Python comparisons.
     if None in values:
@@ -124,6 +149,76 @@ def _object_vector(values: Sequence[Any]) -> ColumnVector:
     else:
         valid = np.ones(n, dtype=bool)
     return ColumnVector("object", arr, valid)
+
+
+_STR_OR_NONE = frozenset({str, type(None)})
+
+
+def _str_vector(values: Sequence[Any]) -> ColumnVector:
+    """Dictionary-code a column of exact ``str``/``None`` values.
+
+    Entries are numbered in first-appearance order, so coding an appended
+    tail only adds entries.  Any other value (a ``str`` subclass, a
+    non-string written straight into ``Table.rows``) keeps the ``object``
+    kind, whose elementwise paths replicate the row engine for anything.
+    """
+    if not _STR_OR_NONE.issuperset(map(type, values)):
+        return _object_vector(values)
+    entries = [v for v in dict.fromkeys(values) if v is not None]
+    index: Dict[Any, int] = {v: i for i, v in enumerate(entries)}
+    index[None] = -1
+    codes = np.fromiter(
+        map(index.__getitem__, values), dtype=np.int32, count=len(values)
+    )
+    return ColumnVector("str", codes, codes >= 0, _object_array(entries))
+
+
+def _per_row(
+    vec: ColumnVector, per_entry: List[Any], null: Any, dtype: Any
+) -> np.ndarray:
+    """Spread one value per dictionary entry of a ``str`` vector to its rows.
+
+    NULL rows (code -1) read the extra last slot, ``null``.
+    """
+    return np.array(per_entry + [null], dtype=dtype)[vec.values]
+
+
+def _decoded(vec: ColumnVector) -> np.ndarray:
+    """A ``str`` vector's values as an object array, ``None`` at NULL."""
+    return _per_row(vec, vec.dictionary.tolist(), None, object)
+
+
+def _as_object(vec: ColumnVector) -> ColumnVector:
+    """The ``object`` form of a ``str`` vector; other kinds unchanged."""
+    if vec.kind != "str":
+        return vec
+    return ColumnVector("object", _decoded(vec), vec.valid)
+
+
+def _entry_table(vec: ColumnVector, fn: Callable[[str], bool]) -> np.ndarray:
+    """``fn`` of each row's string, evaluated once per dictionary entry.
+
+    NULL rows read ``False``.
+    """
+    per_entry = [fn(s) for s in vec.dictionary.tolist()]
+    return _per_row(vec, per_entry, False, bool)
+
+
+def str_ranks(*vectors: ColumnVector) -> List[np.ndarray]:
+    """Per-row ranks of ``str`` vectors in one shared ``sorted()`` order.
+
+    The ranks run over the union of the vectors' dictionaries, so
+    comparing two rows' ranks answers what comparing their strings with
+    Python's ``<``/``==`` would.  NULL rows get -1.
+    """
+    union = sorted(set().union(*(v.dictionary.tolist() for v in vectors)))
+    position = {s: i for i, s in enumerate(union)}
+    return [
+        _per_row(
+            vec, [position[s] for s in vec.dictionary.tolist()], -1, np.int64
+        )
+        for vec in vectors
+    ]
 
 
 def _classify(value: Any) -> str:
@@ -173,7 +268,7 @@ def vector_from_typed(values: Sequence[Any], dtype: type) -> ColumnVector:
     """
     n = len(values)
     if dtype is str:
-        return _object_vector(values)
+        return _str_vector(values)
     has_null = None in values
     if has_null:
         valid = np.array([v is not None for v in values], dtype=bool)
@@ -232,6 +327,11 @@ def vector_from_scalar(value: Any, n: int) -> ColumnVector:
         return ColumnVector(
             "float", np.full(n, float(value), dtype=np.float64), valid
         )
+    if type(value) is str:
+        return ColumnVector(
+            "str", np.zeros(n, dtype=np.int32), valid,
+            _object_array([value]),
+        )
     arr = np.empty(n, dtype=object)
     arr.fill(value)
     return ColumnVector("object", arr, valid)
@@ -243,12 +343,17 @@ def concat_vectors(vectors: Sequence[ColumnVector]) -> ColumnVector:
     Mixed kinds (e.g. an int vector followed by an all-null vector) are
     merged through the Python-value path, so the result's kind is exactly
     what ``vector_from_values`` would infer over the combined values —
-    identical to never having split the batch.  An empty input yields an
-    empty all-null vector (the zero-batch concatenation identity).
+    identical to never having split the batch.  ``str`` vectors keep
+    their kind: each later dictionary is mapped into the first one's
+    code space, which gains only the entries it lacked, so old codes
+    never move.  An empty input yields an empty all-null vector (the
+    zero-batch concatenation identity).
     """
     if not vectors:
         return all_null(0)
     kinds = {v.kind for v in vectors}
+    if kinds == {"str"}:
+        return _concat_str(vectors)
     if len(kinds) == 1 and "object" not in kinds:
         return ColumnVector(
             vectors[0].kind,
@@ -259,6 +364,22 @@ def concat_vectors(vectors: Sequence[ColumnVector]) -> ColumnVector:
     for v in vectors:
         merged.extend(v.to_pylist())
     return vector_from_values(merged)
+
+
+def _concat_str(vectors: Sequence[ColumnVector]) -> ColumnVector:
+    index = {s: i for i, s in enumerate(vectors[0].dictionary.tolist())}
+    codes = [vectors[0].values]
+    for vec in vectors[1:]:
+        remap = [
+            index.setdefault(s, len(index)) for s in vec.dictionary.tolist()
+        ]
+        codes.append(_per_row(vec, remap, -1, np.int32))
+    return ColumnVector(
+        "str",
+        np.concatenate(codes),
+        np.concatenate([v.valid for v in vectors]),
+        _object_array(list(index)),
+    )
 
 
 def keep_mask(vec: ColumnVector) -> np.ndarray:
@@ -318,6 +439,7 @@ def arith(
     a: ColumnVector, b: ColumnVector,
 ) -> ColumnVector:
     """Null-safe vectorized ``+ - * / %`` matching Python semantics."""
+    a, b = _as_object(a), _as_object(b)
     if a.kind == "object" or b.kind == "object":
         return _elementwise(fallback, a, b)
     valid = a.valid & b.valid
@@ -367,6 +489,9 @@ def compare(
     a: ColumnVector, b: ColumnVector,
 ) -> ColumnVector:
     """Null-safe vectorized comparison."""
+    if a.kind == "str" and b.kind == "str":
+        return _compare_str(op, fallback, a, b)
+    a, b = _as_object(a), _as_object(b)
     if a.kind == "object" or b.kind == "object":
         return _elementwise(fallback, a, b)
     # int64 values beyond 2**53 cannot be promoted to float64 exactly;
@@ -381,6 +506,29 @@ def compare(
     valid = a.valid & b.valid
     out = _COMPARE_FN[op](a.values, b.values)
     return ColumnVector("bool", np.where(valid, out, False), valid)
+
+
+def _compare_str(
+    op: str, fallback: Callable[[Any, Any], Any],
+    a: ColumnVector, b: ColumnVector,
+) -> ColumnVector:
+    """Compare two ``str`` vectors without leaving their codes.
+
+    When one side has a one-entry dictionary (a literal), every valid row
+    of it holds that entry, so the row engine's own operator runs once
+    per dictionary entry of the other side; otherwise the two compare
+    their ranks in one shared ``sorted()`` order.
+    """
+    valid = a.valid & b.valid
+    if len(b.dictionary) == 1:
+        other = b.dictionary[0]
+        out = _entry_table(a, lambda s: fallback(s, other))
+    elif len(a.dictionary) == 1:
+        other = a.dictionary[0]
+        out = _entry_table(b, lambda s: fallback(other, s))
+    else:
+        out = _COMPARE_FN[op](*str_ranks(a, b))
+    return ColumnVector("bool", out & valid, valid)
 
 
 def _is_literally(vec: ColumnVector, which: bool) -> np.ndarray:
@@ -402,6 +550,7 @@ def _is_literally(vec: ColumnVector, which: bool) -> np.ndarray:
 
 def _truthy(vec: ColumnVector) -> np.ndarray:
     """Per-element ``bool(value)`` over valid slots (filler slots False)."""
+    vec = _as_object(vec)
     if vec.kind == "bool":
         return vec.values & vec.valid
     if vec.kind == "object":
@@ -432,6 +581,7 @@ def logical_or(a: ColumnVector, b: ColumnVector) -> ColumnVector:
 
 def logical_not(a: ColumnVector) -> ColumnVector:
     """Null-safe ``not value`` (``not 5 == False``, like the row engine)."""
+    a = _as_object(a)
     if a.kind == "object":
         return _elementwise(
             lambda v: None if v is None else not v, a
@@ -443,6 +593,7 @@ def logical_not(a: ColumnVector) -> ColumnVector:
 
 def negate(a: ColumnVector) -> ColumnVector:
     """Null-safe unary minus."""
+    a = _as_object(a)
     if a.kind == "object":
         return _elementwise(lambda v: None if v is None else -v, a)
     if a.kind == "bool":
@@ -463,6 +614,10 @@ def is_null(a: ColumnVector, negated: bool) -> ColumnVector:
 
 def in_list(a: ColumnVector, values: Sequence[Any], value_set: set) -> ColumnVector:
     """Null-safe ``x IN (...)`` membership."""
+    if a.kind == "str":
+        return ColumnVector(
+            "bool", _entry_table(a, value_set.__contains__), a.valid
+        )
     if a.kind == "object":
         return _elementwise(
             lambda v: None if v is None else v in value_set, a
@@ -487,6 +642,7 @@ def call_function(
     handled by the executor's row fallback.
     """
     (a,) = args
+    a = _as_object(a)
     if a.kind == "object":
         return _elementwise(
             lambda v: None if v is None else fallback(v), a

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -22,17 +22,18 @@ from repro.engine import plan as lp
 from repro.obs import get_observer
 from repro.engine.columnar import (
     EXACT_INT_BOUND,
+    _FILLER,
     _int_magnitude,
     ColumnBatch,
     ColumnVector,
     all_null,
     concat_vectors,
     keep_mask,
+    str_ranks,
     vector_from_values,
 )
 from repro.engine.expressions import (
     BinaryOp,
-    Column,
     Expression,
     conjuncts,
     evaluate_batch,
@@ -377,7 +378,10 @@ class Executor:
         index: Dict[Tuple, List[Row]] = {}
         for row in right_rows:
             key = tuple(k.evaluate(row) for k in rkeys)
-            index.setdefault(key, []).append(row)
+            # SQL ``NULL = x`` is never true: a key holding a NULL stays
+            # out of the index, so no key (NULL-holding or not) finds it.
+            if all(v is not None for v in key):
+                index.setdefault(key, []).append(row)
         null_right = self._null_right(right_rows[0]) if right_rows else {}
         for lrow in left_rows:
             key = tuple(k.evaluate(lrow) for k in lkeys)
@@ -531,11 +535,15 @@ def _factorize_python(vec: ColumnVector) -> Tuple[np.ndarray, int]:
 def _factorize(vec: ColumnVector) -> Tuple[np.ndarray, int]:
     """Dense integer codes for a vector, NULLs sharing one code.
 
-    Grouping and hash-join key equality in the row engine is Python
-    ``==`` on dict keys (where ``None`` matches ``None``); the float
-    path below is equivalent for clean numerics, and anything that is
-    not (objects, NaN, ints beyond 2**53) uses the dict fallback.
+    Grouping key equality in the row engine is Python ``==`` on dict
+    keys (where ``None`` matches ``None``).  A ``str`` vector's codes
+    already are such codes (its dictionary entries are distinct); the
+    float path below is equivalent for clean numerics, and anything that
+    is not (objects, NaN, ints beyond 2**53) uses the dict fallback.
     """
+    if vec.kind == "str":
+        size = len(vec.dictionary)
+        return np.where(vec.valid, vec.values, size).astype(np.int64), size + 1
     if vec.kind not in ("bool", "int", "float"):
         return _factorize_python(vec)
     if vec.kind == "int" and _int_magnitude(vec.values) > EXACT_INT_BOUND:
@@ -609,6 +617,73 @@ def _aggregate_python(
     return vector_from_values([s.result() for s in states])
 
 
+def _record_operator(
+    observer, node: lp.PlanNode, rows: int, elapsed: float
+) -> None:
+    """Emit one batch operator's ``engine.operator.rows``/``.seconds``."""
+    label = lp.node_label(node)
+    observer.counter("engine.operator.rows", op=label).add(rows)
+    observer.timer("engine.operator.seconds", op=label).add(elapsed)
+
+
+def _sort_key(vec: ColumnVector) -> Optional[np.ndarray]:
+    """Numbers ordered like a vector's valid values, or ``None``.
+
+    ``int``, ``bool``, NaN-free ``float`` and ``str`` (dictionary ranks)
+    qualify; NULL slots read 0, as the null flag decides their place.
+    """
+    if vec.kind == "str":
+        values = str_ranks(vec)[0]
+    elif vec.kind in ("int", "bool"):
+        values = vec.values.astype(np.int64)
+    elif vec.kind == "float" and not np.isnan(vec.values[vec.valid]).any():
+        values = vec.values
+    else:
+        return None
+    return np.where(vec.valid, values, 0)
+
+
+def _sort_permutation(
+    keys: List[Tuple[ColumnVector, bool]], n: int
+) -> np.ndarray:
+    """The order successive stable sorts over ``keys`` (last key first) give.
+
+    Each row-mode pass sorts by ``(value is None, value)``, reversed for
+    DESC with ties kept in input order: NULLs last under ASC and first
+    under DESC.  One stable ``np.lexsort`` over (value, null flag) per
+    key reproduces that, with values negated for DESC.  Any other key
+    (objects, NaN) sorts the indices with ``list.sort`` over the same
+    Python key, which also raises the row sort's ``TypeError``.
+    """
+    columns: List[np.ndarray] = []
+    for vec, desc in keys:
+        values = _sort_key(vec)
+        if values is None:
+            return _python_sort_permutation(keys, n)
+        columns += [-values, vec.valid] if desc else [values, ~vec.valid]
+    return np.lexsort(columns) if columns else np.arange(n)
+
+
+def _python_sort_permutation(
+    keys: List[Tuple[ColumnVector, bool]], n: int
+) -> np.ndarray:
+    perm = list(range(n))
+    for vec, desc in keys:
+        values = vec.to_pylist()
+        perm.sort(key=lambda i: (values[i] is None, values[i]), reverse=desc)
+    return np.array(perm, dtype=np.int64)
+
+
+def _group_output(
+    kind: str, acc: np.ndarray, counts: np.ndarray
+) -> ColumnVector:
+    """One aggregate's per-group results: ``acc``, NULL where count is 0."""
+    valid = counts > 0
+    if not valid.any():
+        return all_null(len(acc))
+    return ColumnVector(kind, np.where(valid, acc, _FILLER[kind]), valid)
+
+
 def _hash_join_pairs(
     lcodes: np.ndarray, rcodes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -633,13 +708,15 @@ def _hash_join_pairs(
 class ColumnarExecutor(Executor):
     """Batch-at-a-time executor, byte-identical to :class:`Executor`.
 
-    Scan/Values/Filter/Project/Join/Aggregate nodes whose expressions are
-    vectorizable run over :class:`ColumnBatch` columns; every other node
+    Scan/Values/Filter/Project/Join/Aggregate/OrderBy nodes whose
+    expressions are vectorizable, and a Limit directly over such an
+    OrderBy, run over :class:`ColumnBatch` columns; every other node
     (and every non-vectorizable expression) falls back to the inherited
     row operators, which in turn pull batches from batchable children —
     the two modes mix freely within one plan.  Per-operator observability
     (``engine.operator.rows``/``.seconds``) is emitted for batch nodes
-    with the same labels and row counts as the row pipeline, so the
+    with the same labels and row counts as the row pipeline (for a sort
+    under a Limit, the rows the row Limit would have pulled), so the
     deterministic ``values`` snapshot is identical across modes.
     """
 
@@ -659,10 +736,9 @@ class ColumnarExecutor(Executor):
             return handler(node)
         start = time.perf_counter()
         batch = handler(node)
-        elapsed = time.perf_counter() - start
-        label = lp.node_label(node)
-        observer.counter("engine.operator.rows", op=label).add(batch.length)
-        observer.timer("engine.operator.seconds", op=label).add(elapsed)
+        _record_operator(
+            observer, node, batch.length, time.perf_counter() - start
+        )
         return batch
 
     def _batch_handler(
@@ -700,6 +776,18 @@ class ColumnarExecutor(Executor):
             ):
                 return None
             return self._aggregate_batch
+        if isinstance(node, lp.OrderBy):
+            if all(is_vectorizable(k) for k in node.keys):
+                return self._order_by_batch
+            return None
+        if isinstance(node, lp.Limit):
+            # Only over a batched sort, which consumes its whole input in
+            # row mode too; a bare LIMIT's short-circuit stays row-only.
+            if isinstance(node.child, lp.OrderBy) and self._batch_handler(
+                node.child
+            ):
+                return self._limit_batch
+            return None
         return None
 
     def _child_batch(self, node: lp.PlanNode) -> ColumnBatch:
@@ -747,6 +835,40 @@ class ColumnarExecutor(Executor):
         }
         return ColumnBatch(columns, child.length)
 
+    # -- sort ------------------------------------------------------------
+    def _sorted(self, node: lp.OrderBy) -> Tuple[ColumnBatch, np.ndarray]:
+        """The sort's input and the permutation the row ``_order_by`` applies.
+
+        Keys are evaluated last to first, the order of the row sort's
+        passes; over zero rows the row sort evaluates none.
+        """
+        child = self._child_batch(node.child)
+        if child.length == 0:
+            return child, np.zeros(0, dtype=np.int64)
+        pairs = list(zip(node.keys, node.descending))[::-1]
+        keys = [(evaluate_batch(k, child), desc) for k, desc in pairs]
+        return child, _sort_permutation(keys, child.length)
+
+    def _order_by_batch(self, node: lp.OrderBy) -> ColumnBatch:
+        child, perm = self._sorted(node)
+        return child.take(perm)
+
+    def _limit_batch(self, node: lp.Limit) -> ColumnBatch:
+        # The row ``_limit`` pulls one row past the limit before it stops,
+        # so the sort's own counter reads ``min(n + 1, len)`` there; this
+        # node's ``_run_batch`` records the ``min(n, len)`` it keeps.
+        sort = node.child
+        start = time.perf_counter()
+        child, perm = self._sorted(sort)
+        n = max(node.count, 0)
+        observer = get_observer()
+        if observer.enabled:
+            _record_operator(
+                observer, sort, min(n + 1, child.length),
+                time.perf_counter() - start,
+            )
+        return child.take(perm[:n])
+
     # -- join ------------------------------------------------------------
     def _join_batch(self, node: lp.Join) -> ColumnBatch:
         left = self._child_batch(node.left)
@@ -792,22 +914,30 @@ class ColumnarExecutor(Executor):
         """Jointly factorized equi-key codes for both sides.
 
         Codes are computed over the *concatenation* of both sides, so
-        equal keys get equal codes across sides.
+        equal keys get equal codes across sides.  A key holding a NULL
+        matches nothing, as in the row engine: such left rows get code
+        -1 and such right rows -2, which no row on the other side has.
         """
         n_left, n_right = left.length, right.length
-        lcodes = np.zeros(n_left, dtype=np.int64)
-        rcodes = np.zeros(n_right, dtype=np.int64)
-        for lk, rk in zip(lkeys, rkeys):
+        lnull = np.zeros(n_left, dtype=bool)
+        rnull = np.zeros(n_right, dtype=bool)
+        for i, (lk, rk) in enumerate(zip(lkeys, rkeys)):
             lv = evaluate_batch(lk, left)
             rv = evaluate_batch(rk, right)
+            lnull |= ~lv.valid
+            rnull |= ~rv.valid
             sub_l, sub_r, n_sub = _joint_key_codes(lv, rv)
+            if i == 0:
+                # One key's joint codes already are equal-iff-equal.
+                lcodes, rcodes = sub_l, sub_r
+                continue
             both = _combine_codes(
                 np.concatenate([lcodes, rcodes]),
                 np.concatenate([sub_l, sub_r]),
                 n_sub,
             )
             lcodes, rcodes = both[:n_left], both[n_left:]
-        return lcodes, rcodes
+        return np.where(lnull, -1, lcodes), np.where(rnull, -2, rcodes)
 
     def _equi_join_batch(
         self,
@@ -861,7 +991,7 @@ class ColumnarExecutor(Executor):
     ) -> None:
         # Row mode raises iff Python ``left != right`` is truthy for any
         # pair (``None != None`` is False, ``None != x`` is True).
-        if lvec.kind == "object" or rvec.kind == "object":
+        if {lvec.kind, rvec.kind} & {"object", "str"}:
             bad = any(
                 ((x is None) != (y is None))
                 or (x is not None and y is not None and x != y)
@@ -932,9 +1062,15 @@ class ColumnarExecutor(Executor):
         gcodes: np.ndarray,
         n_groups: int,
     ) -> ColumnVector:
-        if vec is None:
-            counts = np.bincount(gcodes, minlength=n_groups)
-            return vector_from_values([int(c) for c in counts])
+        # Outputs are built straight from the accumulator arrays, NULL
+        # where a group saw no value: the kind ``vector_from_values``
+        # infers over the row engine's per-group results.
+        if vec is None or spec.func == "count":
+            counted = gcodes if vec is None else gcodes[vec.valid]
+            counts = np.bincount(counted, minlength=n_groups)
+            return ColumnVector(
+                "int", counts.astype(np.int64), np.ones(n_groups, dtype=bool)
+            )
         if not self._numeric_aggregable(spec, vec):
             return _aggregate_python(spec, vec, gcodes, n_groups)
         valid = vec.valid
@@ -942,8 +1078,6 @@ class ColumnarExecutor(Executor):
         values = vec.values[valid]
         counts = np.bincount(grouped, minlength=n_groups)
         func = spec.func
-        if func == "count":
-            return vector_from_values([int(c) for c in counts])
         if func in ("min", "max"):
             return self._extreme_column(
                 func, vec.kind, values, grouped, counts, n_groups
@@ -952,15 +1086,13 @@ class ColumnarExecutor(Executor):
         totals = np.zeros(n_groups, dtype=np.float64)
         np.add.at(totals, grouped, floats)
         if func == "sum":
-            return vector_from_values([
-                float(totals[i]) if counts[i] else None
-                for i in range(n_groups)
-            ])
+            return _group_output("float", totals, counts)
         if func == "avg":
-            return vector_from_values([
-                float(totals[i]) / int(counts[i]) if counts[i] else None
-                for i in range(n_groups)
-            ])
+            # float64 / int64 is the IEEE division of ``float / int``.
+            means = np.divide(
+                totals, counts, out=np.zeros(n_groups), where=counts > 0
+            )
+            return _group_output("float", means, counts)
         # var / std (sample, ddof=1), same scalar formula as _AggState.
         squares = np.zeros(n_groups, dtype=np.float64)
         np.add.at(squares, grouped, floats * floats)
@@ -1016,13 +1148,8 @@ class ColumnarExecutor(Executor):
             info = np.iinfo(np.int64)
             fill = info.max if func == "min" else info.min
             acc = np.full(n_groups, fill, dtype=np.int64)
-            ufunc.at(acc, grouped, values)
-            return vector_from_values([
-                int(acc[i]) if counts[i] else None for i in range(n_groups)
-            ])
-        fill = np.inf if func == "min" else -np.inf
-        acc = np.full(n_groups, fill, dtype=np.float64)
+        else:
+            fill = np.inf if func == "min" else -np.inf
+            acc = np.full(n_groups, fill, dtype=np.float64)
         ufunc.at(acc, grouped, values)
-        return vector_from_values([
-            float(acc[i]) if counts[i] else None for i in range(n_groups)
-        ])
+        return _group_output(kind, acc, counts)

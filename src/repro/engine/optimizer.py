@@ -307,15 +307,20 @@ def choose_execution(
     """Pick ``"row"`` or ``"columnar"`` for one plan.
 
     ``auto`` (and even a forced ``columnar``) degrades to row mode when
-    the plan contains a LIMIT: the row pipeline evaluates lazily and
-    stops pulling once the limit is reached, so its per-operator
-    ``engine.operator.rows`` counters reflect the short-circuit — a
-    materializing batch executor could not emit identical observability.
-    Individual non-vectorizable operators inside a columnar plan do not
-    need this knob; :class:`repro.engine.operators.ColumnarExecutor`
-    falls back per node.
+    the plan holds a LIMIT that is not directly over an ORDER BY: the
+    row pipeline evaluates lazily and stops pulling once the limit is
+    reached, so its per-operator ``engine.operator.rows`` counters
+    reflect the short-circuit — a materializing batch executor could
+    not emit identical observability.  Under an ORDER BY only the sort's
+    own counter shows it, and the columnar ``Limit`` handler reproduces
+    that one.  Individual non-vectorizable operators inside a columnar
+    plan do not need this knob;
+    :class:`repro.engine.operators.ColumnarExecutor` falls back per node.
     """
     mode = resolve_execution_mode(requested)
-    if mode == "row" or any(isinstance(n, lp.Limit) for n in lp.walk(plan)):
+    if mode == "row" or any(
+        isinstance(n, lp.Limit) and not isinstance(n.child, lp.OrderBy)
+        for n in lp.walk(plan)
+    ):
         return "row"
     return "columnar"

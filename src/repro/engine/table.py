@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -23,7 +22,12 @@ from typing import (
 
 import numpy as np
 
-from repro.engine.columnar import ColumnBatch, ColumnVector, vector_from_typed
+from repro.engine.columnar import (
+    ColumnBatch,
+    ColumnVector,
+    concat_vectors,
+    vector_from_typed,
+)
 from repro.engine.expressions import Expression
 from repro.engine.schema import Column, Schema
 from repro.errors import SchemaError
@@ -230,11 +234,13 @@ class Table:
         reorg_epoch)``, read before converting, and exactly that many
         rows are converted.  After pure appends (same
         :attr:`reorg_epoch`, more rows) only the new rows are converted
-        and concatenated onto each column of the same kind; a column
+        and concatenated onto each column of the same kind — a ``str``
+        column's dictionary is extended, its old codes kept; a column
         whose kind changed (an ``int`` tail beyond 2**53 turns it into
         ``object``) is rebuilt whole, as is the batch after any other
-        mutation.  Its arrays are read-only, so an in-place write raises
-        instead of corrupting later scans.
+        mutation.  Its arrays (codes and dictionaries included) are
+        read-only, so an in-place write raises instead of corrupting
+        later scans.
         """
         version, n, epoch = self._version, len(self._rows), self._reorg_epoch
         slot = self._batch_slot
@@ -250,7 +256,9 @@ class Table:
             vec = vector_from_typed([row[name] for row in tail], column.dtype)
             if base is not None:
                 old = base.columns[name]
-                if old.kind == vec.kind:
+                if old.kind == vec.kind == "str":
+                    vec = concat_vectors([old, vec])
+                elif old.kind == vec.kind:
                     vec = ColumnVector(
                         vec.kind,
                         np.concatenate([old.values, vec.values]),
@@ -260,8 +268,9 @@ class Table:
                     vec = vector_from_typed(
                         [row[name] for row in self._rows[:n]], column.dtype
                     )
-            vec.values.flags.writeable = False
-            vec.valid.flags.writeable = False
+            for array in (vec.values, vec.valid, vec.dictionary):
+                if array is not None:
+                    array.flags.writeable = False
             columns[name] = vec
         batch = ColumnBatch(columns, n)
         self._batch_slot = (version, n, epoch, batch)

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.engine import Database, Schema
+
+#: The larger-budget run of ``tests/test_sql_differential.py``:
+#: ``pytest --hypothesis-profile=sql-differential``.  Tier-1 keeps
+#: hypothesis's default budget.
+settings.register_profile("sql-differential", max_examples=1500)
 
 
 @pytest.fixture

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.obs as obs
 from repro.engine import (
@@ -24,6 +26,7 @@ from repro.engine import (
     choose_execution,
     col,
     lit,
+    parse_select,
     resolve_execution_mode,
     sum_,
 )
@@ -33,6 +36,7 @@ from repro.engine.columnar import (
     all_null,
     concat_vectors,
     keep_mask,
+    vector_from_scalar,
     vector_from_values,
 )
 from repro.engine.expressions import FunctionCall, evaluate_batch, is_vectorizable
@@ -109,6 +113,29 @@ CORPUS = [
     "SELECT count(*) AS n FROM empty",
     "SELECT pid, income FROM person "
     "WHERE region IN (SELECT region FROM region WHERE mult > 1)",
+    # ORDER BY ... LIMIT over NULL- and tie-rich keys, mixed directions.
+    "SELECT pid, region, age FROM person "
+    "ORDER BY region DESC, age, pid DESC LIMIT 7",
+    "SELECT pid, age, income FROM person ORDER BY age DESC, income LIMIT 12",
+    "SELECT pid, region FROM person WHERE age > 20 ORDER BY region LIMIT 4",
+    "SELECT pid, age FROM person ORDER BY age DESC LIMIT 0",
+    "SELECT pid, region, income FROM person "
+    "ORDER BY income DESC, region LIMIT 500",
+    "SELECT pid, region FROM person ORDER BY region, pid DESC",
+    "SELECT region, count(*) AS n, avg(income) AS m FROM person "
+    "GROUP BY region ORDER BY m DESC LIMIT 2",
+    # String comparisons, IN and aggregates on dictionary codes.
+    "SELECT pid FROM person WHERE region < 'north'",
+    "SELECT pid FROM person WHERE region >= 'east' AND region <> 'west'",
+    "SELECT pid FROM person WHERE 'f' > region",
+    "SELECT pid FROM person WHERE region IN ('south', 'west')",
+    "SELECT pid FROM person WHERE region NOT IN ('south', 'east')",
+    "SELECT region, count(region) AS c, min(region) AS lo, "
+    "max(region) AS hi FROM person GROUP BY region",
+    "SELECT p.pid, r.region AS rr FROM person p JOIN region r "
+    "ON p.pid % 4 = r.mult * 0 WHERE p.region < r.region",
+    "SELECT p.pid, r.region AS rr FROM person p JOIN region r "
+    "ON p.pid % 4 = r.mult * 0 WHERE p.region >= r.region",
 ]
 
 
@@ -337,6 +364,141 @@ class TestColumnVectors:
         disj = evaluate_batch(col("a") | col("b"), batch)
         assert conj.to_pylist() == [None, False, None, False]
         assert disj.to_pylist() == [True, None, None, True]
+
+
+def _obs_run(db, sql, mode):
+    """Rows, obs ``values`` and ``ExecutionMetrics`` of one execution."""
+    observer = obs.enable()
+    observer.reset()
+    db.metrics.reset()
+    try:
+        rows = db.sql(sql, execution=mode)
+        values = observer.metrics.snapshot()["values"]
+    finally:
+        obs.disable()
+    m = db.metrics
+    counts = (m.rows_scanned, m.rows_joined, m.join_pairs_examined, m.rows_output)
+    return result_fingerprint(rows), values, counts
+
+
+class TestStrKind:
+    def test_literal_and_column_vectors(self, nullful_db):
+        vec = nullful_db.table("person").column_batch().columns["region"]
+        assert vec.kind == "str"
+        assert vec.dictionary.tolist() == ["east", "west"]
+        assert vec.take(np.array([2, 1, 0])).to_pylist() == [None, "west", "east"]
+        lit_vec = vector_from_scalar("east", 2)
+        assert (lit_vec.kind, lit_vec.to_pylist()) == ("str", ["east", "east"])
+
+    def test_one_entry_column_against_column(self):
+        # A one-entry dictionary is a literal only on its valid rows.
+        db = Database()
+        db.create_table("t", Schema.of(id=int, a=str, b=str)).insert_many(
+            {"id": i, "a": a, "b": b}
+            for i, (a, b) in enumerate(
+                [("m", "z"), (None, "m"), ("m", None), ("m", "a"), ("m", "m")]
+            )
+        )
+        for op in ("=", "<>", "<", ">="):
+            for sql in (
+                f"SELECT id FROM t WHERE a {op} b",
+                f"SELECT id FROM t WHERE b {op} a",
+            ):
+                assert db.sql(sql, execution="columnar") == db.sql(
+                    sql, execution="row"
+                ), sql
+
+    def test_other_operators_see_objects(self, nullful_db):
+        # Arithmetic, negation and functions keep the row engine's results
+        # and errors on strings.
+        sql = "SELECT region + 'x' AS r FROM person WHERE region IS NOT NULL"
+        assert nullful_db.sql(sql, execution="columnar") == nullful_db.sql(
+            sql, execution="row"
+        )
+        for sql in (
+            "SELECT -region AS r FROM person",
+            "SELECT abs(region) AS r FROM person",
+            "SELECT pid FROM person WHERE region > 3",
+        ):
+            messages = []
+            for mode in MODES:
+                with pytest.raises(TypeError) as caught:
+                    nullful_db.sql(sql, execution=mode)
+                messages.append(str(caught.value))
+            assert messages[0] == messages[1], sql
+
+    def test_order_by_mixed_object_column_raises_row_error(self):
+        db = Database()
+        table = db.create_table("t", Schema.of(id=int, s=str))
+        table.insert_many({"id": i, "s": "abc"[i % 3]} for i in range(6))
+        table.rows.append({"id": 6, "s": 4})
+        sql = "SELECT id, s FROM t ORDER BY s DESC LIMIT 3"
+        messages = []
+        for mode in MODES:
+            with pytest.raises(TypeError) as caught:
+                db.sql(sql, execution=mode)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    def test_non_vectorizable_sort_key_under_limit(self, nullful_db):
+        sql = "SELECT pid, region FROM person ORDER BY upper(region) LIMIT 3"
+        plan = nullful_db.optimize_plan(parse_select(sql))
+        assert choose_execution(plan, "columnar") == "columnar"
+        assert ColumnarExecutor(nullful_db)._batch_handler(plan) is None
+        assert _obs_run(nullful_db, sql, "columnar") == _obs_run(
+            nullful_db, sql, "row"
+        )
+
+
+_SORT_COLUMNS = {
+    "i": (int, st.sampled_from([None, None, -2, 0, 1, 1, 3])),
+    "f": (float, st.sampled_from(
+        [None, None, -1.5, -0.0, 0.0, 2.0, float("inf"), float("nan")]
+    )),
+    "s": (str, st.sampled_from([None, None, "", "a", "B", "b", "é"])),
+    "b": (bool, st.sampled_from([None, True, False])),
+}
+
+
+@st.composite
+def _sort_cases(draw):
+    n = draw(st.integers(0, 30))
+    rows = [
+        dict({"id": k}, **{
+            name: draw(values) for name, (_, values) in _SORT_COLUMNS.items()
+        })
+        for k in range(n)
+    ]
+    names = draw(st.lists(
+        st.sampled_from(sorted(_SORT_COLUMNS)), min_size=1, max_size=3,
+        unique=True,
+    ))
+    order = ", ".join(
+        f"{name} {'DESC' if draw(st.booleans()) else 'ASC'}" for name in names
+    )
+    limit = draw(st.none() | st.integers(0, n + 2))
+    sql = f"SELECT id, i, f, s, b FROM t ORDER BY {order}"
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+    return rows, draw(st.integers(0, n)), sql
+
+
+class TestSortProperty:
+    """Columnar ORDER BY [LIMIT] equals row mode on answers, obs and metrics."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(_sort_cases())
+    def test_sort_matches_row_mode(self, case):
+        rows, cut, sql = case
+        db = Database()
+        table = db.create_table(
+            "t",
+            Schema.of(id=int, **{k: t for k, (t, _) in _SORT_COLUMNS.items()}),
+        )
+        table.insert_many(rows[:cut])
+        table.column_batch()
+        table.insert_many(rows[cut:])
+        assert _obs_run(db, sql, "columnar") == _obs_run(db, sql, "row")
 
 
 class TestMcdbColumnarBundles:

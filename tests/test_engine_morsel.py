@@ -191,7 +191,8 @@ class TestCrossModeIdentity:
 
 
 class TestVectorizedLimit:
-    """LIMIT plans run on the row executor, whatever mode is asked for."""
+    """A bare LIMIT runs on the row executor, whatever mode is asked for;
+    a LIMIT directly over an ORDER BY runs columnar."""
 
     LIMIT_SQL = "SELECT pid FROM person WHERE age > 30 LIMIT 3"
 
@@ -203,11 +204,17 @@ class TestVectorizedLimit:
             choose_execution(plan, morsel=True)
 
     def test_limit_over_orderby_stays_row(self, nullful_db):
+        # The sort consumes its whole input in both modes, so only a
+        # LIMIT that is not directly over an ORDER BY needs row mode.
         plan = nullful_db.optimize_plan(
             parse_select("SELECT pid FROM person ORDER BY age LIMIT 5")
         )
-        assert choose_execution(plan) == "row"
-        assert choose_execution(plan, "columnar") == "row"
+        assert isinstance(plan, lp.Limit)
+        assert isinstance(plan.child, lp.OrderBy)
+        assert choose_execution(plan) == "columnar"
+        assert choose_execution(plan, "auto") == "columnar"
+        assert choose_execution(plan, "columnar") == "columnar"
+        assert choose_execution(plan, "row") == "row"
 
     @pytest.mark.parametrize("size", MORSEL_SIZES)
     def test_limit_rows_and_obs_identical(self, nullful_db, size):

@@ -9,6 +9,7 @@ column: kind, dtype, values and validity) and the row executor.
 from __future__ import annotations
 
 import pickle
+import re
 import sys
 import threading
 
@@ -154,6 +155,46 @@ class TestColumnBatch:
         assert len(pickle.dumps(table)) == cold
         clone = pickle.loads(pickle.dumps(table))
         assert_same_batch(clone.column_batch(), ColumnBatch.from_table(table))
+
+
+class TestStringDictionary:
+    def test_append_extends_the_dictionary_and_keeps_codes(self):
+        # First-appearance order, not sorted order.
+        table = Table("t", SCHEMA, _rows(1, 9))
+        before = table.column_batch().columns["s"]
+        assert before.kind == "str"
+        assert before.dictionary.tolist() == ["b", "a"]
+        table.insert_many(
+            [dict(row, s=s) for row, s in zip(_rows(10, 3), ("c", "a", None))]
+        )
+        after = table.column_batch().columns["s"]
+        assert after.dictionary.tolist() == ["b", "a", "c"]
+        assert after.values[:9].tolist() == before.values.tolist()
+        assert after.values[9:].tolist() == [2, 1, -1]
+        fresh = ColumnBatch.from_table(table).columns["s"]
+        assert after.dictionary.tolist() == fresh.dictionary.tolist()
+        assert_same_batch(table.column_batch(), ColumnBatch.from_table(table))
+        with pytest.raises(ValueError):
+            after.dictionary[0] = "z"
+
+    @pytest.mark.parametrize("odd", [7, type("Tag", (str,), {})("a")])
+    def test_non_exact_strings_stay_object(self, odd, nullful_db):
+        # Written straight into the rows: no schema coercion on the way.
+        person = nullful_db.table("person")
+        assert person.column_batch().columns["region"].kind == "str"
+        person.rows.append(dict(person.rows[1], pid=500, region=odd))
+        batch = person.column_batch()
+        assert batch.columns["region"].kind == "object"
+        assert_same_batch(batch, ColumnBatch.from_table(person))
+        for sql in CORPUS:
+            try:
+                want = result_fingerprint(nullful_db.sql(sql, execution="row"))
+            except TypeError as exc:
+                with pytest.raises(TypeError, match=re.escape(str(exc))):
+                    nullful_db.sql(sql, execution="columnar")
+                continue
+            got = nullful_db.sql(sql, execution="columnar")
+            assert result_fingerprint(got) == want, sql
 
 
 def _appended_person_rows(start, n):
