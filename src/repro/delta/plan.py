@@ -226,8 +226,9 @@ def plan_delta(
     ``base`` (the ensemble the store was last materialized from) only
     sharpens the *reasons* — ``changed`` vs. ``upstream`` vs. ``added``
     vs. ``missing`` — the reuse/recompute split itself is decided purely
-    by content-address membership in ``store``, so a stale or absent
-    ``base`` can never cause an unsound reuse.
+    by content-address membership in ``store`` (one
+    :meth:`~repro.ensemble.store.RunStore.contains_many` call), so a
+    stale or absent ``base`` can never cause an unsound reuse.
     """
     observer = get_observer()
     with observer.span(
@@ -236,10 +237,12 @@ def plan_delta(
         keys = compute_run_keys(target)
         base_keys = compute_run_keys(base) if base is not None else {}
         plan = DeltaPlan(ensemble=target, keys=keys)
-        for node in target.topological_order():
+        order = target.topological_order()
+        stored = store.contains_many([keys[node.name] for node in order])
+        for node, hit in zip(order, stored):
             key = keys[node.name]
             base_key = base_keys.get(node.name)
-            if store.contains(key):
+            if hit:
                 action, reason = REUSE, "hit"
             else:
                 action = RECOMPUTE
@@ -306,6 +309,16 @@ class DeltaResult(EnsembleResult):
         if report is None:
             raise SimulationError(
                 f"unknown node {name!r} in delta result {self.name!r}"
+            )
+        if report.status in ("failed", "skipped"):
+            cause = (
+                (report.error or "no error recorded").splitlines()[0]
+                if report.status == "failed"
+                else f"upstream {report.blocked_on} did not complete"
+            )
+            raise SimulationError(
+                f"node {name!r} {report.status} ({cause}), so it has no "
+                "stored result"
             )
         value = self._store.get(report.key)
         if value is None:

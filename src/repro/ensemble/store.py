@@ -23,6 +23,8 @@ On-disk layout (documented in README "Ensemble orchestration")::
       objects/<key[:2]>/<key>/arrays.npz  # numpy leaves, lossless
       checkpoints/                        # ChainCheckpoint files for
                                           # crash-resumable chain prefixes
+      tmp/                                # put staging, doomed entries
+      generation                          # eviction generation token
 
 :class:`ShardedRunStore` generalizes the prefix directories into
 first-class shards (the paper's §2.1 parallel-RDBMS storage argument)::
@@ -30,7 +32,7 @@ first-class shards (the paper's §2.1 parallel-RDBMS storage argument)::
     <root>/
       shards/<i>/objects/<key[:2]>/<key>/...   # i = crc32(key) % shards
       objects/...                              # flat layout, still read
-      checkpoints/  tmp/                       # shared across shards
+      checkpoints/  tmp/  generation           # shared across shards
 
 A key's shard is :func:`repro.parallel.keys.partition_index` — the same
 canonical CRC-32 the engine's hash partitioning and the mapreduce
@@ -46,9 +48,21 @@ store; ``gc`` deletions fan out one-shard-per-task through a
 Writes are atomic: each entry is staged in a scratch directory and
 ``os.rename``d into place, so readers never observe a half-written
 entry and a crash mid-``put`` leaves only scratch debris (removed by
-:meth:`RunStore.gc`).  ``gc`` evicts by age and/or total size, oldest
-first; hit/miss/put/eviction counts are kept on the store and mirrored
-to ``ensemble.store.*`` obs counters when observability is live.
+:meth:`RunStore.gc`).  Removals are atomic the same way: an entry
+directory is renamed into ``tmp/`` and deleted there, so a kill or a
+concurrent reader sees the whole entry or none of it.  ``gc`` evicts by
+age and/or total size, oldest first; hit/miss/put/eviction counts are
+kept on the store and mirrored to ``ensemble.store.*`` obs counters
+when observability is live.
+
+Entries are immutable, so a key seen present stays present until
+something removes it.  Every method that removes or moves entries
+(``evict``, ``gc``, ``migrate_layout``) writes a fresh random token to
+``generation`` before its first removal and again after its last, and
+:meth:`RunStore.contains_many` answers a key it has already seen
+present under the current token from memory, statting only the rest.
+A store that never removed anything has no ``generation`` file; it
+reads as the empty token.
 """
 
 from __future__ import annotations
@@ -59,8 +73,19 @@ import os
 import shutil
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -230,6 +255,39 @@ class StoreEntry:
     params_json: str = ""
 
 
+def _discard_entry(
+    scratch: str,
+    key: str,
+    entry_dirs: Sequence[str],
+    checkpoint: Optional[str] = None,
+) -> bool:
+    """Remove ``key``'s entry directories; whether any existed.
+
+    Each directory is renamed into ``scratch`` under a name no ``put``
+    stage can take (stages start with the key) and deleted there, so a
+    kill or a concurrent reader sees the whole entry or none of it;
+    ``gc``'s scratch sweep collects whatever a kill leaves behind.  The
+    chain ``checkpoint``, if given, goes with a removed entry.
+    """
+    existed = False
+    for entry_dir in entry_dirs:
+        doomed = os.path.join(
+            scratch, f"evicted.{key}.{os.urandom(8).hex()}"
+        )
+        try:
+            os.rename(entry_dir, doomed)
+        except FileNotFoundError:
+            continue
+        existed = True
+        shutil.rmtree(doomed, ignore_errors=True)
+    if existed and checkpoint is not None:
+        try:
+            os.unlink(checkpoint)
+        except FileNotFoundError:
+            pass
+    return existed
+
+
 class RunStore:
     """Content-addressed result cache rooted at a directory.
 
@@ -246,6 +304,8 @@ class RunStore:
     internal re-entrant lock therefore serializes the read path, the
     stage-and-rename commit, and eviction; result encoding and array
     staging (the expensive parts of ``put``) happen outside the lock.
+    The keys :meth:`contains_many` has seen present are one immutable
+    set, tagged with its generation and swapped under a lock of its own.
     """
 
     def __init__(self, root: os.PathLike) -> None:
@@ -253,6 +313,10 @@ class RunStore:
         self.stats = StoreStats()
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()
+        # (generation token, keys seen present under it); an empty set
+        # is sound under any token.
+        self._present: Tuple[str, FrozenSet[str]] = ("", frozenset())
+        self._present_lock = threading.Lock()
         os.makedirs(self._objects_dir(), exist_ok=True)
         os.makedirs(self.checkpoint_dir(), exist_ok=True)
         os.makedirs(self._scratch_dir(), exist_ok=True)
@@ -288,6 +352,45 @@ class RunStore:
         """The lock serializing reads/commits/evictions of ``key``."""
         return self._lock
 
+    # -- eviction generation -------------------------------------------------
+    def _generation_path(self) -> str:
+        # At the root, not per shard: one token covers every layout.
+        return os.path.join(self.root, "generation")
+
+    def _read_generation(self) -> str:
+        """The current eviction generation (``""`` before any removal)."""
+        try:
+            with open(self._generation_path(), "r", encoding="ascii") as handle:
+                return handle.read()
+        except FileNotFoundError:
+            return ""
+
+    def _bump_generation(self) -> None:
+        """Install a fresh token with one atomic replace.
+
+        Each token is random, never a read-modify-write counter: two
+        concurrent evictors must never write the same value.
+        """
+        token = os.urandom(16).hex()
+        staged = os.path.join(self._scratch_dir(), f"generation.{token}")
+        with open(staged, "w", encoding="ascii") as handle:
+            handle.write(token)
+        os.replace(staged, self._generation_path())
+
+    @contextmanager
+    def _removing(self) -> Iterator[None]:
+        """Bracket removals with a bump before the first and after the last.
+
+        The first bump stops a ``contains_many`` that starts mid-removal
+        from trusting a set built before it; the second drops any set
+        filled by stats taken during the removal.
+        """
+        self._bump_generation()
+        try:
+            yield
+        finally:
+            self._bump_generation()
+
     def _note(self, stat: str, amount: int = 1) -> None:
         """Record one stats field + its obs counter (thread-safe)."""
         with self._stats_lock:
@@ -309,6 +412,38 @@ class RunStore:
             os.path.exists(os.path.join(candidate, "run.json"))
             for candidate in self._candidate_dirs(key)
         )
+
+    def contains_many(self, keys: Sequence[str]) -> List[bool]:
+        """``[self.contains(key) for key in keys]``, statting only unseen keys.
+
+        Reads the eviction generation once.  A key this instance has
+        already seen present under that generation is answered from
+        memory; every other key goes through :meth:`contains`.  Only
+        positive answers are remembered, under the generation read
+        before them: an absence is never cached, because another process
+        may put the key at any moment.
+        """
+        generation = self._read_generation()
+        with self._present_lock:
+            if self._present[0] != generation:
+                self._present = (generation, frozenset())
+            present = self._present[1]
+        answers: List[bool] = []
+        found: List[str] = []
+        for key in keys:
+            if key in present:
+                answers.append(True)
+            elif self.contains(key):
+                answers.append(True)
+                found.append(key)
+            else:
+                answers.append(False)
+        if found:
+            with self._present_lock:
+                tag, known = self._present
+                if tag == generation:
+                    self._present = (generation, known.union(found))
+        return answers
 
     def get(self, key: str) -> Optional[Any]:
         """The stored result for ``key``, or ``None`` on a miss."""
@@ -353,7 +488,10 @@ class RunStore:
 
         Staged under ``tmp/`` and committed with one atomic rename of
         the entry directory; a concurrent identical ``put`` of the same
-        key loses the rename race harmlessly.
+        key loses the rename race harmlessly.  A directory left at the
+        entry's place without a ``run.json`` (an entry torn by an earlier
+        version's in-place removal) is moved into ``tmp/`` and the
+        rename retried once.
         """
         entry_dir = self._entry_dir(key)
         tree, arrays = encode_result(result)
@@ -383,15 +521,21 @@ class RunStore:
                 json.dump(document, handle, sort_keys=True, indent=1)
             with self._lock_for_key(key):
                 os.makedirs(os.path.dirname(entry_dir), exist_ok=True)
-                try:
-                    os.rename(stage, entry_dir)
-                except OSError:
-                    # A same-key writer (thread or process) committed
-                    # first; entries are immutable and content-addressed,
-                    # so losing the race is harmless.
-                    if not self.contains(key):
-                        raise
-                    shutil.rmtree(stage, ignore_errors=True)
+                for retry in (False, True):
+                    try:
+                        os.rename(stage, entry_dir)
+                        break
+                    except OSError:
+                        if self.contains(key):
+                            # A same-key writer (thread or process)
+                            # committed first; entries are immutable and
+                            # content-addressed, so losing the race is
+                            # harmless.
+                            shutil.rmtree(stage, ignore_errors=True)
+                            break
+                        if retry:
+                            raise
+                        _discard_entry(self._scratch_dir(), key, [entry_dir])
                 self._note("puts")
         except Exception:
             shutil.rmtree(stage, ignore_errors=True)
@@ -491,22 +635,23 @@ class RunStore:
         """Total committed entry size in bytes."""
         return self.summary()[1]
 
+    def _discard(self, key: str) -> bool:
+        """Remove ``key``'s entry and checkpoint under its lock."""
+        with self._lock_for_key(key):
+            return _discard_entry(
+                self._scratch_dir(), key, self._candidate_dirs(key),
+                self._checkpoint_path(key),
+            )
+
     def evict(self, key: str) -> bool:
         """Remove one entry (and its chain checkpoint, if any)."""
-        removed = False
-        with self._lock_for_key(key):
-            for entry_dir in self._candidate_dirs(key):
-                if not os.path.isdir(entry_dir):
-                    continue
-                shutil.rmtree(entry_dir)
-                removed = True
-            if not removed:
-                return False
-            checkpoint = self._checkpoint_path(key)
-            if os.path.exists(checkpoint):
-                os.unlink(checkpoint)
-        self._note("evictions")
-        return True
+        if not any(map(os.path.isdir, self._candidate_dirs(key))):
+            return False  # nothing to remove: the generation stays
+        with self._removing():
+            removed = self._discard(key)
+        if removed:
+            self._note("evictions")
+        return removed
 
     def _evict_many(self, keys: List[str]) -> List[str]:
         """Evict a planned batch; returns the keys actually removed.
@@ -515,7 +660,13 @@ class RunStore:
         one-shard-per-task through the execution substrate; the returned
         order always matches the planned ``keys`` order.
         """
-        return [key for key in keys if self.evict(key)]
+        if not keys:
+            return []
+        with self._removing():
+            removed = [key for key in keys if self._discard(key)]
+        if removed:
+            self._note("evictions", len(removed))
+        return removed
 
     def gc(
         self,
@@ -580,8 +731,15 @@ class RunStore:
                     age = wall - os.path.getmtime(path)
                 except OSError:
                     continue  # renamed or removed by a concurrent put
-                if age > scratch_age_seconds:
+                if age <= scratch_age_seconds:
+                    continue
+                if os.path.isdir(path):
                     shutil.rmtree(path, ignore_errors=True)
+                else:  # a generation token staged by a killed bump
+                    try:
+                        os.unlink(path)
+                    except FileNotFoundError:
+                        pass
         return evicted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -590,30 +748,23 @@ class RunStore:
 
 # -- the sharded store -------------------------------------------------------
 
-def _evict_shard_batch(task: List[Tuple[str, List[str], str]]) -> List[str]:
-    """Backend task: delete one shard's planned entry directories.
+def _evict_shard_batch(
+    task: Tuple[str, List[Tuple[str, List[str], str]]]
+) -> List[str]:
+    """Backend task: remove one shard's planned entries.
 
-    ``task`` is ``[(key, entry_dirs, checkpoint_path), ...]`` for one
-    shard.  Idempotent by construction — fault injection fires *before*
-    the body runs, and a retried attempt simply re-deletes — and the
-    return value reports the keys whose directories are absent after the
-    call, so a retry that finds an already-deleted entry still counts it.
+    ``task`` is ``(scratch_dir, [(key, entry_dirs, checkpoint_path),
+    ...])`` for one shard; each entry goes through
+    :func:`_discard_entry`.  Fault injection fires *before* the body
+    runs, so a retried attempt removes the same entries; the return
+    value lists the keys this call removed.
     """
-    removed: List[str] = []
-    for key, entry_dirs, checkpoint in task:
-        existed = False
-        for entry_dir in entry_dirs:
-            if os.path.isdir(entry_dir):
-                existed = True
-                shutil.rmtree(entry_dir, ignore_errors=True)
-        try:
-            os.unlink(checkpoint)
-        except OSError:
-            pass
-        gone = all(not os.path.isdir(d) for d in entry_dirs)
-        if existed and gone:
-            removed.append(key)
-    return removed
+    scratch, entries = task
+    return [
+        key
+        for key, entry_dirs, checkpoint in entries
+        if _discard_entry(scratch, key, entry_dirs, checkpoint)
+    ]
 
 
 class ShardedRunStore(RunStore):
@@ -623,10 +774,10 @@ class ShardedRunStore(RunStore):
     the content address — the engine's canonical CRC-32 — so the layout
     is a pure function of the key.  Each shard has its own lock (same-
     shard operations serialize, cross-shard operations proceed in
-    parallel) and its own ``objects/`` tree; ``tmp/`` and
-    ``checkpoints/`` stay shared at the root.  Stat passes merge the
-    per-shard trees (plus any unmigrated flat-layout entries) into one
-    global oldest-first order, which keeps ``ls(limit=)`` ordering and
+    parallel) and its own ``objects/`` tree; ``tmp/``, ``checkpoints/``
+    and the ``generation`` file stay shared at the root.  Stat passes
+    merge the per-shard trees (plus any unmigrated flat-layout entries)
+    into one global oldest-first order, which keeps ``ls(limit=)`` ordering and
     size-ordered ``gc`` eviction byte-identical to the flat store on the
     same corpus.  ``gc`` deletions fan out one-shard-per-task through
     :meth:`~repro.parallel.backend.Backend.map` under fault scope
@@ -708,23 +859,29 @@ class ShardedRunStore(RunStore):
         Entries move with one ``os.rename`` each (same filesystem, no
         copying); a key already committed under its shard wins and the
         flat duplicate is dropped.  Safe to re-run; a no-op on a fully
-        migrated store.
+        migrated store.  A flat-layout view of the store loses every
+        moved entry, so the moves are bracketed by generation bumps like
+        any removal.
         """
+        entries = self._stat_tree(self._objects_dir())
+        if not entries:
+            return 0
         moved = 0
-        for entry in self._stat_tree(self._objects_dir()):
-            source = os.path.join(
-                self._objects_dir(), entry.key[:2], entry.key
-            )
-            target = self._entry_dir(entry.key)
-            with self._lock_for_key(entry.key):
-                if not os.path.isdir(source):
-                    continue  # evicted (or migrated) concurrently
-                if os.path.isdir(target):
-                    shutil.rmtree(source, ignore_errors=True)
-                    continue
-                os.makedirs(os.path.dirname(target), exist_ok=True)
-                os.rename(source, target)
-                moved += 1
+        with self._removing():
+            for entry in entries:
+                source = os.path.join(
+                    self._objects_dir(), entry.key[:2], entry.key
+                )
+                target = self._entry_dir(entry.key)
+                with self._lock_for_key(entry.key):
+                    if not os.path.isdir(source):
+                        continue  # evicted (or migrated) concurrently
+                    if os.path.isdir(target):
+                        _discard_entry(self._scratch_dir(), entry.key, [source])
+                        continue
+                    os.makedirs(os.path.dirname(target), exist_ok=True)
+                    os.rename(source, target)
+                    moved += 1
         return moved
 
     def _evict_many(self, keys: List[str]) -> List[str]:
@@ -743,27 +900,32 @@ class ShardedRunStore(RunStore):
         groups: Dict[int, List[str]] = {}
         for key in keys:
             groups.setdefault(self.shard_of(key), []).append(key)
+        scratch = self._scratch_dir()
         tasks = [
-            [
-                (key, list(self._candidate_dirs(key)),
-                 self._checkpoint_path(key))
-                for key in group
-            ]
+            (
+                scratch,
+                [
+                    (key, list(self._candidate_dirs(key)),
+                     self._checkpoint_path(key))
+                    for key in group
+                ],
+            )
             for _, group in sorted(groups.items())
         ]
         locks = [self._shard_locks[shard] for shard in sorted(groups)]
-        for lock in locks:
-            lock.acquire()
-        try:
-            outputs = get_backend(self._backend).map(
-                _evict_shard_batch,
-                tasks,
-                scope=STORE_SHARD_SCOPE,
-                quiet=True,
-            )
-        finally:
-            for lock in reversed(locks):
-                lock.release()
+        with self._removing():
+            for lock in locks:
+                lock.acquire()
+            try:
+                outputs = get_backend(self._backend).map(
+                    _evict_shard_batch,
+                    tasks,
+                    scope=STORE_SHARD_SCOPE,
+                    quiet=True,
+                )
+            finally:
+                for lock in reversed(locks):
+                    lock.release()
         removed = set()
         for output in outputs:
             removed.update(output)

@@ -324,6 +324,30 @@ class TestExecutionLaziness:
         with injected(None), pytest.raises(SimulationError, match="vanished"):
             execute_plan(plan, store)
 
+    def test_result_of_failed_or_skipped_node_never_reads_the_store(
+        self, tmp_path
+    ):
+        store = RunStore(tmp_path)
+        base = chain(2)
+        with injected(None):
+            run_ensemble(base, store=store)
+        target = perturb(base, scenarios={"n0": "test.always_fails"})
+        with injected(None):
+            outcome = delta_run(target, store, base=base)
+        assert outcome.reports["n0"].status == "failed"
+        assert outcome.reports["n1"].status == "skipped"
+        before = store.stats.as_dict()
+        with pytest.raises(
+            SimulationError, match=r"'n0' failed \(.*broken on purpose\)"
+        ) as failed:
+            outcome.result("n0")
+        assert "re-plan" not in str(failed.value)
+        with pytest.raises(
+            SimulationError, match=r"'n1' skipped \(upstream n0 did not complete\)"
+        ):
+            outcome.result("n1")
+        assert store.stats.as_dict() == before
+
 
 # ---------------------------------------------------------------------------
 # materialized views
