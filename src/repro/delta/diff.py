@@ -24,12 +24,15 @@ a *finding*, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from itertools import compress
+from operator import ne, not_
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.ensemble.scheduler import compute_run_keys
+from repro.ensemble.scheduler import run_keys
 from repro.ensemble.spec import Ensemble
 from repro.ensemble.store import RunStore, result_fingerprint
 from repro.obs import get_observer
@@ -112,21 +115,57 @@ class NodeDiff:
         }
 
 
-@dataclass
 class TimelineDiff:
-    """The full structured report of :func:`diff_timelines`."""
+    """The full structured report of :func:`diff_timelines`.
 
-    name_a: str
-    name_b: str
-    nodes: List[NodeDiff] = field(default_factory=list)
+    Only the nodes whose keys differ are held as :class:`NodeDiff`
+    objects; every other node of ``a`` is ``same``, and :attr:`nodes`
+    builds those entries on first read.
+    """
+
+    def __init__(
+        self,
+        name_a: str,
+        name_b: str,
+        keys_a: Mapping[str, str],
+        differing: List[NodeDiff],
+        only_in_b: List[NodeDiff],
+    ) -> None:
+        self.name_a = name_a
+        self.name_b = name_b
+        self._keys_a = keys_a
+        #: Nodes of ``a`` whose keys differ, in ``a``'s topological order.
+        self._differing = {node.name: node for node in differing}
+        self._only_in_b = only_in_b
+        self._nodes: Optional[List[NodeDiff]] = None
+
+    @property
+    def nodes(self) -> List[NodeDiff]:
+        """Every node: ``a``'s topological order, then ``b``-only nodes
+        in ``b``'s (built on first read, then kept)."""
+        if self._nodes is None:
+            differing = self._differing
+            self._nodes = [
+                differing.get(name)
+                or NodeDiff(name, "same", key_a=key, key_b=key)
+                for name, key in self._keys_a.items()
+            ]
+            self._nodes.extend(self._only_in_b)
+        return self._nodes
+
+    def _listed(self) -> List[NodeDiff]:
+        """The nodes that are not ``same``, in report order."""
+        return [*self._differing.values(), *self._only_in_b]
 
     def count(self, status: str) -> int:
-        return sum(1 for node in self.nodes if node.status == status)
+        if status == "same":
+            return len(self._keys_a) - len(self._differing)
+        return sum(1 for node in self._listed() if node.status == status)
 
     @property
     def identical(self) -> bool:
         """Whether the two timelines are the same stored computation."""
-        return all(node.status == "same" for node in self.nodes)
+        return not self._differing and not self._only_in_b
 
     def summary(self) -> Dict[str, int]:
         return {
@@ -136,15 +175,14 @@ class TimelineDiff:
         }
 
     def render(self) -> str:
+        total = len(self._keys_a) + len(self._only_in_b)
         lines = [
             f"timeline diff {self.name_a!r} vs {self.name_b!r}: "
-            f"{len(self.nodes)} node(s) — "
+            f"{total} node(s) — "
             + (", ".join(f"{v} {k}" for k, v in self.summary().items())
                or "empty")
         ]
-        for node in self.nodes:
-            if node.status != "same":
-                lines.append(node.render())
+        lines.extend(node.render() for node in self._listed())
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -179,55 +217,77 @@ def _scalar_repr(value: Any) -> Any:
 def value_deltas(
     a: Any, b: Any, path: str = "$", limit: int = 64
 ) -> List[LeafDelta]:
-    """Array-aware structural diff of two decoded result trees."""
-    out: List[LeafDelta] = []
-    _walk(a, b, path, out, limit + 1)
-    return out
+    """Array-aware structural diff of two decoded result trees.
+
+    Returns at most ``limit + 1`` deltas: one past the cap says that
+    more exist.
+    """
+    return _leaf_deltas(a, b, path, limit + 1)[0]
 
 
-def _walk(a: Any, b: Any, path: str, out: List[LeafDelta], cap: int) -> None:
-    if len(out) >= cap:
-        return
+def _leaf_deltas(
+    a: Any, b: Any, path: str, cap: int
+) -> Tuple[List[LeafDelta], int]:
+    """The first ``cap`` leaf deltas and the count of those past it."""
+    sink = _Deltas(cap)
+    _walk(a, b, path, sink)
+    return sink.kept, sink.dropped
+
+
+class _Deltas:
+    """Keeps the first ``cap`` leaf deltas and counts the rest."""
+
+    __slots__ = ("kept", "cap", "dropped")
+
+    def __init__(self, cap: int) -> None:
+        self.kept: List[LeafDelta] = []
+        self.cap = cap
+        self.dropped = 0
+
+    @property
+    def full(self) -> bool:
+        return len(self.kept) >= self.cap
+
+    def add(self, delta: LeafDelta) -> None:
+        if self.full:
+            self.dropped += 1
+        else:
+            self.kept.append(delta)
+
+
+def _walk(a: Any, b: Any, path: str, out: _Deltas) -> None:
     a_is_array = isinstance(a, np.ndarray)
     b_is_array = isinstance(b, np.ndarray)
     if a_is_array or b_is_array:
         if not (a_is_array and b_is_array):
-            out.append(
-                LeafDelta(path, "type", _type_name(a), _type_name(b))
-            )
+            out.add(LeafDelta(path, "type", _type_name(a), _type_name(b)))
             return
         _diff_arrays(a, b, path, out)
         return
     if isinstance(a, dict) or isinstance(b, dict):
         if not (isinstance(a, dict) and isinstance(b, dict)):
-            out.append(LeafDelta(path, "type", _type_name(a), _type_name(b)))
+            out.add(LeafDelta(path, "type", _type_name(a), _type_name(b)))
             return
         for key in sorted(set(a) | set(b)):
             child = f"{path}.{key}"
             if key not in a:
-                out.append(LeafDelta(child, "missing", "b", None))
+                out.add(LeafDelta(child, "missing", "b", None))
             elif key not in b:
-                out.append(LeafDelta(child, "missing", "a", None))
+                out.add(LeafDelta(child, "missing", "a", None))
             else:
-                _walk(a[key], b[key], child, out, cap)
-            if len(out) >= cap:
-                return
+                _walk(a[key], b[key], child, out)
         return
     if isinstance(a, list) or isinstance(b, list):
         if not (isinstance(a, list) and isinstance(b, list)):
-            out.append(LeafDelta(path, "type", _type_name(a), _type_name(b)))
+            out.add(LeafDelta(path, "type", _type_name(a), _type_name(b)))
             return
         if len(a) != len(b):
-            out.append(
-                LeafDelta(path, "value", f"len {len(a)}", f"len {len(b)}")
-            )
+            out.add(LeafDelta(path, "value", f"len {len(a)}", f"len {len(b)}"))
         for i, (item_a, item_b) in enumerate(zip(a, b)):
-            _walk(item_a, item_b, f"{path}[{i}]", out, cap)
-            if len(out) >= cap:
-                return
+            _walk(item_a, item_b, f"{path}[{i}]", out)
         return
     if a is not b and a != b and not (_is_nan(a) and _is_nan(b)):
-        out.append(LeafDelta(path, "value", _scalar_repr(a), _scalar_repr(b)))
+        out.add(LeafDelta(path, "value", _scalar_repr(a), _scalar_repr(b)))
 
 
 def _is_nan(value: Any) -> bool:
@@ -240,17 +300,20 @@ def _type_name(value: Any) -> str:
 
 
 def _diff_arrays(
-    a: np.ndarray, b: np.ndarray, path: str, out: List[LeafDelta]
+    a: np.ndarray, b: np.ndarray, path: str, out: _Deltas
 ) -> None:
     shape_a = f"{a.shape}:{a.dtype}"
     shape_b = f"{b.shape}:{b.dtype}"
     if a.shape != b.shape or a.dtype != b.dtype:
-        out.append(LeafDelta(path, "shape", shape_a, shape_b))
+        out.add(LeafDelta(path, "shape", shape_a, shape_b))
         return
     contig_a = np.ascontiguousarray(a)
     contig_b = np.ascontiguousarray(b)
     if contig_a.tobytes() == contig_b.tobytes():
         return  # byte-identical (NaNs included) — no delta
+    if out.full:
+        out.dropped += 1  # counted, so no need to measure it
+        return
     if a.dtype.kind in "fiub":
         with np.errstate(all="ignore"):
             equal = contig_a == contig_b
@@ -265,7 +328,7 @@ def _diff_arrays(
                 finite = diff[np.isfinite(diff)]
                 if finite.size:
                     max_abs = float(finite.max())
-        out.append(
+        out.add(
             LeafDelta(
                 path, "array", shape_a, shape_b,
                 differing=differing, max_abs_delta=max_abs,
@@ -273,28 +336,12 @@ def _diff_arrays(
         )
         return
     differing = int(np.count_nonzero(contig_a != contig_b))
-    out.append(
+    out.add(
         LeafDelta(path, "array", shape_a, shape_b, differing=differing)
     )
 
 
 # -- the diff operator -------------------------------------------------------
-
-def _load_stored(store: RunStore, key: str) -> Optional[Dict[str, Any]]:
-    """Load one stored result, treating racing eviction as a miss.
-
-    ``store.get`` returns ``None`` for an absent entry, but a ``gc``
-    running concurrently can evict *between* the metadata read and the
-    array load — surfacing as ``FileNotFoundError``/``KeyError`` from
-    the half-deleted entry.  An evicted entry is the documented
-    ``unstored`` finding, not an error, so both outcomes collapse to
-    ``None`` here and the diff proceeds node by node.
-    """
-    try:
-        return store.get(key)
-    except (KeyError, OSError):
-        return None
-
 
 def diff_timelines(
     store: RunStore,
@@ -308,7 +355,8 @@ def diff_timelines(
     ``a``'s topological order followed by ``b``-only nodes in ``b``'s
     topological order, so the report itself is deterministic.
     ``max_leaves`` caps the leaf deltas recorded per changed node (the
-    overflow count is kept).
+    overflow count is kept).  The two key maps are compared in C; only
+    the nodes whose keys differ are visited in Python.
     """
     observer = get_observer()
     with observer.span(
@@ -317,72 +365,75 @@ def diff_timelines(
         b=ensemble_b.name,
         nodes=len(ensemble_a) + len(ensemble_b),
     ):
-        keys_a = compute_run_keys(ensemble_a)
-        keys_b = compute_run_keys(ensemble_b)
-        report = TimelineDiff(ensemble_a.name, ensemble_b.name)
-        ordered = [node.name for node in ensemble_a.topological_order()]
-        ordered.extend(
-            node.name
-            for node in ensemble_b.topological_order()
-            if node.name not in keys_a
-        )
-        for name in ordered:
-            key_a = keys_a.get(name)
+        keys_a = run_keys(ensemble_a)
+        keys_b = run_keys(ensemble_b)
+        differing: List[NodeDiff] = []
+        in_both = len(keys_a)  # names of ``a`` that ``b`` also has
+        for name in compress(
+            keys_a, map(ne, keys_a.values(), map(keys_b.get, keys_a))
+        ):
+            key_a = keys_a[name]
             key_b = keys_b.get(name)
             if key_b is None:
-                report.nodes.append(
-                    NodeDiff(name, "only_in_a", key_a=key_a)
+                differing.append(NodeDiff(name, "only_in_a", key_a=key_a))
+                in_both -= 1
+            else:
+                differing.append(
+                    _diff_node(store, name, key_a, key_b, max_leaves)
                 )
-                continue
-            if key_a is None:
-                report.nodes.append(
-                    NodeDiff(name, "only_in_b", key_b=key_b)
+        only_in_b = []
+        if len(keys_b) > in_both:
+            only_in_b = [
+                NodeDiff(name, "only_in_b", key_b=keys_b[name])
+                for name in compress(
+                    keys_b, map(not_, map(keys_a.__contains__, keys_b))
                 )
-                continue
-            if key_a == key_b:
-                # Content addresses pin callable + params + seed + the
-                # whole upstream fold; equal keys mean equal runs.
-                report.nodes.append(
-                    NodeDiff(name, "same", key_a=key_a, key_b=key_b)
-                )
-                continue
-            result_a = _load_stored(store, key_a)
-            result_b = _load_stored(store, key_b)
-            if result_a is None or result_b is None:
-                report.nodes.append(
-                    NodeDiff(
-                        name, "unstored", key_a=key_a, key_b=key_b,
-                        fingerprint_a=(
-                            result_fingerprint(result_a)
-                            if result_a is not None else None
-                        ),
-                        fingerprint_b=(
-                            result_fingerprint(result_b)
-                            if result_b is not None else None
-                        ),
-                    )
-                )
-                continue
-            deltas = value_deltas(
-                result_a, result_b, limit=max_leaves
-            )
-            truncated = max(0, len(deltas) - max_leaves)
-            report.nodes.append(
-                NodeDiff(
-                    name,
-                    "changed",
-                    key_a=key_a,
-                    key_b=key_b,
-                    fingerprint_a=result_fingerprint(result_a),
-                    fingerprint_b=result_fingerprint(result_b),
-                    deltas=tuple(deltas[:max_leaves]),
-                    truncated=truncated,
-                )
-            )
+            ]
+        report = TimelineDiff(
+            ensemble_a.name,
+            ensemble_b.name,
+            MappingProxyType(keys_a),
+            differing,
+            only_in_b,
+        )
         changed = report.count("changed")
         if changed:
             observer.counter("delta.diff.changed").add(changed)
     return report
+
+
+def _diff_node(
+    store: RunStore, name: str, key_a: str, key_b: str, max_leaves: int
+) -> NodeDiff:
+    """One node present on both sides under different keys.
+
+    ``store.get`` reads an entry evicted mid-read, or one torn by an
+    older version, as a miss: that is the ``unstored`` finding, not an
+    error.
+    """
+    result_a = store.get(key_a)
+    result_b = store.get(key_b)
+    if result_a is None or result_b is None:
+        return NodeDiff(
+            name, "unstored", key_a=key_a, key_b=key_b,
+            fingerprint_a=(
+                result_fingerprint(result_a) if result_a is not None else None
+            ),
+            fingerprint_b=(
+                result_fingerprint(result_b) if result_b is not None else None
+            ),
+        )
+    deltas, truncated = _leaf_deltas(result_a, result_b, "$", max_leaves)
+    return NodeDiff(
+        name,
+        "changed",
+        key_a=key_a,
+        key_b=key_b,
+        fingerprint_a=result_fingerprint(result_a),
+        fingerprint_b=result_fingerprint(result_b),
+        deltas=tuple(deltas),
+        truncated=truncated,
+    )
 
 
 __all__ = [

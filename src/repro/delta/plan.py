@@ -45,7 +45,10 @@ lazily fetched upstream results, and per-plan ``delta.plan`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, groupby
+from operator import ne, not_
+from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.ensemble.scheduler import (
@@ -53,7 +56,7 @@ from repro.ensemble.scheduler import (
     NodeDispatch,
     NodePayload,
     NodeReport,
-    compute_run_keys,
+    run_keys,
 )
 from repro.ensemble.spec import (
     Ensemble,
@@ -140,32 +143,61 @@ class NodePlan:
         )
 
 
-@dataclass
 class DeltaPlan:
-    """The exact recompute/reuse partition for one target ensemble."""
+    """The exact recompute/reuse partition for one target ensemble.
 
-    ensemble: Ensemble
-    keys: Dict[str, str]
-    nodes: Dict[str, NodePlan] = field(default_factory=dict)
+    Only the recompute set is held as :class:`NodePlan` objects; every
+    other node is a reuse of its key, and :attr:`nodes` builds those
+    entries on first read.
+    """
+
+    def __init__(
+        self,
+        ensemble: Ensemble,
+        keys: Mapping[str, str],
+        recompute: Dict[str, NodePlan],
+        base: Optional[Ensemble] = None,
+        base_keys: Optional[Mapping[str, str]] = None,
+    ) -> None:
+        self.ensemble = ensemble
+        #: Run key per target node, in topological order (read-only).
+        self.keys = keys
+        #: The ensemble the plan was made against, if one was given.
+        self.base = base
+        self._base_keys = base_keys
+        self._recompute = recompute
+        self._nodes: Optional[Dict[str, NodePlan]] = None
+
+    @property
+    def nodes(self) -> Dict[str, NodePlan]:
+        """Every node's resolution in topological order, recomputes and
+        reuses alike (built on first read, then kept)."""
+        if self._nodes is None:
+            recompute = self._recompute
+            base_keys = self._base_keys or {}
+            self._nodes = {
+                name: recompute.get(name)
+                or NodePlan(name, key, REUSE, "hit", base_keys.get(name))
+                for name, key in self.keys.items()
+            }
+        return self._nodes
 
     @property
     def nodes_total(self) -> int:
-        return len(self.nodes)
+        return len(self.keys)
 
     @property
     def nodes_reused(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.action == REUSE)
+        return len(self.keys) - len(self._recompute)
 
     @property
     def nodes_recomputed(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.action == RECOMPUTE)
+        return len(self._recompute)
 
     @property
     def cone(self) -> List[str]:
         """Names of the nodes the plan will execute, topologically."""
-        return [
-            n.name for n in self.nodes.values() if n.action == RECOMPUTE
-        ]
+        return list(self._recompute)
 
     @property
     def recompute_fraction(self) -> float:
@@ -177,7 +209,7 @@ class DeltaPlan:
         counts: Dict[str, int] = {}
         for reason in REASONS:
             amount = sum(
-                1 for n in self.nodes.values() if n.reason == reason
+                1 for n in self._recompute.values() if n.reason == reason
             )
             if amount:
                 counts[reason] = amount
@@ -193,9 +225,7 @@ class DeltaPlan:
             + (f"  reasons={self.reasons()}" if self.nodes_recomputed else "")
         ]
         shown = 0
-        for node in self.nodes.values():
-            if node.action != RECOMPUTE:
-                continue
+        for node in self._recompute.values():
             if shown == limit:
                 lines.append(
                     f"  ... ({self.nodes_recomputed - limit} more "
@@ -228,40 +258,43 @@ def plan_delta(
     vs. ``missing`` — the reuse/recompute split itself is decided purely
     by content-address membership in ``store`` (one
     :meth:`~repro.ensemble.store.RunStore.contains_many` call), so a
-    stale or absent ``base`` can never cause an unsound reuse.
+    stale or absent ``base`` can never cause an unsound reuse.  Only
+    the nodes whose keys the store lacks get a :class:`NodePlan` here.
     """
     observer = get_observer()
     with observer.span(
         "delta.plan", ensemble=target.name, nodes=len(target)
     ):
-        keys = compute_run_keys(target)
-        base_keys = compute_run_keys(base) if base is not None else {}
-        plan = DeltaPlan(ensemble=target, keys=keys)
-        order = target.topological_order()
-        stored = store.contains_many([keys[node.name] for node in order])
-        for node, hit in zip(order, stored):
-            key = keys[node.name]
-            base_key = base_keys.get(node.name)
-            if hit:
-                action, reason = REUSE, "hit"
+        keys = run_keys(target)
+        base_keys = run_keys(base) if base is not None else {}
+        stored = store.contains_many(list(keys.values()))
+        recompute: Dict[str, NodePlan] = {}
+        for name in compress(keys, map(not_, stored)):
+            key = keys[name]
+            base_key = base_keys.get(name)
+            if base is None:
+                reason = "cold"
+            elif name not in base:
+                reason = "added"
+            elif base_key == key:
+                reason = "missing"
+            elif (
+                _own_content(base.node(name).spec)
+                != _own_content(target.node(name).spec)
+            ):
+                reason = "changed"
             else:
-                action = RECOMPUTE
-                if base is None:
-                    reason = "cold"
-                elif node.name not in base:
-                    reason = "added"
-                elif base_key == key:
-                    reason = "missing"
-                elif (
-                    _own_content(base.node(node.name).spec)
-                    != _own_content(node.spec)
-                ):
-                    reason = "changed"
-                else:
-                    reason = "upstream"
-            plan.nodes[node.name] = NodePlan(
-                node.name, key, action, reason, base_key
+                reason = "upstream"
+            recompute[name] = NodePlan(
+                name, key, RECOMPUTE, reason, base_key
             )
+        plan = DeltaPlan(
+            target,
+            MappingProxyType(keys),
+            recompute,
+            base,
+            MappingProxyType(base_keys) if base is not None else None,
+        )
     _emit_plan_metrics(observer, plan)
     return plan
 
@@ -289,13 +322,28 @@ class DeltaResult(EnsembleResult):
 
     Reused nodes are reported with status ``"reused"`` but their stored
     results are *not* loaded into memory (that laziness is the point of
-    the delta path); fetch one on demand with :meth:`result`.
+    the delta path); fetch one on demand with :meth:`result`.  Their
+    reports are shared objects (see :func:`_reused_reports`), and the
+    counters look only at the cone's reports.
     """
 
     def __init__(self, name: str, plan: DeltaPlan, store: RunStore) -> None:
         super().__init__(name=name)
         self.plan = plan
         self._store = store
+        #: The cone's reports in the order they were recorded.  It is
+        #: ``reports`` itself until :func:`execute_plan` fills that in
+        #: with the reused nodes.
+        self._cone: Dict[str, NodeReport] = self.reports
+
+    def _count(self, status: str) -> int:
+        if status == "reused":
+            return len(self.reports) - len(self._cone)
+        return sum(1 for r in self._cone.values() if r.status == status)
+
+    @property
+    def nodes_retried(self) -> int:
+        return sum(1 for r in self._cone.values() if r.retried)
 
     @property
     def nodes_reused(self) -> int:
@@ -336,12 +384,86 @@ class DeltaResult(EnsembleResult):
             f"{self.nodes_failed} failed, {self.nodes_skipped} skipped"
             + (f", {self.nodes_retried} retried" if self.nodes_retried else "")
         ]
-        for report in self.reports.values():
-            if report.status != "reused":
-                lines.append(report.render())
+        lines.extend(report.render() for report in self._cone.values())
         if self.store_stats is not None:
             lines.append(f"store: {self.store_stats}")
         return "\n".join(lines)
+
+
+def _reused_reports(
+    ensemble: Ensemble, base: Optional[Ensemble] = None
+) -> List[Tuple[str, NodeReport]]:
+    """``(name, "reused" report)`` for every node, waves laid end to end.
+
+    Built once per key map, kept on the ensemble and shared by every
+    plan executed for it; never mutate it.  When ``base`` has the same
+    :class:`~repro.ensemble.spec.Schedule` (a perturbed copy of it), the
+    list is the base's, copied in C, with only the entries whose key
+    moved replaced.
+    """
+    keys = run_keys(ensemble)
+    cached = ensemble._reused
+    if cached is not None and cached[0] is keys:
+        return cached[1]
+    schedule = ensemble._scheduled()
+    if (
+        base is not None
+        and base is not ensemble
+        and base._scheduled() is schedule
+    ):
+        items = list(_reused_reports(base))
+        base_keys = run_keys(base)
+        position = schedule.position
+        moved = map(ne, keys.values(), map(base_keys.get, keys))
+        for name in compress(keys, moved):
+            items[position[name]] = (
+                name, NodeReport(name, keys[name], "reused")
+            )
+    else:
+        items = [
+            (name, NodeReport(name, keys[name], "reused"))
+            for wave in schedule.waves
+            for name in wave
+        ]
+    ensemble._reused = (keys, items)
+    return items
+
+
+def _all_reports(
+    plan: DeltaPlan, cone: Dict[str, NodeReport]
+) -> Dict[str, NodeReport]:
+    """Every node's report, in the order a walk over every wave records
+    them: reused and skipped nodes in wave order, then the wave's
+    dispatched nodes (``NodeDispatch.dispatch`` records them after the
+    wave).  The reused reports are sliced from the shared list in C;
+    Python touches only the cone.
+    """
+    schedule = plan.ensemble._scheduled()
+    items = _reused_reports(plan.ensemble, plan.base)
+    dispatched = [
+        name for name, report in cone.items() if report.status != "skipped"
+    ]
+    pieces: List[List[Tuple[str, NodeReport]]] = []
+    cut = 0
+    for level, names in groupby(dispatched, key=schedule.level.__getitem__):
+        names = list(names)
+        for name in names:
+            at = schedule.position[name]
+            pieces.append(items[cut:at])
+            cut = at + 1
+        end = schedule.wave_ends[level]
+        pieces.append(items[cut:end])
+        cut = end
+        pieces.append([(name, cone[name]) for name in names])
+    pieces.append(items[cut:])
+    reports = dict(chain.from_iterable(pieces))
+    if len(dispatched) < len(cone):
+        reports.update(
+            (name, report)
+            for name, report in cone.items()
+            if report.status == "skipped"
+        )
+    return reports
 
 
 def execute_plan(
@@ -353,7 +475,7 @@ def execute_plan(
 ) -> DeltaResult:
     """Recompute exactly the plan's cone; serve everything else by key.
 
-    Wave-by-wave over the target ensemble, mirroring
+    Wave-by-wave over the cone's waves, mirroring
     :func:`~repro.ensemble.scheduler.run_ensemble` — same retry/fault
     defaulting, same per-node scope and global topological fault index,
     same failed-node-skips-descendants semantics — but a reused node
@@ -387,31 +509,32 @@ def execute_plan(
             loads += 1
         return loaded[dep]
 
+    level = ensemble._scheduled().level
     with observer.span(
         "delta.execute",
         ensemble=ensemble.name,
         nodes=plan.nodes_total,
         cone=plan.nodes_recomputed,
     ):
-        for wave in ensemble.waves():
+        # The cone is in topological order, so a stable sort by wave
+        # keeps each wave in the order a walk over every wave meets it.
+        cone = sorted(plan.cone, key=level.__getitem__)
+        for _, wave in groupby(cone, key=level.__getitem__):
             pending: List[NodePayload] = []
-            for node in wave:
-                node_plan = plan.nodes[node.name]
-                if node_plan.action == REUSE:
-                    outcome.reports[node.name] = NodeReport(
-                        node.name, node_plan.key, "reused"
-                    )
-                    continue
-                if nodes.skipped(node, node_plan.key):
+            for name in wave:
+                node = ensemble.node(name)
+                key = plan.keys[name]
+                if nodes.skipped(node, key):
                     continue
                 pending.append(
                     nodes.payload(
                         node,
-                        node_plan.key,
+                        key,
                         {dep: upstream_result(dep) for dep in node.deps},
                     )
                 )
             nodes.dispatch(pending)
+        outcome.reports = _all_reports(plan, outcome._cone)
 
     _emit_execute_metrics(observer, outcome, nodes.totals, loads)
     outcome.store_stats = store.stats.as_dict()

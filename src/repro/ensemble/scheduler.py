@@ -27,7 +27,9 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Union
+from heapq import heappop, heappush
+from itertools import islice
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from repro.ensemble.spec import (
     Ensemble,
@@ -279,15 +281,23 @@ def compute_run_keys(
     Keys are derived at most once per ensemble and cached on it; the
     dict returned is a copy, so mutating it changes nothing.  A copy
     made by :meth:`Ensemble.with_specs` starts from its parent's keys
-    (deriving those first if need be): a node it shares with the parent
-    whose dependencies all kept their keys keeps the parent's key, and
-    only the other nodes — the replaced specs and the descendants their
-    keys reach — are hashed with :func:`run_key`.
+    (deriving those first if need be) and hashes with :func:`run_key`
+    only its replaced nodes and the descendants whose keys they move.
+    """
+    return dict(run_keys(ensemble))
+
+
+def run_keys(ensemble: Ensemble) -> Dict[str, str]:
+    """:func:`compute_run_keys` without the copy: the cached dict itself.
+
+    For callers inside the package that only read it; it is shared with
+    the ensemble's cache, so never mutate it.  It lists nodes in
+    topological order.
     """
     # Walk up to the nearest ensemble with current keys (a loop, not
     # recursion: a chain of perturbations may be arbitrarily long), then
     # derive back down so each copy folds over its parent's keys.
-    lineage: List[Ensemble] = []
+    lineage: List[Tuple[Ensemble, Optional[tuple]]] = []
     current: Optional[Ensemble] = ensemble
     keys: Optional[Dict[str, str]] = None
     while current is not None:
@@ -295,46 +305,66 @@ def compute_run_keys(
         if cached is not None and len(cached) == len(current):
             keys = cached
             break
-        lineage.append(current)
-        current = current._parent
-    for member in reversed(lineage):
-        keys = _derive_run_keys(member, keys)
-    return dict(keys)
+        origin = current._origin
+        lineage.append((current, origin))
+        current = origin[0] if origin is not None else None
+    for member, origin in reversed(lineage):
+        keys = _derive_run_keys(member, origin, keys)
+    return keys
 
 
 def _derive_run_keys(
-    ensemble: Ensemble, parent_keys: Optional[Dict[str, str]]
+    ensemble: Ensemble,
+    origin: Optional[Tuple[Ensemble, int, Tuple[str, ...]]],
+    parent_keys: Optional[Dict[str, str]],
 ) -> Dict[str, str]:
     """The Merkle loop: derive ``ensemble``'s keys and cache them on it.
 
-    A node keeps an already-known key when it is the very node object
-    that key was derived for and every dependency kept its key; that is
-    the parent's key for a ``with_specs`` copy, or, once nodes were
-    added after a derivation, the stale cache (``add`` only appends, so
-    every key in it still holds).  Every other node is hashed.
+    It starts from keys already known to hold: the parent's, for a
+    ``with_specs`` copy, cut to the nodes the copy was made with; or
+    else the ensemble's own stale cache (``add`` only appends, so every
+    key in it still holds).  It hashes the nodes with no known key or a
+    replaced spec, in topological order off a heap of topological
+    indices, and a node whose key moved queues its dependents from the
+    schedule's children index.  The keys come out in topological order.
     """
-    parent = ensemble._parent
-    if parent is not None and parent_keys is not None:
-        known_nodes, known = parent._nodes, parent_keys
+    nodes = ensemble._nodes
+    schedule = ensemble._scheduled()
+    if origin is not None:
+        _, size, replaced = origin
+        keys = (
+            dict(parent_keys)
+            if len(parent_keys) == size
+            else dict(islice(parent_keys.items(), size))
+        )
     else:
-        known_nodes, known = ensemble._nodes, ensemble._keys or {}
-    keys: Dict[str, str] = {}
-    for node in ensemble.topological_order():
-        key = known.get(node.name)
-        if (
-            key is None
-            or known_nodes.get(node.name) is not node
-            or any(keys[dep] != known[dep] for dep in node.deps)
-        ):
-            key = run_key(
-                scenario_qualname(node.spec.scenario),
-                node.spec.params,
-                node.spec.seed,
-                upstream={dep: keys[dep] for dep in node.deps},
-            )
-        keys[node.name] = key
+        keys = dict(ensemble._keys or {})
+        size, replaced = len(keys), ()
+    dirty = [*replaced, *islice(nodes, size, None)]
+    index = schedule.index
+    heap = sorted(map(index.__getitem__, dirty))
+    # Nothing known: every node is hashed in order and nothing is queued.
+    queued = None if len(heap) == len(nodes) else set(dirty)
+    while heap:
+        name = schedule.order[heappop(heap)]
+        node = nodes[name]
+        key = run_key(
+            scenario_qualname(node.spec.scenario),
+            node.spec.params,
+            node.spec.seed,
+            upstream={dep: keys[dep] for dep in node.deps},
+        )
+        if keys.get(name) == key:
+            continue
+        keys[name] = key
+        if queued is None:
+            continue
+        for child in schedule.children(nodes)[name]:
+            if child not in queued:
+                queued.add(child)
+                heappush(heap, index[child])
     ensemble._keys = keys
-    ensemble._parent = None
+    ensemble._origin = None
     return keys
 
 
@@ -374,10 +404,7 @@ class NodeDispatch:
         self.backend = backend
         self.scope = scope
         self.timer = timer
-        self.indices = {
-            node.name: i
-            for i, node in enumerate(ensemble.topological_order())
-        }
+        self.indices = ensemble._scheduled().index
         self.checkpoint_dir = (
             store.checkpoint_dir() if store is not None else None
         )
@@ -492,7 +519,7 @@ def run_ensemble(
         scope="ensemble.dispatch", timer="ensemble.node_seconds",
     )
     observer = get_observer()
-    keys = compute_run_keys(ensemble)
+    keys = run_keys(ensemble)
 
     with observer.span(
         "ensemble.run", ensemble=ensemble.name, nodes=len(ensemble)
@@ -560,5 +587,6 @@ __all__ = [
     "compute_run_keys",
     "current_node_context",
     "run_ensemble",
+    "run_keys",
     "run_node",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import (
     Any,
     Callable,
@@ -198,6 +199,50 @@ class EnsembleNode:
     deps: Tuple[str, ...] = ()
 
 
+class Schedule:
+    """Order, waves and per-node positions of one DAG shape, by name.
+
+    Derived once per node set and shared, unchanged, by every
+    :meth:`Ensemble.with_specs` copy of it: a copy keeps the names and
+    the edges, so it schedules identically.  All fields are shared;
+    never mutate them.
+    """
+
+    __slots__ = ("order", "waves", "index", "level", "position", "wave_ends",
+                 "_children")
+
+    def __init__(
+        self, order: List[str], waves: List[List[str]], level: Dict[str, int]
+    ) -> None:
+        #: Node names in topological order (which is insertion order).
+        self.order = tuple(order)
+        #: Node names per wave, each wave in topological order.
+        self.waves = tuple(map(tuple, waves))
+        #: Topological index per node: its fault index and heap priority.
+        self.index = dict(zip(self.order, range(len(self.order))))
+        #: Wave number per node.
+        self.level = level
+        flat = [name for wave in self.waves for name in wave]
+        #: Position per node in the waves laid end to end.
+        self.position = dict(zip(flat, range(len(flat))))
+        #: End of each wave in that layout.
+        self.wave_ends = list(accumulate(map(len, self.waves)))
+        self._children: Optional[Dict[str, List[str]]] = None
+
+    def children(
+        self, nodes: Mapping[str, EnsembleNode]
+    ) -> Dict[str, List[str]]:
+        """Each node's dependents, built on first use from ``nodes``'s edges."""
+        children = self._children
+        if children is None:
+            children = {name: [] for name in self.order}
+            for name in self.order:
+                for dep in nodes[name].deps:
+                    children[dep].append(name)
+            self._children = children
+        return children
+
+
 class Ensemble:
     """A DAG of scenario runs with deterministic ordering.
 
@@ -207,9 +252,10 @@ class Ensemble:
     functions of the insertion sequence, so two processes that build the
     same ensemble schedule it identically.
 
-    The topological order, the waves, and the run keys
-    (:func:`~repro.ensemble.scheduler.compute_run_keys`) are derived at
-    most once and cached.  ``add`` is the only mutator and only appends,
+    The :class:`Schedule`, the run keys
+    (:func:`~repro.ensemble.scheduler.compute_run_keys`) and the
+    "reused" reports :func:`repro.delta.execute_plan` shares are derived
+    at most once and cached.  ``add`` is the only mutator and only appends,
     so a cache is valid exactly while it covers every node — a length
     check, with no bookkeeping in ``add`` — and stale keys still hold
     for the nodes they cover.  The caches take no lock: two threads
@@ -219,13 +265,15 @@ class Ensemble:
     def __init__(self, name: str = "ensemble") -> None:
         self.name = name
         self._nodes: Dict[str, EnsembleNode] = {}
-        self._schedule: Optional[
-            Tuple[List[EnsembleNode], List[List[EnsembleNode]]]
-        ] = None
+        self._schedule: Optional[Schedule] = None
         self._keys: Optional[Dict[str, str]] = None
-        #: The ensemble a :meth:`with_specs` copy was made from, kept
-        #: until the copy's own keys are derived from the parent's.
-        self._parent: Optional[Ensemble] = None
+        #: For a :meth:`with_specs` copy whose keys are not derived yet:
+        #: the parent, its node count at the copy, and the replaced
+        #: names.  Dropped once the copy's keys are derived.
+        self._origin: Optional[Tuple[Ensemble, int, Tuple[str, ...]]] = None
+        #: The key map the delta layer's "reused" reports were built
+        #: from, and those reports (see ``repro.delta.plan``).
+        self._reused: Optional[Tuple[Dict[str, str], List[Any]]] = None
 
     # -- construction -------------------------------------------------------
     def add(
@@ -291,12 +339,14 @@ class Ensemble:
         Unknown replacement names are rejected — a silently ignored
         perturbation would masquerade as a fully reused plan.
 
-        The copy shares every unchanged (frozen) node with this
-        ensemble, takes over its order and waves by name, and derives
-        its run keys from this ensemble's: only the replaced nodes and
-        the descendants their keys reach are hashed again.
+        The copy shares every unchanged (frozen) node and the
+        :class:`Schedule` with this ensemble, and derives its run keys
+        from this ensemble's: only the replaced nodes and the
+        descendants their keys reach are hashed again.
         """
-        unknown = sorted(set(replacements) - set(self._nodes))
+        unknown = sorted(
+            name for name in replacements if name not in self._nodes
+        )
         if unknown:
             raise SimulationError(
                 f"with_specs got replacements for unknown node(s) {unknown}"
@@ -306,14 +356,10 @@ class Ensemble:
             nodes[node_name] = EnsembleNode(
                 node_name, spec, nodes[node_name].deps
             )
-        order, waves = self._scheduled()
         clone = Ensemble(name or self.name)
         clone._nodes = nodes
-        clone._schedule = (
-            [nodes[node.name] for node in order],
-            [[nodes[node.name] for node in wave] for wave in waves],
-        )
-        clone._parent = self
+        clone._schedule = self._scheduled()
+        clone._origin = (self, len(self._nodes), tuple(replacements))
         return clone
 
     # -- sweep constructors --------------------------------------------------
@@ -433,7 +479,7 @@ class Ensemble:
         names the unsatisfiable nodes if it is broken.  Derived once and
         cached; the list returned is a copy.
         """
-        return list(self._scheduled()[0])
+        return list(map(self._nodes.__getitem__, self._scheduled().order))
 
     def waves(self) -> List[List[EnsembleNode]]:
         """Topological levels: wave ``k`` holds nodes whose longest
@@ -442,24 +488,21 @@ class Ensemble:
         through a parallel backend; wave membership and intra-wave order
         are deterministic.  Derived once and cached; the lists returned
         are copies."""
-        return [list(wave) for wave in self._scheduled()[1]]
+        lookup = self._nodes.__getitem__
+        return [list(map(lookup, wave)) for wave in self._scheduled().waves]
 
-    def _scheduled(
-        self,
-    ) -> Tuple[List[EnsembleNode], List[List[EnsembleNode]]]:
-        """The cached ``(order, waves)`` pair — shared, never mutate it."""
+    def _scheduled(self) -> Schedule:
+        """The cached :class:`Schedule` — shared, never mutate it."""
         schedule = self._schedule
-        if schedule is None or len(schedule[0]) != len(self._nodes):
+        if schedule is None or len(schedule.order) != len(self._nodes):
             schedule = self._schedule = self._derive_schedule()
         return schedule
 
-    def _derive_schedule(
-        self,
-    ) -> Tuple[List[EnsembleNode], List[List[EnsembleNode]]]:
+    def _derive_schedule(self) -> Schedule:
         """One ready scan yields the order and each node's wave."""
         depth: Dict[str, int] = {}
-        order: List[EnsembleNode] = []
-        waves: List[List[EnsembleNode]] = []
+        order: List[str] = []
+        waves: List[List[str]] = []
         pending = list(self._nodes.values())
         while pending:
             remaining: List[EnsembleNode] = []
@@ -469,17 +512,17 @@ class Ensemble:
                     continue
                 level = max((depth[dep] + 1 for dep in node.deps), default=0)
                 depth[node.name] = level
-                order.append(node)
+                order.append(node.name)
                 while len(waves) <= level:
                     waves.append([])
-                waves[level].append(node)
+                waves[level].append(node.name)
             if len(remaining) == len(pending):
                 cyclic = ", ".join(sorted(n.name for n in remaining))
                 raise SimulationError(
                     f"ensemble has an unsatisfiable dependency among: {cyclic}"
                 )
             pending = remaining
-        return order, waves
+        return Schedule(order, waves, depth)
 
 
 __all__ = [

@@ -75,6 +75,8 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import (
     Any,
     Dict,
@@ -428,16 +430,14 @@ class RunStore:
             if self._present[0] != generation:
                 self._present = (generation, frozenset())
             present = self._present[1]
-        answers: List[bool] = []
+        # One C-level pass answers the keys seen present; only the rest
+        # are visited in Python, each with one stat.
+        answers = list(map(present.__contains__, keys))
         found: List[str] = []
-        for key in keys:
-            if key in present:
-                answers.append(True)
-            elif self.contains(key):
-                answers.append(True)
-                found.append(key)
-            else:
-                answers.append(False)
+        for i in compress(range(len(answers)), map(not_, answers)):
+            if self.contains(keys[i]):
+                answers[i] = True
+                found.append(keys[i])
         if found:
             with self._present_lock:
                 tag, known = self._present
@@ -446,7 +446,15 @@ class RunStore:
         return answers
 
     def get(self, key: str) -> Optional[Any]:
-        """The stored result for ``key``, or ``None`` on a miss."""
+        """The stored result for ``key``, or ``None`` on a miss.
+
+        An entry whose ``run.json`` references arrays that are not
+        there is a miss too.  Either a removal by another process took
+        the entry between the two reads, or the entry was torn by an
+        earlier version's in-place removal; a torn entry is moved into
+        ``tmp/`` as a removal, so the generation moves and the key
+        reads absent from then on.
+        """
         candidates = self._candidate_dirs(key)
         with self._lock_for_key(key):
             document = None
@@ -470,10 +478,24 @@ class RunStore:
             arrays: Dict[str, np.ndarray] = {}
             npz_path = os.path.join(entry_dir, "arrays.npz")
             if os.path.exists(npz_path):
-                with np.load(npz_path) as payload:
-                    arrays = {name: payload[name] for name in payload.files}
+                try:
+                    with np.load(npz_path) as payload:
+                        arrays = {name: payload[name] for name in payload.files}
+                except FileNotFoundError:
+                    pass  # removed since the check: decoding below misses
+            try:
+                result = decode_result(document["result"], arrays)
+            except KeyError:
+                torn = os.path.exists(
+                    os.path.join(entry_dir, "run.json")
+                ) and not os.path.exists(npz_path)
+                if torn:
+                    with self._removing():
+                        _discard_entry(self._scratch_dir(), key, [entry_dir])
+                self._note("misses")
+                return None
             self._note("hits")
-        return decode_result(document["result"], arrays)
+        return result
 
     # -- write path ----------------------------------------------------------
     def put(

@@ -12,6 +12,10 @@ from repro.engine import Database, Schema
 #: ``pytest --hypothesis-profile=sql-differential``.  Tier-1 keeps
 #: hypothesis's default budget.
 settings.register_profile("sql-differential", max_examples=1500)
+#: The larger-budget run of the per-node reference for what-if cycles
+#: (``tests/test_delta.py::TestConeSizedCycles``):
+#: ``pytest --hypothesis-profile=delta-reference``.
+settings.register_profile("delta-reference", max_examples=1000)
 
 
 @pytest.fixture

@@ -17,20 +17,28 @@ process backend.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.delta import (
+    RECOMPUTE,
+    REUSE,
     AggSpec,
     AppendLog,
     IncrementalAggregate,
     MaterializedView,
+    NodeDiff,
+    NodePlan,
     delta_run,
     diff_timelines,
     execute_plan,
@@ -38,21 +46,28 @@ from repro.delta import (
     plan_delta,
     value_deltas,
 )
+from repro.delta.diff import STATUSES
 from repro.engine.expressions import BinaryOp, Column as Col, Literal
 from repro.engine.schema import Schema
 from repro.engine.table import Table
 from repro.ensemble import (
     Ensemble,
+    EnsembleResult,
+    NodeReport,
     RunStore,
     ScenarioSpec,
     ShardedRunStore,
+    canonical_json,
+    compute_run_keys,
     result_fingerprint,
     run_ensemble,
+    scenario_qualname,
 )
+from repro.ensemble.scheduler import NodeDispatch
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, injected
 from repro.parallel import SerialBackend
-from tests.test_ensemble import BACKENDS, REPO_ROOT, chain
+from tests.test_ensemble import BACKENDS, REPO_ROOT, chain, dags
 
 
 def sweep(runs=12, seed=3):
@@ -666,6 +681,22 @@ class TestTimelineDiff:
         deltas = value_deltas(a, b, limit=4)
         assert len(deltas) == 5  # limit + 1 sentinel for "more existed"
 
+    def test_truncated_counts_every_leaf_past_the_cap(self, tmp_path):
+        store = RunStore(tmp_path)
+        a = Ensemble("leaves")
+        a.add("node", ScenarioSpec("test.flaky", {"x": 1}))
+        b = perturb(a, params={"node": {"x": 2}})
+        # The diff reads only the store, so the entries can be put by hand.
+        store.put(compute_run_keys(a)["node"], {f"k{i:03d}": i for i in range(100)})
+        store.put(compute_run_keys(b)["node"], {f"k{i:03d}": i + 1 for i in range(100)})
+        report = diff_timelines(store, a, b, max_leaves=5)
+        node = report.nodes[0]
+        # 100 leaves differ: the first 5 are recorded, 95 counted.
+        assert [d.path for d in node.deltas] == [f"$.k{i:03d}" for i in range(5)]
+        assert node.truncated == 95
+        assert "... (95 more leaf delta(s))" in report.render()
+        assert report.as_dict()["nodes"][0]["truncated"] == 95
+
     def test_as_dict_round_trips_through_json(self, tmp_path):
         store = RunStore(tmp_path)
         a = Ensemble("arrays")
@@ -932,3 +963,360 @@ class TestDiffEvictionRace:
         statuses = {n.name: n.status for n in raced.nodes}
         assert statuses["n1"] == "unstored"
         assert raced.count("unstored") >= 1
+
+
+# ---------------------------------------------------------------------------
+# cone-sized cycles: the per-node reference and the work count
+# ---------------------------------------------------------------------------
+#
+# plan_delta, execute_plan and diff_timelines hold only the cone
+# explicitly.  The reference below is the per-node algorithm they
+# replaced: one NodePlan, NodeReport and NodeDiff per node, built by a
+# walk over every node.  Random cycles must read the same through both.
+
+
+def _own(spec):
+    return scenario_qualname(spec.scenario), canonical_json(spec.params), spec.seed
+
+
+def _reference_plan(target, store, base=None):
+    keys = compute_run_keys(target)
+    base_keys = compute_run_keys(base) if base is not None else {}
+    nodes = {}
+    for node in target.topological_order():
+        key = keys[node.name]
+        base_key = base_keys.get(node.name)
+        if store.contains(key):
+            action, reason = REUSE, "hit"
+        else:
+            action = RECOMPUTE
+            if base is None:
+                reason = "cold"
+            elif node.name not in base:
+                reason = "added"
+            elif base_key == key:
+                reason = "missing"
+            elif _own(base.node(node.name).spec) != _own(node.spec):
+                reason = "changed"
+            else:
+                reason = "upstream"
+        nodes[node.name] = NodePlan(node.name, key, action, reason, base_key)
+    observer = obs.get_observer()
+    observer.counter("delta.plan").inc()
+    reused = sum(1 for n in nodes.values() if n.action == REUSE)
+    for metric, amount in (
+        ("delta.reused", reused),
+        ("delta.recomputed", len(nodes) - reused),
+    ):
+        if amount:
+            observer.counter(metric).add(amount)
+    return nodes, keys
+
+
+def _reference_plan_render(name, nodes, limit=20):
+    cone = [n for n in nodes.values() if n.action == RECOMPUTE]
+    reasons = {}
+    for reason in ("changed", "upstream", "added", "missing", "cold"):
+        amount = sum(1 for n in cone if n.reason == reason)
+        if amount:
+            reasons[reason] = amount
+    lines = [
+        f"delta plan for {name!r}: {len(nodes)} node(s) — "
+        f"{len(nodes) - len(cone)} reused, {len(cone)} recomputed "
+        f"({100.0 * len(cone) / max(len(nodes), 1):.1f}%)"
+        + (f"  reasons={reasons}" if cone else "")
+    ]
+    for shown, node in enumerate(cone):
+        if shown == limit:
+            lines.append(f"  ... ({len(cone) - limit} more recomputed node(s))")
+            break
+        lines.append("  " + node.render())
+    return "\n".join(lines)
+
+
+def _reference_execute(target, nodes, keys, store):
+    outcome = EnsembleResult(name=target.name)
+    dispatch = NodeDispatch(
+        target, outcome, store, "serial", None, None,
+        scope="delta.dispatch", timer="delta.node_seconds",
+    )
+    loaded = {}
+
+    def upstream_result(dep):
+        if dep in outcome.results:
+            return outcome.results[dep]
+        if dep not in loaded:
+            loaded[dep] = store.get(keys[dep])
+        return loaded[dep]
+
+    for wave in target.waves():
+        pending = []
+        for node in wave:
+            node_plan = nodes[node.name]
+            if node_plan.action == REUSE:
+                outcome.reports[node.name] = NodeReport(
+                    node.name, node_plan.key, "reused"
+                )
+                continue
+            if dispatch.skipped(node, node_plan.key):
+                continue
+            pending.append(
+                dispatch.payload(
+                    node, node_plan.key,
+                    {dep: upstream_result(dep) for dep in node.deps},
+                )
+            )
+        dispatch.dispatch(pending)
+    observer = obs.get_observer()
+    for metric, amount in (
+        ("delta.nodes_run", outcome.nodes_run),
+        ("delta.nodes_failed", outcome.nodes_failed),
+        ("delta.nodes_skipped", outcome.nodes_skipped),
+        ("delta.nodes_retried", outcome.nodes_retried),
+        ("delta.loads", len(loaded)),
+        ("delta.injected", dispatch.totals.injected),
+        ("delta.retries", dispatch.totals.retries),
+    ):
+        if amount:
+            observer.counter(metric).add(amount)
+    outcome.store_stats = store.stats.as_dict()
+    reused = sum(1 for r in outcome.reports.values() if r.status == "reused")
+    lines = [
+        f"delta {outcome.name!r}: {outcome.nodes} node(s) — "
+        f"{reused} reused, {outcome.nodes_run} recomputed, "
+        f"{outcome.nodes_failed} failed, {outcome.nodes_skipped} skipped"
+        + (f", {outcome.nodes_retried} retried" if outcome.nodes_retried else "")
+    ]
+    lines.extend(
+        r.render() for r in outcome.reports.values() if r.status != "reused"
+    )
+    lines.append(f"store: {outcome.store_stats}")
+    return outcome, "\n".join(lines)
+
+
+def _reference_diff(store, a, b, max_leaves=64):
+    keys_a, keys_b = compute_run_keys(a), compute_run_keys(b)
+    ordered = [node.name for node in a.topological_order()]
+    ordered += [n.name for n in b.topological_order() if n.name not in keys_a]
+    nodes = []
+    for name in ordered:
+        key_a, key_b = keys_a.get(name), keys_b.get(name)
+        if key_b is None:
+            nodes.append(NodeDiff(name, "only_in_a", key_a=key_a))
+        elif key_a is None:
+            nodes.append(NodeDiff(name, "only_in_b", key_b=key_b))
+        elif key_a == key_b:
+            nodes.append(NodeDiff(name, "same", key_a=key_a, key_b=key_b))
+        else:
+            result_a, result_b = store.get(key_a), store.get(key_b)
+            if result_a is None or result_b is None:
+                nodes.append(NodeDiff(
+                    name, "unstored", key_a=key_a, key_b=key_b,
+                    fingerprint_a=result_a and result_fingerprint(result_a),
+                    fingerprint_b=result_b and result_fingerprint(result_b),
+                ))
+                continue
+            deltas = value_deltas(result_a, result_b, limit=max_leaves)
+            nodes.append(NodeDiff(
+                name, "changed", key_a=key_a, key_b=key_b,
+                fingerprint_a=result_fingerprint(result_a),
+                fingerprint_b=result_fingerprint(result_b),
+                deltas=tuple(deltas[:max_leaves]),
+                truncated=max(0, len(deltas) - max_leaves),
+            ))
+    summary = {}
+    for status in STATUSES:
+        amount = sum(1 for n in nodes if n.status == status)
+        if amount:
+            summary[status] = amount
+    if summary.get("changed"):
+        obs.get_observer().counter("delta.diff.changed").add(summary["changed"])
+    render = "\n".join(
+        [
+            f"timeline diff {a.name!r} vs {b.name!r}: {len(nodes)} node(s) — "
+            + (", ".join(f"{v} {k}" for k, v in summary.items()) or "empty")
+        ]
+        + [n.render() for n in nodes if n.status != "same"]
+    )
+    as_dict = {
+        "a": a.name,
+        "b": b.name,
+        "summary": summary,
+        "identical": all(n.status == "same" for n in nodes),
+        "nodes": [n.as_dict() for n in nodes],
+    }
+    return nodes, render, as_dict
+
+
+def _timeless(report):
+    """A report without its wall-clock parts (seconds, attempt times)."""
+    error = report.error and re.sub(r"\(\d[\d.e+-]*s\)", "(t)", report.error)
+    return dataclasses.replace(report, seconds=0.0, error=error)
+
+
+def _timeless_text(text):
+    return re.sub(r"\d+\.\d{3}s ", "t ", text)
+
+
+def _observed(action):
+    """``action()`` and the obs ``values`` it records."""
+    observer = obs.enable()
+    observer.reset()
+    try:
+        result = action()
+        values = observer.metrics.snapshot()["values"]
+    finally:
+        obs.disable()
+    return result, values
+
+
+@st.composite
+def cycles(draw):
+    """A random DAG, base entries to evict, and 1-4 chained perturbations,
+    each of which may break a node, and add a node to the copy or grow
+    its parent."""
+    base = draw(dags())
+    names = [node.name for node in base.nodes()]
+    evicted = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    steps = []
+    for step in range(draw(st.integers(1, 4))):
+        changed = draw(
+            st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)
+        )
+        # Restoring a base value moves a key back onto a stored entry.
+        params = {
+            name: {
+                "x": base.node(name).spec.params["x"]
+                if draw(st.booleans())
+                else draw(st.integers(0, 9))
+            }
+            for name in changed
+        }
+        broken = draw(st.sampled_from([None, *changed]))
+        grow = draw(st.sampled_from([None, "copy", "parent"]))
+        deps = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+        steps.append((params, broken, grow, deps))
+    return base, evicted, steps
+
+
+class TestConeSizedCycles:
+    # Seeded and bounded here; ``--hypothesis-profile=delta-reference``
+    # (registered in ``tests/conftest.py``) raises the budget.
+    @given(case=cycles())
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[
+            HealthCheck.function_scoped_fixture, HealthCheck.too_slow
+        ],
+    )
+    def test_cycles_read_like_the_per_node_reference(self, case, tmp_path_factory):
+        base, evicted, steps = case
+        root = tmp_path_factory.mktemp("cycles")
+        store, ref_store = RunStore(root / "new"), RunStore(root / "ref")
+        with injected(None):
+            for each in (store, ref_store):
+                run_ensemble(base, store=each, backend="serial")
+                for name in evicted:
+                    each.evict(compute_run_keys(base)[name])
+            parent = base
+            for step, (params, broken, grow, deps) in enumerate(steps):
+                scenarios = {broken: "test.always_fails"} if broken else None
+                target = perturb(
+                    parent, params=params, scenarios=scenarios,
+                    name=f"step{step}",
+                )
+                if grow is not None:
+                    (target if grow == "copy" else parent).add(
+                        f"extra{step}",
+                        ScenarioSpec("test.flaky", {"x": step}),
+                        deps=deps,
+                    )
+                self._check_cycle(parent, target, store, ref_store)
+                parent = target
+
+    @staticmethod
+    def _check_cycle(base, target, store, ref_store):
+        def cycle():
+            plan = plan_delta(target, store, base=base)
+            outcome = execute_plan(plan, store, backend="serial")
+            return plan, outcome, diff_timelines(store, base, target)
+
+        def reference():
+            nodes, keys = _reference_plan(target, ref_store, base)
+            outcome, render = _reference_execute(target, nodes, keys, ref_store)
+            return nodes, outcome, render, _reference_diff(ref_store, base, target)
+
+        (plan, outcome, diff), values = _observed(cycle)
+        (ref_nodes, ref_outcome, ref_render, ref_diff), ref_values = _observed(
+            reference
+        )
+        assert values == ref_values
+        assert list(plan.nodes.items()) == list(ref_nodes.items())
+        assert plan.render() == _reference_plan_render(target.name, ref_nodes)
+        assert plan.reasons() == {
+            reason: sum(1 for n in ref_nodes.values() if n.reason == reason)
+            for reason in ("changed", "upstream", "added", "missing", "cold")
+            if any(n.reason == reason for n in ref_nodes.values())
+        }
+        assert [(name, _timeless(r)) for name, r in outcome.reports.items()] == [
+            (name, _timeless(r)) for name, r in ref_outcome.reports.items()
+        ]
+        assert (outcome.ok, outcome.nodes_run, outcome.nodes_reused) == (
+            ref_outcome.ok,
+            ref_outcome.nodes_run,
+            sum(1 for r in ref_outcome.reports.values() if r.status == "reused"),
+        )
+        assert outcome.fingerprints() == ref_outcome.fingerprints()
+        assert _timeless_text(outcome.render()) == _timeless_text(ref_render)
+        ref_diff_nodes, ref_diff_render, ref_diff_dict = ref_diff
+        assert diff.nodes == ref_diff_nodes
+        assert diff.render() == ref_diff_render
+        assert diff.as_dict() == ref_diff_dict
+
+    def test_a_second_leaf_cycle_builds_records_only_for_its_cone(
+        self, tmp_path, monkeypatch
+    ):
+        """On a 1,020-node sweep a leaf cycle builds one NodePlan and one
+        NodeDiff per cone node, and two NodeReports: its run report and
+        the reused entry its moved key needs.  The first cycle against a
+        base builds the base's shared reused reports; later ones copy
+        them."""
+        base = Ensemble("stages")
+        for s in range(20):
+            stage = base.add(f"stage/{s:02d}", ScenarioSpec("test.double", {"x": s}))
+            for leaf in range(50):
+                base.add(
+                    f"leaf/{s:02d}/{leaf:02d}",
+                    ScenarioSpec("test.double", {"x": leaf, "upstream_node": stage}),
+                    deps=(stage,),
+                )
+        store = RunStore(tmp_path)
+        with injected(None):
+            run_ensemble(base, store=store, backend="serial").raise_if_failed()
+            built = {"NodePlan": 0, "NodeReport": 0, "NodeDiff": 0}
+            for cls in (NodePlan, NodeReport, NodeDiff):
+                real = cls.__init__
+
+                def init(self, *args, _real=real, _name=cls.__name__, **kwargs):
+                    built[_name] += 1
+                    _real(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, "__init__", init)
+            for leaf, x in (("leaf/03/07", 70), ("leaf/11/42", 71)):
+                for name in built:
+                    built[name] = 0
+                target = perturb(base, params={leaf: {"x": x}})
+                plan = plan_delta(target, store, base=base)
+                outcome = execute_plan(plan, store, backend="serial")
+                seconds = sum(
+                    r.seconds for r in outcome.reports.values() if r.status == "run"
+                )
+                assert outcome.ok and seconds >= 0.0
+                results = {name: outcome.result(name) for name in plan.cone}
+                diff = diff_timelines(store, base, target)
+        assert plan.cone == [leaf] and len(results) == 1
+        assert diff.count("changed") == 1 and diff.count("same") == 1019
+        assert built == {"NodePlan": 1, "NodeReport": 2, "NodeDiff": 1}
+        assert len(outcome.reports) == len(plan.nodes) == len(diff.nodes) == 1020

@@ -407,6 +407,61 @@ class TestAtomicEviction:
         store.gc(scratch_age_seconds=-1)
         assert os.listdir(os.path.join(store.root, "tmp")) == []
 
+    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
+    def test_get_heals_an_entry_whose_arrays_are_gone(self, tmp_path, shards):
+        """``run.json`` left without the ``arrays.npz`` it references (the
+        other torn state an earlier version's in-place removal left) is a
+        miss, and the read removes it, so a warm instance stops seeing it
+        and a warm run recomputes it."""
+        make = (lambda: ShardedRunStore(tmp_path, shards)) if shards else (
+            lambda: RunStore(tmp_path)
+        )
+        store = make()
+        ensemble = chain(2, scenario="test.array")
+        with injected(None):
+            cold = run_ensemble(ensemble, store=store, backend="serial")
+        key = compute_run_keys(ensemble)["n0"]
+        warm = make()  # stands in for another process
+        assert warm.contains_many([key]) == [True]
+        entry_dir = next(d for d in store._candidate_dirs(key) if os.path.isdir(d))
+        os.unlink(os.path.join(entry_dir, "arrays.npz"))  # the old in-place rmtree
+        assert store.contains(key)
+        token = store._read_generation()
+        misses = store.stats.misses
+        assert store.get(key) is None
+        assert store.stats.misses == misses + 1
+        assert store._read_generation() != token  # removed as a removal
+        assert not os.path.isdir(entry_dir) and not store.contains(key)
+        assert warm.contains_many([key]) == [False]
+        with injected(None):
+            rerun = run_ensemble(ensemble, store=store, backend="serial")
+        rerun.raise_if_failed()
+        assert rerun.reports["n0"].status == "run"
+        assert rerun.reports["n1"].status == "cached"
+        assert rerun.fingerprints() == cold.fingerprints()
+        assert result_fingerprint(store.get(key)) == cold.fingerprints()["n0"]
+
+    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
+    def test_an_eviction_racing_get_is_a_miss(self, tmp_path, monkeypatch, shards):
+        store = ShardedRunStore(tmp_path, shards) if shards else RunStore(tmp_path)
+        other = RunStore(tmp_path) if not shards else ShardedRunStore(tmp_path, shards)
+        key = _key(0)
+        store.put(key, _payload(0))
+        real_load = np.load
+
+        def load(*args, **kwargs):
+            other.evict(key)  # another process removes it mid-read
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(np, "load", load)
+        assert store.get(key) is None
+        monkeypatch.undo()
+        assert store.stats.as_dict()["hits"] == 0
+        assert store.stats.as_dict()["misses"] == 1
+        assert not store.contains(key)
+        store.put(key, _payload(0))
+        assert result_fingerprint(store.get(key)) == result_fingerprint(_payload(0))
+
     def test_gc_sweeps_a_token_staged_by_a_killed_bump(self, tmp_path):
         store = RunStore(tmp_path)
         staged = os.path.join(store.root, "tmp", "generation." + "0" * 32)
