@@ -174,6 +174,10 @@ class Database(TableProvider):
     def _materialize_subqueries(
         self, plan: lp.PlanNode, execution: Optional[str]
     ) -> lp.PlanNode:
+        """``plan`` with each ``IN (SELECT ...)`` run into an ``IN`` list;
+        ``plan`` itself, not a copy, when it holds none."""
+        if not lp.subqueries(plan):
+            return plan
         from repro.engine.expressions import (
             InList,
             InSubquery,

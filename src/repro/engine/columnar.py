@@ -613,23 +613,30 @@ def is_null(a: ColumnVector, negated: bool) -> ColumnVector:
 
 
 def in_list(a: ColumnVector, values: Sequence[Any], value_set: set) -> ColumnVector:
-    """Null-safe ``x IN (...)`` membership."""
-    if a.kind == "str":
+    """SQL ``x IN (...)``, three-valued like :class:`~repro.engine.expressions.InList`."""
+    if not values:
         return ColumnVector(
-            "bool", _entry_table(a, value_set.__contains__), a.valid
+            "bool", np.zeros(len(a), dtype=bool), np.ones(len(a), dtype=bool)
         )
+    miss = None if None in value_set else False
     if a.kind == "object":
         return _elementwise(
-            lambda v: None if v is None else v in value_set, a
+            lambda v: None if v is None else (v in value_set or miss), a
         )
-    members = [
-        m for m in values if isinstance(m, (int, float)) and m == m
-    ]
-    if not members:
-        out = np.zeros(len(a), dtype=bool)
+    if a.kind == "str":
+        out = _entry_table(a, value_set.__contains__)
     else:
-        out = np.isin(a.values, np.asarray(members))
-    return ColumnVector("bool", np.where(a.valid, out, False), a.valid)
+        members = [
+            m for m in values if isinstance(m, (int, float)) and m == m
+        ]
+        if not members:
+            out = np.zeros(len(a), dtype=bool)
+        else:
+            out = np.isin(a.values, np.asarray(members))
+        out = np.where(a.valid, out, False)
+    # A miss is unknown, not false, when the list holds NULL.
+    valid = a.valid if miss is False else a.valid & out
+    return ColumnVector("bool", out, valid)
 
 
 def call_function(

@@ -273,20 +273,28 @@ class UnaryOp(Expression):
 
 
 class InList(Expression):
-    """SQL ``IN`` membership over a literal list."""
+    """SQL ``IN`` membership over a literal list.
 
-    __slots__ = ("operand", "values", "_value_set")
+    Three-valued as in SQL: a NULL operand gives NULL, and so does a
+    value missing from a list that holds NULL; an empty list (an empty
+    ``IN (SELECT ...)``) gives false for every operand, NULL included.
+    """
+
+    __slots__ = ("operand", "values", "_value_set", "_miss")
 
     def __init__(self, operand: Expression, values: Tuple[Any, ...]) -> None:
         self.operand = operand
         self.values = values
         self._value_set = set(values)
+        self._miss = None if None in self._value_set else False
 
     def evaluate(self, row: Row) -> Any:
+        if not self.values:
+            return False
         value = self.operand.evaluate(row)
         if value is None:
             return None
-        return value in self._value_set
+        return True if value in self._value_set else self._miss
 
     def columns(self) -> FrozenSet[str]:
         return self.operand.columns()

@@ -12,9 +12,17 @@ query optimization".
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.engine.expressions import Expression
+from repro.engine.expressions import (
+    BinaryOp,
+    Expression,
+    FunctionCall,
+    InList,
+    InSubquery,
+    IsNull,
+    UnaryOp,
+)
 from repro.errors import QueryError
 
 
@@ -255,6 +263,56 @@ def map_expressions(node: PlanNode, fn) -> PlanNode:
     if isinstance(node, OrderBy):
         return replace(node, keys=tuple(fn(k) for k in node.keys))
     return node
+
+
+def _node_expressions(node: PlanNode) -> Tuple[Expression, ...]:
+    """The expressions ``node`` itself holds: those :func:`map_expressions`
+    passes to its ``fn``, in the same order."""
+    if isinstance(node, Filter):
+        return (node.predicate,)
+    if isinstance(node, Project):
+        return node.expressions
+    if isinstance(node, Join) and node.condition is not None:
+        return (node.condition,)
+    if isinstance(node, Aggregate):
+        return node.group_by + tuple(
+            a.argument for a in node.aggregates if a.argument is not None
+        )
+    if isinstance(node, OrderBy):
+        return node.keys
+    return ()
+
+
+def subqueries(plan: PlanNode) -> List[InSubquery]:
+    """Every ``IN (SELECT ...)`` in the expressions of ``plan``'s nodes,
+    in no particular order.
+
+    A read-only walk: nothing is rebuilt, and the plans of the
+    subqueries found are not entered.
+    """
+    expressions: List[Expression] = []
+    nodes = [plan]
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children())
+        expressions.extend(_node_expressions(node))
+    found = []
+    while expressions:
+        expr = expressions.pop()
+        # Exact types, not ``isinstance``: an ``isinstance`` against these
+        # ABC-derived classes costs several times the rest of the walk.
+        kind = type(expr)
+        if kind is BinaryOp:
+            expressions.append(expr.left)
+            expressions.append(expr.right)
+        elif kind is UnaryOp or kind is InList or kind is IsNull:
+            expressions.append(expr.operand)
+        elif kind is FunctionCall:
+            expressions.extend(expr.args)
+        elif kind is InSubquery:
+            found.append(expr)
+            expressions.append(expr.operand)
+    return found
 
 
 def walk(node: PlanNode):

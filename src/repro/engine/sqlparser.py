@@ -21,9 +21,10 @@ Algorithm 1 and MCDB's VG-function parameter queries.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine import plan as lp
 from repro.engine.expressions import (
@@ -589,7 +590,9 @@ class _Parser:
             return "drop", name
         raise QueryError(f"unsupported statement near {self.peek().text!r}")
 
-    def _parse_with(self) -> Tuple[List[Tuple[str, Optional[List[str]], Any]], Any]:
+    def _parse_with(
+        self,
+    ) -> Tuple[Tuple[Tuple[str, Optional[Tuple[str, ...]], Any], ...], Any]:
         """``WITH name [(cols)] AS (SELECT ...) [, ...] SELECT ...``.
 
         Returns ``(ctes, main_plan)`` where each CTE entry is
@@ -597,17 +600,10 @@ class _Parser:
         the paper uses (``WITH InfectedPreschool (pid) AS (...)``).
         """
         self.expect("keyword", "with")
-        ctes: List[Tuple[str, Optional[List[str]], Any]] = []
+        ctes: List[Tuple[str, Optional[Tuple[str, ...]], Any]] = []
         while True:
             name = self.expect("ident").text
-            columns: Optional[List[str]] = None
-            if self.accept("op", "("):
-                columns = []
-                while True:
-                    columns.append(self.expect("ident").text)
-                    if not self.accept("op", ","):
-                        break
-                self.expect("op", ")")
+            columns = self._column_list() if self.accept("op", "(") else None
             self.expect("keyword", "as")
             self.expect("op", "(")
             plan = self.parse_select()
@@ -616,7 +612,17 @@ class _Parser:
             if not self.accept("op", ","):
                 break
         main = self.parse_select()
-        return ctes, main
+        return tuple(ctes), main
+
+    def _column_list(self) -> Tuple[str, ...]:
+        """The names of a ``(name, ...)`` list whose ``(`` was just read."""
+        columns = []
+        while True:
+            columns.append(self.expect("ident").text)
+            if not self.accept("op", ","):
+                break
+        self.expect("op", ")")
+        return tuple(columns)
 
     def _parse_create(self) -> Tuple[str, Any]:
         self.advance()  # create
@@ -642,25 +648,18 @@ class _Parser:
             if not self.accept("op", ","):
                 break
         self.expect("op", ")")
-        return "create", (name, spec)
+        return "create", (name, tuple(spec.items()))
 
     def _parse_insert(self) -> Tuple[str, Any]:
         self.advance()  # insert
         self.expect("keyword", "into")
         name = self.expect("ident").text
-        columns: Optional[List[str]] = None
-        if self.accept("op", "("):
-            columns = []
-            while True:
-                columns.append(self.expect("ident").text)
-                if not self.accept("op", ","):
-                    break
-            self.expect("op", ")")
+        columns = self._column_list() if self.accept("op", "(") else None
         if self.at_keyword("select"):
             plan = self.parse_select()
             return "insert_select", (name, columns, plan)
         self.expect("keyword", "values")
-        rows: List[List[Any]] = []
+        rows: List[Tuple[Any, ...]] = []
         while True:
             self.expect("op", "(")
             values: List[Any] = []
@@ -669,10 +668,10 @@ class _Parser:
                 if not self.accept("op", ","):
                     break
             self.expect("op", ")")
-            rows.append(values)
+            rows.append(tuple(values))
             if not self.accept("op", ","):
                 break
-        return "insert", (name, columns, rows)
+        return "insert", (name, columns, tuple(rows))
 
     def _parse_update(self) -> Tuple[str, Any]:
         self.advance()  # update
@@ -688,7 +687,7 @@ class _Parser:
         predicate: Expression = Literal(True)
         if self.accept("keyword", "where"):
             predicate = self.parse_expression()
-        return "update", (name, assignments, predicate)
+        return "update", (name, tuple(assignments.items()), predicate)
 
     def _parse_delete(self) -> Tuple[str, Any]:
         self.advance()  # delete
@@ -712,16 +711,39 @@ def parse_select(sql: str) -> lp.PlanNode:
     return plan
 
 
-def parse_statement(sql: str):
-    """Parse one complete SQL statement without executing it.
+#: Distinct statement texts whose parse is kept, least recently used
+#: out first.  The bound keeps a server's resident memory within a
+#: fraction of a megabyte of what it is without the cache (DESIGN.md,
+#: "Statements are parsed once").
+PARSE_CACHE_ENTRIES = 256
 
-    Returns ``(kind, payload)`` exactly as the executing path sees it —
-    ``kind`` is one of ``select``, ``select_with_ctes``, ``create``,
-    ``create_as``, ``insert``, ``insert_select``, ``update``,
-    ``delete``, or ``drop``.  The service layer uses this to classify a
-    request (read vs write, which tables it touches) *before* admitting
-    it, so a malformed statement is rejected as a client error rather
-    than burning an execution slot and a retry budget.
+
+class ParsedStatement(NamedTuple):
+    """One statement as :func:`parsed_statement` keeps it.
+
+    ``kind`` and ``payload`` are what :func:`parse_statement` returns;
+    ``reads`` and ``writes`` are :func:`statement_tables` of them.  Every
+    part is immutable all the way down — frozen plan nodes, expressions
+    that set their attributes only when built, tuples and frozensets —
+    so every caller of the same text can share the one object.
+    """
+
+    kind: str
+    payload: Any
+    reads: FrozenSet[str]
+    writes: FrozenSet[str]
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_ENTRIES)
+def parsed_statement(sql: str) -> ParsedStatement:
+    """Parse one complete SQL statement, once per distinct text.
+
+    Parsing reads the text and nothing else — tables, schemas and
+    statistics are read only when the statement is optimized or run —
+    so the text alone keys a process-wide, thread-safe LRU of
+    :data:`PARSE_CACHE_ENTRIES` entries.  Only successful parses are
+    kept: a malformed text raises the same
+    :class:`~repro.errors.QueryError` on every call.
     """
     parser = _Parser(sql)
     kind, payload = parser.parse_statement()
@@ -730,32 +752,36 @@ def parse_statement(sql: str):
         raise QueryError(
             f"trailing tokens after statement: {parser.peek().text!r}"
         )
+    reads, writes = statement_tables(kind, payload)
+    return ParsedStatement(kind, payload, reads, writes)
+
+
+def parse_statement(sql: str) -> Tuple[str, Any]:
+    """Parse one complete SQL statement without executing it.
+
+    Returns ``(kind, payload)`` exactly as :func:`execute_statement`
+    takes it — ``kind`` is one of ``select``, ``select_with_ctes``,
+    ``create``, ``create_as``, ``insert``, ``insert_select``,
+    ``update``, ``delete``, or ``drop``.  The parse comes from
+    :func:`parsed_statement`, so a repeated text is not parsed again.
+    The service layer classifies a request (read vs write, which tables
+    it touches) from the same parse *before* admitting it, so a
+    malformed statement is rejected as a client error rather than
+    burning an execution slot and a retry budget.
+    """
+    kind, payload, _, _ = parsed_statement(sql)
     return kind, payload
 
 
-def _plan_tables(plan) -> set:
+def _plan_tables(plan) -> FrozenSet[str]:
     """Base-table names a plan scans, subquery plans included."""
-    tables = set()
-    for node in lp.walk(plan):
-        if isinstance(node, lp.Scan):
-            tables.add(node.table)
-
-    def collect_subquery(expr):
-        from repro.engine.expressions import InSubquery
-
-        if isinstance(expr, InSubquery):
-            tables.update(_plan_tables(expr.plan))
-        return None
-
-    from repro.engine.expressions import transform_expression
-
-    lp.map_expressions(
-        plan, lambda e: transform_expression(e, collect_subquery)
-    )
-    return tables
+    tables = {node.table for node in lp.walk(plan) if isinstance(node, lp.Scan)}
+    for subquery in lp.subqueries(plan):
+        tables |= _plan_tables(subquery.plan)
+    return frozenset(tables)
 
 
-def statement_tables(kind: str, payload):
+def statement_tables(kind: str, payload) -> Tuple[FrozenSet[str], FrozenSet[str]]:
     """The ``(reads, writes)`` table-name sets of a parsed statement.
 
     ``reads`` are catalog tables the statement scans (CTE names are
@@ -765,8 +791,8 @@ def statement_tables(kind: str, payload):
     forbids writes to the shared catalog, so both sides of the service
     layer consume this classification.
     """
-    reads: set = set()
-    writes: set = set()
+    reads: FrozenSet[str] = frozenset()
+    writes: FrozenSet[str] = frozenset()
     if kind == "select":
         reads = _plan_tables(payload)
     elif kind == "select_with_ctes":
@@ -774,22 +800,21 @@ def statement_tables(kind: str, payload):
         cte_names = {name for name, _, _ in ctes}
         for _, _, plan in ctes:
             reads |= _plan_tables(plan)
-        reads |= _plan_tables(main)
-        reads -= cte_names
+        reads = (reads | _plan_tables(main)) - cte_names
     elif kind in ("create", "insert"):
-        writes = {payload[0]}
+        writes = frozenset({payload[0]})
     elif kind == "create_as":
         name, plan = payload
-        writes = {name}
+        writes = frozenset({name})
         reads = _plan_tables(plan)
     elif kind == "insert_select":
         name, _, plan = payload
-        writes = {name}
+        writes = frozenset({name})
         reads = _plan_tables(plan)
     elif kind in ("update", "delete"):
-        writes = {payload[0]}
+        writes = frozenset({payload[0]})
     elif kind == "drop":
-        writes = {payload}
+        writes = frozenset({payload})
     else:  # pragma: no cover - parse_statement never returns other kinds
         raise QueryError(f"unhandled statement kind {kind!r}")
     return reads, writes
@@ -803,7 +828,14 @@ def execute_sql(db, sql: str, execution=None):
     executor mode per plan (see ``Database.execute_plan``).
     """
     kind, payload = parse_statement(sql)
+    return execute_statement(db, kind, payload, execution)
 
+
+def execute_statement(db, kind: str, payload, execution=None):
+    """Execute one parsed statement (see :func:`parse_statement`) against ``db``.
+
+    Returns what :func:`execute_sql` returns for the statement's text.
+    """
     if kind == "select":
         return db.execute_plan(payload, execution=execution)
     if kind == "select_with_ctes":
@@ -843,7 +875,7 @@ def execute_sql(db, sql: str, execution=None):
         return overlay.execute_plan(main, execution=execution)
     if kind == "create":
         name, spec = payload
-        db.create_table(name, Schema.from_spec(spec))
+        db.create_table(name, Schema.from_spec(dict(spec)))
         return []
     if kind == "create_as":
         name, plan = payload
@@ -859,7 +891,7 @@ def execute_sql(db, sql: str, execution=None):
     if kind == "insert":
         name, columns, rows = payload
         table = db.table(name)
-        names = columns or list(table.schema.names)
+        names = columns or table.schema.names
         for values in rows:
             if len(values) != len(names):
                 raise QueryError(
@@ -871,7 +903,7 @@ def execute_sql(db, sql: str, execution=None):
     if kind == "insert_select":
         name, columns, plan = payload
         table = db.table(name)
-        names = columns or list(table.schema.names)
+        names = columns or table.schema.names
         for row in db.execute_plan(plan, execution=execution):
             values = list(row.values())
             if len(values) != len(names):
@@ -883,7 +915,7 @@ def execute_sql(db, sql: str, execution=None):
         return []
     if kind == "update":
         name, assignments, predicate = payload
-        db.table(name).update_where(predicate, assignments)
+        db.table(name).update_where(predicate, dict(assignments))
         return []
     if kind == "delete":
         name, predicate = payload

@@ -71,12 +71,18 @@ class Table:
     def from_rows(
         cls, name: str, rows: Sequence[Mapping[str, Any]]
     ) -> "Table":
-        """Infer a schema from the first row and build the table."""
+        """Infer a schema from the rows and build the table.
+
+        Columns come in the first row's order; each takes the type of its
+        first non-NULL value, ``str`` when every value is NULL.
+        """
         if not rows:
             raise SchemaError("cannot infer a schema from zero rows")
-        first = rows[0]
         cols = []
-        for key, value in first.items():
+        for key in rows[0]:
+            value = next(
+                (row.get(key) for row in rows if row.get(key) is not None), None
+            )
             dtype: type
             if isinstance(value, bool):
                 dtype = bool

@@ -47,7 +47,11 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.engine.catalog import Database
 from repro.engine.csvio import table_from_csv
 from repro.engine.schema import Schema
-from repro.engine.sqlparser import parse_statement, statement_tables
+from repro.engine.sqlparser import (
+    execute_statement,
+    parse_statement,
+    parsed_statement,
+)
 from repro.ensemble.store import RunStore, result_fingerprint
 from repro.errors import FaultError, SimulationError
 from repro.faults.plan import FaultPlan, get_fault_plan
@@ -491,8 +495,8 @@ class ReproServer:
             raise BadRequest(
                 f"execution must be row|columnar|auto, got {execution!r}"
             )
-        kind, payload = parse_statement(statement)  # → invalid_query
-        reads, writes = statement_tables(kind, payload)
+        # One parse per distinct text, shared with the worker below.
+        kind, payload, reads, writes = parsed_statement(statement)  # → invalid_query
         for target in sorted(writes):
             if not session.writable:
                 raise Forbidden(
@@ -525,7 +529,7 @@ class ReproServer:
         db = session.db
 
         def fn() -> Tuple[Any, Optional[str]]:
-            rows = db.sql(statement, execution=execution)
+            rows = execute_statement(db, kind, payload, execution)
             fingerprint = result_fingerprint(rows) if selects else None
             return {"rows": rows, "rowcount": len(rows)}, fingerprint
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import Database, Schema
+from repro.engine import plan as lp
+from repro.engine.sqlparser import parse_statement
 from repro.errors import QueryError
 
 
@@ -253,6 +255,27 @@ class TestSubqueriesAndCtes:
             "WHERE pid NOT IN (SELECT pid FROM vip)"
         )
         assert rows[0]["n"] == 19
+
+    def test_plan_without_subquery_is_not_rebuilt(self, db):
+        plan = parse_statement(
+            "SELECT region, COUNT(*) AS n FROM person WHERE pid IN (1, 2) "
+            "AND abs(age) > 3 GROUP BY region ORDER BY n"
+        )[1]
+        assert lp.subqueries(plan) == []
+        assert db._materialize_subqueries(plan, None) is plan
+
+    def test_nested_subqueries_are_found_and_materialized(self, db):
+        plan = parse_statement(
+            "SELECT pid FROM person WHERE NOT (abs(pid) IN "
+            "(SELECT pid FROM person WHERE age IN (SELECT age FROM person)))"
+        )[1]
+        (found,) = lp.subqueries(plan)
+        assert len(lp.subqueries(found.plan)) == 1
+        materialized = db._materialize_subqueries(plan, None)
+        assert lp.subqueries(materialized) == []
+        assert db.sql("SELECT pid FROM person WHERE NOT (abs(pid) IN "
+                      "(SELECT pid FROM person WHERE age IN "
+                      "(SELECT age FROM person)))") == []
 
     def test_in_subquery_multi_column_rejected(self, db):
         with pytest.raises(QueryError):

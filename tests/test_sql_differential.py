@@ -5,9 +5,17 @@ row and columnar executors share is invisible to it.  Here hypothesis
 generates NULL-rich, tie-rich tables and queries from the grammar
 :mod:`repro.engine.sqlparser` accepts — filters, ``GROUP BY`` a string
 key, inner and left equi-joins on a string key, ``ORDER BY`` … ``LIMIT``
-and ``ORDER BY`` over a grouped result — and each query must give the
-same answer with ``execution="row"``, with ``"columnar"`` (byte for
-byte) and through ``sqlite3``.
+and ``ORDER BY`` over a grouped result, ``SELECT DISTINCT`` and
+``DISTINCT`` aggregates, ``HAVING``, ``[NOT] IN (SELECT …)`` and
+``WITH`` CTEs with column lists — and each query must give the same
+answer with ``execution="row"``, with ``"columnar"`` (byte for byte) and
+through ``sqlite3``.  Every statement runs through ``Database.sql``
+more than once, so all but its first answer come from a cached parse.
+
+Divergences these generators found are fixed, each with a regression
+test in :class:`TestDivergencesFound`: ``IN`` ignored SQL's NULL rules
+for a list holding NULL or an empty subquery, and a CTE column took its
+type from the first row even when that value was NULL.
 
 The known differences are allowed here and nowhere else:
 
@@ -39,6 +47,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database, Schema
+from repro.engine.sqlparser import parsed_statement
 from repro.ensemble.store import result_fingerprint
 
 pytestmark = pytest.mark.skipif(
@@ -285,6 +294,133 @@ def grouped_order_queries(draw) -> Tuple[str, str, bool]:
     )
 
 
+@st.composite
+def distinct_queries(draw) -> Tuple[str, str, bool]:
+    names = draw(st.lists(
+        st.sampled_from(["s1", "s2", "i", "f"]),
+        min_size=1, max_size=3, unique=True,
+    ))
+    body = f"SELECT DISTINCT {', '.join(names)} FROM t{_where(draw(MAYBE_PREDICATE))}"
+    if not draw(st.booleans()):
+        return body, body, False
+    # Distinct rows differ in some selected column, so ordering by all of
+    # them is total and LIMIT picks the same rows on both sides.
+    keys = [(name, draw(st.booleans())) for name in names]
+    limit = draw(_limit())
+    return (
+        f"{body} {_order_clause(keys, False)}{limit}",
+        f"{body} {_order_clause(keys, True)}{limit}",
+        True,
+    )
+
+
+@st.composite
+def distinct_aggregate_queries(draw) -> Tuple[str, str, bool]:
+    key = draw(st.sampled_from(["s1", "s2", None]))
+    items = (
+        "COUNT(DISTINCT s2) AS ds, COUNT(DISTINCT i) AS di, "
+        "SUM(DISTINCT i) AS si, AVG(DISTINCT f) AS af"
+    )
+    where = _where(draw(MAYBE_PREDICATE))
+    if key is None:
+        sql = f"SELECT {items} FROM t{where}"
+    else:
+        sql = f"SELECT {key}, {items} FROM t{where} GROUP BY {key}"
+    return sql, sql, False
+
+
+def having_predicates(key: str) -> st.SearchStrategy:
+    """HAVING clauses over a group key and the aliases n, si and mf."""
+    atoms = st.one_of(
+        st.tuples(st.sampled_from(OPS), st.integers(0, 3)).map(
+            lambda a: f"n {a[0]} {a[1]}"
+        ),
+        st.tuples(
+            st.sampled_from(["si", "mf"]), st.sampled_from(OPS),
+            st.sampled_from(INTS + FLOATS),
+        ).map(lambda a: f"{a[0]} {a[1]} {_text(a[2])}"),
+        st.tuples(st.sampled_from(OPS), st.sampled_from(ALPHABET + ABSENT)).map(
+            lambda a: f"{key} {a[0]} {_text(a[1])}"
+        ),
+        st.tuples(
+            st.sampled_from([key, "si", "mf"]),
+            st.sampled_from(["IS NULL", "IS NOT NULL"]),
+        ).map(" ".join),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            inner.map(lambda p: f"NOT ({p})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} AND {p[1]})"),
+            st.tuples(inner, inner).map(lambda p: f"({p[0]} OR {p[1]})"),
+        ),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def having_queries(draw) -> Tuple[str, str, bool]:
+    key = draw(st.sampled_from(["s1", "s2"]))
+    sql = (
+        f"SELECT {key}, COUNT(*) AS n, SUM(i) AS si, MAX(f) AS mf "
+        f"FROM t{_where(draw(MAYBE_PREDICATE))} GROUP BY {key} "
+        f"HAVING {draw(having_predicates(key))}"
+    )
+    return sql, sql, False
+
+
+#: Filters of the subquery's ``u`` rows.
+U_PREDICATES = st.sampled_from([
+    None, "v > 0", "v IS NOT NULL", "s IS NULL", "s IS NOT NULL",
+    "v IN (1, 2)", "s >= 'a'", "s < 'b' OR v = 0",
+])
+
+
+@st.composite
+def subquery_queries(draw) -> Tuple[str, str, bool]:
+    operand, column = draw(st.sampled_from([("s1", "s"), ("s2", "s"), ("i", "v")]))
+    op = draw(st.sampled_from(["IN", "NOT IN"]))
+    sub = f"SELECT {column} FROM u{_where(draw(U_PREDICATES))}"
+    where = f"{operand} {op} ({sub})"
+    if draw(st.booleans()):
+        where = f"NOT ({where})"
+    pred = draw(MAYBE_PREDICATE)
+    if pred is not None:
+        where = f"({where}) {draw(st.sampled_from(['AND', 'OR']))} {pred}"
+    sql = f"SELECT id, s1, s2, i, f FROM t WHERE {where}"
+    return sql, sql, False
+
+
+@st.composite
+def cte_queries(draw) -> Tuple[str, str, bool]:
+    key = draw(st.sampled_from(["s1", "s2"]))
+    where = _where(draw(MAYBE_PREDICATE))
+    shape = draw(st.sampled_from(["group", "chain", "join"]))
+    if shape == "group":
+        outer = draw(st.sampled_from(
+            [None, "n > 1", "k IS NULL", "k >= 'a'", "m IS NOT NULL", "m > 0"]
+        ))
+        sql = (
+            f"WITH c (k, n, m) AS (SELECT {key}, COUNT(*), MAX(i) FROM t"
+            f"{where} GROUP BY {key}) SELECT k, n, m FROM c{_where(outer)}"
+        )
+    elif shape == "chain":
+        outer = draw(st.sampled_from(
+            [None, "z > 0", "z IS NULL", "y <> 'a'", "w < 5"]
+        ))
+        sql = (
+            f"WITH a (w, y, z) AS (SELECT id, {key}, f FROM t{where}), "
+            f"b (w, y, z) AS (SELECT w, y, z FROM a{_where(outer)}) "
+            "SELECT w, y, z FROM b"
+        )
+    else:
+        sql = (
+            "WITH c (k, n) AS (SELECT s, COUNT(*) FROM u GROUP BY s) "
+            f"SELECT t.id AS id, c.n AS n FROM t JOIN c ON t.{key} = c.k{where}"
+        )
+    return sql, sql, False
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -303,14 +439,22 @@ def _sort_key(row: Tuple[Any, ...]) -> Tuple[Any, ...]:
 
 
 def check(db: Database, con: sqlite3.Connection, query) -> List[tuple]:
-    """Assert row == columnar (byte for byte) == sqlite; return the rows."""
+    """Assert row == columnar (byte for byte) == sqlite; return the rows.
+
+    After its first, row run the statement runs twice more, columnar and
+    then row again; both repeats must be answered from the cached parse.
+    """
     engine_sql, sqlite_sql, ordered = query
     cursor = con.execute(sqlite_sql)
     names = [d[0] for d in cursor.description]
     want = [tuple(row) for row in cursor.fetchall()]
     row = db.sql(engine_sql, execution="row")
+    hits = parsed_statement.cache_info().hits
     columnar = db.sql(engine_sql, execution="columnar")
+    again = db.sql(engine_sql, execution="row")
+    assert parsed_statement.cache_info().hits == hits + 2, engine_sql
     assert result_fingerprint(columnar) == result_fingerprint(row), engine_sql
+    assert result_fingerprint(again) == result_fingerprint(row), engine_sql
     got = [tuple(r[name] for name in names) for r in row]
     if not ordered:
         got, want = sorted(got, key=_sort_key), sorted(want, key=_sort_key)
@@ -405,3 +549,79 @@ class TestNullKeyJoins:
         db, con = self._db()
         sql = "SELECT k, COUNT(*) AS n FROM a GROUP BY k"
         assert check(db, con, (sql, sql, False)) == [("p", 2), (None, 1)]
+
+
+@SETTINGS
+@given(databases(), distinct_queries())
+def test_distinct_matches_sqlite(tables, query):
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), distinct_aggregate_queries())
+def test_distinct_aggregates_match_sqlite(tables, query):
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), having_queries())
+def test_having_matches_sqlite(tables, query):
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), subquery_queries())
+def test_in_subqueries_match_sqlite(tables, query):
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), cte_queries())
+def test_ctes_with_column_lists_match_sqlite(tables, query):
+    check(*tables, query)
+
+
+class TestDivergencesFound:
+    """What the ``IN (SELECT …)`` and CTE generators found, pinned."""
+
+    def _db(self):
+        return load({
+            "a": (Schema.of(k=str, x=int, f=float), [
+                {"k": None, "x": 1, "f": None},
+                {"k": "p", "x": 2, "f": 0.5},
+                {"k": "q", "x": 3, "f": 1.5},
+            ]),
+            "b": (Schema.of(k=str), [{"k": "p"}, {"k": None}]),
+            "e": (Schema.of(k=str), []),
+        })
+
+    @pytest.mark.parametrize(
+        "where, want",
+        [
+            # A miss against a list holding NULL is unknown, not false.
+            ("k IN (SELECT k FROM b)", [2]),
+            ("k NOT IN (SELECT k FROM b)", []),
+            ("NOT (k IN (SELECT k FROM b))", []),
+            ("k NOT IN ('p', NULL)", []),
+            ("x NOT IN (2, NULL)", []),
+            # An empty list: IN is false and NOT IN true, NULL k included.
+            ("k IN (SELECT k FROM e)", []),
+            ("k NOT IN (SELECT k FROM e)", [1, 2, 3]),
+        ],
+    )
+    def test_in_follows_sql_null_rules(self, where, want):
+        db, con = self._db()
+        sql = f"SELECT x FROM a WHERE {where}"
+        assert [x for (x,) in check(db, con, (sql, sql, False))] == want
+
+    def test_in_projects_unknown(self):
+        db, con = self._db()
+        sql = "SELECT x, k IN (SELECT k FROM b) AS m FROM a"
+        assert check(db, con, (sql, sql, False)) == [
+            (1, None), (2, True), (3, None)
+        ]
+
+    def test_cte_column_types_skip_a_leading_null(self):
+        db, con = self._db()
+        sql = "WITH c (y, z) AS (SELECT x, f FROM a) SELECT y, z FROM c WHERE z > 1"
+        assert check(db, con, (sql, sql, False)) == [(3, 1.5)]
