@@ -106,7 +106,7 @@ def git_commit() -> str:
 def env_knobs() -> Dict[str, Any]:
     """Every ``REPRO_*`` environment variable set for this process.
 
-    The knobs (backend, faults, engine execution, store shards, …)
+    The knobs (backend, faults, engine execution, …)
     silently reshape what a benchmark measures; recording them —
     alongside ``usable_cpus`` in the host header — makes two results
     files comparable at a glance.  They are found by prefix, not from a

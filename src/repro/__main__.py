@@ -226,31 +226,15 @@ def tour(
 
 # -- ensemble ---------------------------------------------------------------
 
-def _open_store(path: str, shards=None):
-    from repro.ensemble import open_store
-
-    return open_store(path, shards=shards)
-
-
-def _add_store_args(parser, default_store, **store_kwargs):
-    parser.add_argument("--store", default=default_store, **store_kwargs)
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="open the store with N shard roots (default: "
-        "$REPRO_STORE_SHARDS, else auto-detect an existing sharded "
-        "layout, else the flat layout; 0 forces flat)",
-    )
-
-
 def ensemble_run(args) -> int:
-    from repro.ensemble import run_ensemble
+    from repro.ensemble import RunStore, run_ensemble
     from repro.ensemble.scenarios import DEMO_ENSEMBLES
 
     builder = DEMO_ENSEMBLES[args.demo]
     ensemble = builder(seed=args.seed, quick=args.quick)
     result = run_ensemble(
         ensemble,
-        store=_open_store(args.store, shards=args.shards),
+        store=RunStore(args.store),
         backend=args.backend,
     )
     print(result.render())
@@ -266,7 +250,9 @@ def _store_header(store) -> str:
 
 
 def ensemble_ls(args) -> int:
-    store = _open_store(args.store, shards=args.shards)
+    from repro.ensemble import RunStore
+
+    store = RunStore(args.store)
     print(_store_header(store))
     if args.summary:
         return 0
@@ -281,7 +267,9 @@ def ensemble_ls(args) -> int:
 
 
 def ensemble_gc(args) -> int:
-    store = _open_store(args.store, shards=args.shards)
+    from repro.ensemble import RunStore
+
+    store = RunStore(args.store)
     max_age = args.max_age_days * 86400.0 if args.max_age_days else None
     evicted = store.gc(
         max_age_seconds=max_age, max_total_bytes=args.max_bytes
@@ -328,8 +316,9 @@ def _demo_ensemble(demo: str, seed: int, quick: bool):
 
 def delta_plan_cmd(args) -> int:
     from repro.delta import execute_plan, perturb, plan_delta
+    from repro.ensemble import RunStore
 
-    store = _open_store(args.store, shards=args.shards)
+    store = RunStore(args.store)
     base = _demo_ensemble(args.demo, args.seed, args.quick)
     updates = _parse_sets(args.set)
     if updates:
@@ -350,8 +339,9 @@ def delta_diff_cmd(args) -> int:
     import json as _json
 
     from repro.delta import diff_timelines, perturb
+    from repro.ensemble import RunStore
 
-    store = _open_store(args.store, shards=args.shards)
+    store = RunStore(args.store)
 
     def timeline(seed, sets, suffix):
         ensemble = _demo_ensemble(args.demo, seed, args.quick)
@@ -377,6 +367,7 @@ def delta_diff_cmd(args) -> int:
 def serve_cmd(args) -> int:
     import asyncio
 
+    from repro.ensemble import RunStore
     from repro.serve import ReproServer, ServeConfig
     from repro.serve.server import build_demo_catalog, load_csv_catalog
 
@@ -394,9 +385,7 @@ def serve_cmd(args) -> int:
     elif args.demo_catalog:
         catalog = build_demo_catalog()
 
-    store = None
-    if args.store:
-        store = _open_store(args.store, shards=args.shards)
+    store = RunStore(args.store) if args.store else None
 
     config = ServeConfig(
         host=args.host,
@@ -507,8 +496,8 @@ def main(argv=None) -> int:
         default="epidemic",
         help="which demo ensemble to run (default: epidemic branching)",
     )
-    _add_store_args(
-        run_cmd, default_store,
+    run_cmd.add_argument(
+        "--store", default=default_store,
         help=f"run-store directory (default: ${STORE_ENV_VAR} "
         f"or {DEFAULT_STORE})",
     )
@@ -524,7 +513,7 @@ def main(argv=None) -> int:
     run_cmd.set_defaults(handler=ensemble_run)
 
     ls_cmd = actions.add_parser("ls", help="list stored runs, oldest first")
-    _add_store_args(ls_cmd, default_store)
+    ls_cmd.add_argument("--store", default=default_store)
     ls_cmd.add_argument(
         "--limit", type=int, default=None, metavar="N",
         help="show at most N runs (metadata is read only for those N)",
@@ -538,7 +527,7 @@ def main(argv=None) -> int:
     gc_cmd = actions.add_parser(
         "gc", help="evict stored runs by age and/or total size"
     )
-    _add_store_args(gc_cmd, default_store)
+    gc_cmd.add_argument("--store", default=default_store)
     gc_cmd.add_argument(
         "--max-age-days", type=float, default=None,
         help="evict entries older than this many days",
@@ -566,7 +555,7 @@ def main(argv=None) -> int:
         default="sweep",
         help="base demo ensemble (default: sweep — the DoE surface)",
     )
-    _add_store_args(plan_cmd, default_store)
+    plan_cmd.add_argument("--store", default=default_store)
     plan_cmd.add_argument("--seed", type=int, default=0)
     plan_cmd.add_argument(
         "--quick", action="store_true", help="shrink problem sizes"
@@ -596,7 +585,7 @@ def main(argv=None) -> int:
         "--demo", choices=("composite", "epidemic", "sweep"),
         default="sweep",
     )
-    _add_store_args(diff_cmd, default_store)
+    diff_cmd.add_argument("--store", default=default_store)
     diff_cmd.add_argument("--seed-a", type=int, default=0)
     diff_cmd.add_argument("--seed-b", type=int, default=0)
     diff_cmd.add_argument(
@@ -633,8 +622,8 @@ def main(argv=None) -> int:
         "--csv", action="append", metavar="NAME=PATH",
         help="load a CSV file as shared table NAME (repeatable)",
     )
-    _add_store_args(
-        serve_parser, None,
+    serve_parser.add_argument(
+        "--store", default=None,
         help="run-store directory for ensemble requests "
         "(default: no persistent store)",
     )

@@ -74,7 +74,9 @@ class Table:
         """Infer a schema from the rows and build the table.
 
         Columns come in the first row's order; each takes the type of its
-        first non-NULL value, ``str`` when every value is NULL.
+        first non-NULL value, ``str`` when every value is NULL.  A column
+        whose non-NULL values mix ints and floats (bools aside) is
+        ``float``: typed ``int``, it would truncate its floats.
         """
         if not rows:
             raise SchemaError("cannot infer a schema from zero rows")
@@ -87,7 +89,11 @@ class Table:
             if isinstance(value, bool):
                 dtype = bool
             elif isinstance(value, (int, np.integer)):
-                dtype = int
+                mixed = any(
+                    isinstance(row.get(key), (float, np.floating))
+                    for row in rows
+                )
+                dtype = float if mixed else int
             elif isinstance(value, (float, np.floating)):
                 dtype = float
             else:

@@ -66,25 +66,18 @@ from repro.ensemble.spec import (
     scenario_qualname,
 )
 from repro.ensemble.store import (
-    SHARDS_ENV_VAR,
     STORE_SCHEMA_VERSION,
-    STORE_SHARD_SCOPE,
     RunStore,
-    ShardedRunStore,
     StoreEntry,
     StoreStats,
-    detect_shards,
     normalize_result,
-    open_store,
     result_fingerprint,
     run_key,
 )
 
 __all__ = [
     "NODE_SCOPE",
-    "SHARDS_ENV_VAR",
     "STORE_SCHEMA_VERSION",
-    "STORE_SHARD_SCOPE",
     "Ensemble",
     "EnsembleNode",
     "EnsembleResult",
@@ -92,17 +85,14 @@ __all__ = [
     "NodeReport",
     "RunStore",
     "ScenarioSpec",
-    "ShardedRunStore",
     "StoreEntry",
     "StoreStats",
     "canonical_json",
     "canonical_params",
     "compute_run_keys",
     "current_node_context",
-    "detect_shards",
     "get_scenario",
     "normalize_result",
-    "open_store",
     "register_scenario",
     "registered_scenarios",
     "result_fingerprint",

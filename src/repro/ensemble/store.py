@@ -26,24 +26,9 @@ On-disk layout (documented in README "Ensemble orchestration")::
       tmp/                                # put staging, doomed entries
       generation                          # eviction generation token
 
-:class:`ShardedRunStore` generalizes the prefix directories into
-first-class shards (the paper's §2.1 parallel-RDBMS storage argument)::
-
-    <root>/
-      shards/<i>/objects/<key[:2]>/<key>/...   # i = crc32(key) % shards
-      objects/...                              # flat layout, still read
-      checkpoints/  tmp/  generation           # shared across shards
-
-A key's shard is :func:`repro.parallel.keys.partition_index` — the same
-canonical CRC-32 the engine's hash partitioning and the mapreduce
-shuffle use — so a content address keeps its shard across subsystem
-boundaries.  Reads fall back to the flat ``objects/`` tree, which makes
-opening an old flat store as a sharded one a transparent migration
-(``migrate_layout`` renames entries into their shards for real).  Stat
-passes run per shard and merge into one *global* oldest-first order, so
-``ls(limit=)`` and size-ordered ``gc`` are byte-identical to the flat
-store; ``gc`` deletions fan out one-shard-per-task through a
-:mod:`repro.parallel` backend under fault scope ``store.shard``.
+This is the only layout.  A root holding ``shards/`` was written by the
+retired sharded layout and is refused on open: a store is a cache, so
+such a root is deleted and its runs recomputed.
 
 Writes are atomic: each entry is staged in a scratch directory and
 ``os.rename``d into place, so readers never observe a half-written
@@ -56,8 +41,8 @@ kept on the store and mirrored to ``ensemble.store.*`` obs counters
 when observability is live.
 
 Entries are immutable, so a key seen present stays present until
-something removes it.  Every method that removes or moves entries
-(``evict``, ``gc``, ``migrate_layout``) writes a fresh random token to
+something removes it.  Every removal (``evict``, ``gc``, and ``get``
+dropping a torn entry) writes a fresh random token to
 ``generation`` before its first removal and again after its last, and
 :meth:`RunStore.contains_many` answers a key it has already seen
 present under the current token from memory, statting only the rest.
@@ -94,22 +79,11 @@ import numpy as np
 from repro.ensemble.spec import canonical_json, canonical_params
 from repro.errors import SimulationError
 from repro.obs import get_observer
-from repro.parallel.backend import get_backend
-from repro.parallel.keys import partition_index
 
 #: Bump when the entry format or result encoding changes; participates
 #: in every run key, so old entries become unreachable (and collectable
 #: by ``gc``) rather than mis-decoded.
 STORE_SCHEMA_VERSION = 1
-
-#: Fault-plan scope for the sharded store's per-shard gc fan-out; the
-#: task index is the shard's position in the deterministic ascending
-#: shard order of the eviction batch.
-STORE_SHARD_SCOPE = "store.shard"
-
-#: Environment variable selecting the shard count for stores opened via
-#: :func:`open_store` (the CLI's ``--shards`` flag overrides it).
-SHARDS_ENV_VAR = "REPRO_STORE_SHARDS"
 
 _ARRAY_MARKER = "__npz__"
 
@@ -260,34 +234,29 @@ class StoreEntry:
 def _discard_entry(
     scratch: str,
     key: str,
-    entry_dirs: Sequence[str],
+    entry_dir: str,
     checkpoint: Optional[str] = None,
 ) -> bool:
-    """Remove ``key``'s entry directories; whether any existed.
+    """Remove ``key``'s entry directory; whether it existed.
 
-    Each directory is renamed into ``scratch`` under a name no ``put``
+    The directory is renamed into ``scratch`` under a name no ``put``
     stage can take (stages start with the key) and deleted there, so a
     kill or a concurrent reader sees the whole entry or none of it;
     ``gc``'s scratch sweep collects whatever a kill leaves behind.  The
     chain ``checkpoint``, if given, goes with a removed entry.
     """
-    existed = False
-    for entry_dir in entry_dirs:
-        doomed = os.path.join(
-            scratch, f"evicted.{key}.{os.urandom(8).hex()}"
-        )
-        try:
-            os.rename(entry_dir, doomed)
-        except FileNotFoundError:
-            continue
-        existed = True
-        shutil.rmtree(doomed, ignore_errors=True)
-    if existed and checkpoint is not None:
+    doomed = os.path.join(scratch, f"evicted.{key}.{os.urandom(8).hex()}")
+    try:
+        os.rename(entry_dir, doomed)
+    except FileNotFoundError:
+        return False
+    shutil.rmtree(doomed, ignore_errors=True)
+    if checkpoint is not None:
         try:
             os.unlink(checkpoint)
         except FileNotFoundError:
             pass
-    return existed
+    return True
 
 
 class RunStore:
@@ -312,6 +281,12 @@ class RunStore:
 
     def __init__(self, root: os.PathLike) -> None:
         self.root = os.fspath(root)
+        if os.path.isdir(os.path.join(self.root, "shards")):
+            raise SimulationError(
+                f"run store {self.root!r} holds shards/, the retired "
+                "sharded layout, which this version does not read; a "
+                "store is a cache: delete it and rerun"
+            )
         self.stats = StoreStats()
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()
@@ -338,25 +313,12 @@ class RunStore:
         return os.path.join(self.checkpoint_dir(), f"{key}.ckpt")
 
     def _entry_dir(self, key: str) -> str:
-        """The canonical directory new entries for ``key`` commit into."""
+        """The directory ``key``'s entry lives in."""
         self._validate_key(key)
         return os.path.join(self._objects_dir(), key[:2], key)
 
-    def _candidate_dirs(self, key: str) -> Tuple[str, ...]:
-        """Every directory ``key`` may live in (canonical first).
-
-        The flat store has exactly one; the sharded store adds the flat
-        layout as a read-through fallback for unmigrated entries.
-        """
-        return (self._entry_dir(key),)
-
-    def _lock_for_key(self, key: str) -> threading.RLock:
-        """The lock serializing reads/commits/evictions of ``key``."""
-        return self._lock
-
     # -- eviction generation -------------------------------------------------
     def _generation_path(self) -> str:
-        # At the root, not per shard: one token covers every layout.
         return os.path.join(self.root, "generation")
 
     def _read_generation(self) -> str:
@@ -410,10 +372,7 @@ class RunStore:
     # -- read path -----------------------------------------------------------
     def contains(self, key: str) -> bool:
         """Whether ``key`` has a committed entry (no stats recorded)."""
-        return any(
-            os.path.exists(os.path.join(candidate, "run.json"))
-            for candidate in self._candidate_dirs(key)
-        )
+        return os.path.exists(os.path.join(self._entry_dir(key), "run.json"))
 
     def contains_many(self, keys: Sequence[str]) -> List[bool]:
         """``[self.contains(key) for key in keys]``, statting only unseen keys.
@@ -455,20 +414,14 @@ class RunStore:
         ``tmp/`` as a removal, so the generation moves and the key
         reads absent from then on.
         """
-        candidates = self._candidate_dirs(key)
-        with self._lock_for_key(key):
-            document = None
-            entry_dir = None
-            for candidate in candidates:
-                run_path = os.path.join(candidate, "run.json")
-                try:
-                    with open(run_path, "r", encoding="utf-8") as handle:
-                        document = json.load(handle)
-                except FileNotFoundError:
-                    continue
-                entry_dir = candidate
-                break
-            if document is None:
+        entry_dir = self._entry_dir(key)
+        with self._lock:
+            try:
+                with open(
+                    os.path.join(entry_dir, "run.json"), "r", encoding="utf-8"
+                ) as handle:
+                    document = json.load(handle)
+            except FileNotFoundError:
                 self._note("misses")
                 return None
             if document.get("schema") != STORE_SCHEMA_VERSION:
@@ -491,7 +444,7 @@ class RunStore:
                 ) and not os.path.exists(npz_path)
                 if torn:
                     with self._removing():
-                        _discard_entry(self._scratch_dir(), key, [entry_dir])
+                        _discard_entry(self._scratch_dir(), key, entry_dir)
                 self._note("misses")
                 return None
             self._note("hits")
@@ -541,7 +494,7 @@ class RunStore:
                 os.path.join(stage, "run.json"), "w", encoding="utf-8"
             ) as handle:
                 json.dump(document, handle, sort_keys=True, indent=1)
-            with self._lock_for_key(key):
+            with self._lock:
                 os.makedirs(os.path.dirname(entry_dir), exist_ok=True)
                 for retry in (False, True):
                     try:
@@ -557,7 +510,7 @@ class RunStore:
                             break
                         if retry:
                             raise
-                        _discard_entry(self._scratch_dir(), key, [entry_dir])
+                        _discard_entry(self._scratch_dir(), key, entry_dir)
                 self._note("puts")
         except Exception:
             shutil.rmtree(stage, ignore_errors=True)
@@ -565,9 +518,14 @@ class RunStore:
         return decode_result(tree, arrays)
 
     # -- maintenance ---------------------------------------------------------
-    @staticmethod
-    def _stat_tree(objects_dir: str) -> List[StoreEntry]:
-        """Unordered stat-only entries of one ``objects/`` tree."""
+    def _stat_entries(self) -> List[StoreEntry]:
+        """Every committed entry via ``stat`` only — no ``run.json`` reads.
+
+        Entries come back oldest first (mtime, then key) with the
+        metadata fields (scenario/seed/params) left empty; :meth:`ls`
+        fills them in for the entries it actually returns.
+        """
+        objects_dir = self._objects_dir()
         entries: List[StoreEntry] = []
         if not os.path.isdir(objects_dir):
             return entries
@@ -589,33 +547,21 @@ class RunStore:
                 except OSError:
                     continue  # evicted between listing and stat
                 entries.append(StoreEntry(key, "", 0, size, mtime))
-        return entries
-
-    def _stat_entries(self) -> List[StoreEntry]:
-        """Every committed entry via ``stat`` only — no ``run.json`` reads.
-
-        Entries come back oldest first (mtime, then key) with the
-        metadata fields (scenario/seed/params) left empty; :meth:`ls`
-        fills them in for the entries it actually returns.
-        """
-        entries = self._stat_tree(self._objects_dir())
         entries.sort(key=lambda entry: (entry.mtime, entry.key))
         return entries
 
     def _read_meta(self, entry: StoreEntry) -> StoreEntry:
         """``entry`` with scenario/seed/params filled from ``run.json``."""
         scenario, seed, params_json = "", 0, ""
-        for candidate in self._candidate_dirs(entry.key):
-            run_path = os.path.join(candidate, "run.json")
-            try:
-                with open(run_path, "r", encoding="utf-8") as handle:
-                    document = json.load(handle)
-                scenario = document.get("scenario", "")
-                seed = int(document.get("seed", 0))
-                params_json = document.get("params", "")
-                break
-            except (OSError, ValueError):
-                continue
+        run_path = os.path.join(self._entry_dir(entry.key), "run.json")
+        try:
+            with open(run_path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+            scenario = document.get("scenario", "")
+            seed = int(document.get("seed", 0))
+            params_json = document.get("params", "")
+        except (OSError, ValueError):
+            pass  # evicted since the stat pass, or unreadable
         return StoreEntry(
             entry.key, scenario, seed, entry.size_bytes, entry.mtime,
             params_json,
@@ -658,16 +604,16 @@ class RunStore:
         return self.summary()[1]
 
     def _discard(self, key: str) -> bool:
-        """Remove ``key``'s entry and checkpoint under its lock."""
-        with self._lock_for_key(key):
+        """Remove ``key``'s entry and checkpoint under the store lock."""
+        with self._lock:
             return _discard_entry(
-                self._scratch_dir(), key, self._candidate_dirs(key),
+                self._scratch_dir(), key, self._entry_dir(key),
                 self._checkpoint_path(key),
             )
 
     def evict(self, key: str) -> bool:
         """Remove one entry (and its chain checkpoint, if any)."""
-        if not any(map(os.path.isdir, self._candidate_dirs(key))):
+        if not os.path.isdir(self._entry_dir(key)):
             return False  # nothing to remove: the generation stays
         with self._removing():
             removed = self._discard(key)
@@ -676,12 +622,8 @@ class RunStore:
         return removed
 
     def _evict_many(self, keys: List[str]) -> List[str]:
-        """Evict a planned batch; returns the keys actually removed.
-
-        The sharded store overrides this to fan the deletions
-        one-shard-per-task through the execution substrate; the returned
-        order always matches the planned ``keys`` order.
-        """
+        """Evict one planned ``gc`` batch under one pair of generation
+        bumps; returns the keys actually removed, in planned order."""
         if not keys:
             return []
         with self._removing():
@@ -768,256 +710,14 @@ class RunStore:
         return f"<RunStore {self.root!r} {self.stats.as_dict()}>"
 
 
-# -- the sharded store -------------------------------------------------------
-
-def _evict_shard_batch(
-    task: Tuple[str, List[Tuple[str, List[str], str]]]
-) -> List[str]:
-    """Backend task: remove one shard's planned entries.
-
-    ``task`` is ``(scratch_dir, [(key, entry_dirs, checkpoint_path),
-    ...])`` for one shard; each entry goes through
-    :func:`_discard_entry`.  Fault injection fires *before* the body
-    runs, so a retried attempt removes the same entries; the return
-    value lists the keys this call removed.
-    """
-    scratch, entries = task
-    return [
-        key
-        for key, entry_dirs, checkpoint in entries
-        if _discard_entry(scratch, key, entry_dirs, checkpoint)
-    ]
-
-
-class ShardedRunStore(RunStore):
-    """A :class:`RunStore` whose entries spread over ``shards`` roots.
-
-    Key→shard assignment is :func:`repro.parallel.keys.partition_index` over
-    the content address — the engine's canonical CRC-32 — so the layout
-    is a pure function of the key.  Each shard has its own lock (same-
-    shard operations serialize, cross-shard operations proceed in
-    parallel) and its own ``objects/`` tree; ``tmp/``, ``checkpoints/``
-    and the ``generation`` file stay shared at the root.  Stat passes
-    merge the per-shard trees (plus any unmigrated flat-layout entries)
-    into one global oldest-first order, which keeps ``ls(limit=)`` ordering and
-    size-ordered ``gc`` eviction byte-identical to the flat store on the
-    same corpus.  ``gc`` deletions fan out one-shard-per-task through
-    :meth:`~repro.parallel.backend.Backend.map` under fault scope
-    ``store.shard`` while the driver holds the affected shard locks, so
-    in-process readers never lose files mid-read.
-    """
-
-    def __init__(
-        self,
-        root: os.PathLike,
-        shards: int = 4,
-        backend: Optional[Any] = None,
-    ) -> None:
-        if int(shards) < 1:
-            raise SimulationError(
-                f"shard count must be >= 1, got {shards}"
-            )
-        self.shards = int(shards)
-        self._backend = backend
-        self._shard_locks = [
-            threading.RLock() for _ in range(self.shards)
-        ]
-        super().__init__(root)
-        for shard in range(self.shards):
-            os.makedirs(self._shard_objects_dir(shard), exist_ok=True)
-
-    # -- layout --------------------------------------------------------------
-    def _shard_objects_dir(self, shard: int) -> str:
-        return os.path.join(self.root, "shards", str(shard), "objects")
-
-    def shard_of(self, key: str) -> int:
-        """The shard holding ``key`` (pure CRC-32 of the address)."""
-        self._validate_key(key)
-        return partition_index(key, self.shards)
-
-    def _entry_dir(self, key: str) -> str:
-        return os.path.join(
-            self._shard_objects_dir(self.shard_of(key)), key[:2], key
-        )
-
-    def _candidate_dirs(self, key: str) -> Tuple[str, ...]:
-        # Canonical shard location first, then the flat layout — an old
-        # flat store opened as a sharded one reads through transparently.
-        return (
-            self._entry_dir(key),
-            os.path.join(self._objects_dir(), key[:2], key),
-        )
-
-    def _lock_for_key(self, key: str) -> threading.RLock:
-        return self._shard_locks[self.shard_of(key)]
-
-    # -- maintenance ---------------------------------------------------------
-    def _stat_entries(self) -> List[StoreEntry]:
-        entries: List[StoreEntry] = []
-        seen = set()
-        for shard in range(self.shards):
-            for entry in self._stat_tree(self._shard_objects_dir(shard)):
-                entries.append(entry)
-                seen.add(entry.key)
-        for entry in self._stat_tree(self._objects_dir()):
-            if entry.key not in seen:  # unmigrated flat-layout entry
-                entries.append(entry)
-        entries.sort(key=lambda entry: (entry.mtime, entry.key))
-        return entries
-
-    def per_shard_summary(self) -> List[Tuple[int, int]]:
-        """``(entry count, total bytes)`` per shard (flat entries count
-        toward the shard their key maps to)."""
-        totals = [[0, 0] for _ in range(self.shards)]
-        for entry in self._stat_entries():
-            shard = self.shard_of(entry.key)
-            totals[shard][0] += 1
-            totals[shard][1] += entry.size_bytes
-        return [(count, size) for count, size in totals]
-
-    def migrate_layout(self) -> int:
-        """Move flat-layout entries into their shards; returns the count.
-
-        Entries move with one ``os.rename`` each (same filesystem, no
-        copying); a key already committed under its shard wins and the
-        flat duplicate is dropped.  Safe to re-run; a no-op on a fully
-        migrated store.  A flat-layout view of the store loses every
-        moved entry, so the moves are bracketed by generation bumps like
-        any removal.
-        """
-        entries = self._stat_tree(self._objects_dir())
-        if not entries:
-            return 0
-        moved = 0
-        with self._removing():
-            for entry in entries:
-                source = os.path.join(
-                    self._objects_dir(), entry.key[:2], entry.key
-                )
-                target = self._entry_dir(entry.key)
-                with self._lock_for_key(entry.key):
-                    if not os.path.isdir(source):
-                        continue  # evicted (or migrated) concurrently
-                    if os.path.isdir(target):
-                        _discard_entry(self._scratch_dir(), entry.key, [source])
-                        continue
-                    os.makedirs(os.path.dirname(target), exist_ok=True)
-                    os.rename(source, target)
-                    moved += 1
-        return moved
-
-    def _evict_many(self, keys: List[str]) -> List[str]:
-        """Fan a planned eviction batch one-shard-per-task.
-
-        The driver groups keys by shard (ascending shard order, plan
-        order within a shard), holds the affected shard locks across the
-        fan-out — workers never take locks, so this cannot deadlock, and
-        in-process readers of those shards block instead of losing
-        ``arrays.npz`` mid-read — then merges the per-shard results back
-        into the planned global order, so the evicted-key list is
-        order-identical to the flat store's sequential pass.
-        """
-        if not keys:
-            return []
-        groups: Dict[int, List[str]] = {}
-        for key in keys:
-            groups.setdefault(self.shard_of(key), []).append(key)
-        scratch = self._scratch_dir()
-        tasks = [
-            (
-                scratch,
-                [
-                    (key, list(self._candidate_dirs(key)),
-                     self._checkpoint_path(key))
-                    for key in group
-                ],
-            )
-            for _, group in sorted(groups.items())
-        ]
-        locks = [self._shard_locks[shard] for shard in sorted(groups)]
-        with self._removing():
-            for lock in locks:
-                lock.acquire()
-            try:
-                outputs = get_backend(self._backend).map(
-                    _evict_shard_batch,
-                    tasks,
-                    scope=STORE_SHARD_SCOPE,
-                    quiet=True,
-                )
-            finally:
-                for lock in reversed(locks):
-                    lock.release()
-        removed = set()
-        for output in outputs:
-            removed.update(output)
-        confirmed = [key for key in keys if key in removed]
-        if confirmed:
-            self._note("evictions", len(confirmed))
-        return confirmed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ShardedRunStore {self.root!r} shards={self.shards} "
-            f"{self.stats.as_dict()}>"
-        )
-
-
-def detect_shards(root: os.PathLike) -> Optional[int]:
-    """The shard count of an existing sharded layout, or ``None``."""
-    shards_dir = os.path.join(os.fspath(root), "shards")
-    if not os.path.isdir(shards_dir):
-        return None
-    indices = [
-        int(name) for name in os.listdir(shards_dir) if name.isdigit()
-    ]
-    if not indices:
-        return None
-    return max(indices) + 1
-
-
-def open_store(
-    root: os.PathLike,
-    shards: Optional[int] = None,
-    backend: Optional[Any] = None,
-) -> RunStore:
-    """Open ``root`` as a flat or sharded store.
-
-    Precedence for the shard count: the explicit ``shards`` argument
-    (the CLI's ``--shards``), then the ``REPRO_STORE_SHARDS``
-    environment variable, then auto-detection of an existing
-    ``shards/`` layout; with none of those, the flat :class:`RunStore`.
-    ``shards=0`` forces the flat layout explicitly.
-    """
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
-        if raw:
-            try:
-                shards = int(raw)
-            except ValueError:
-                raise SimulationError(
-                    f"{SHARDS_ENV_VAR} must be an integer, got {raw!r}"
-                ) from None
-    if shards is None:
-        shards = detect_shards(root)
-    if not shards:
-        return RunStore(root)
-    return ShardedRunStore(root, shards=shards, backend=backend)
-
-
 __all__ = [
-    "SHARDS_ENV_VAR",
     "STORE_SCHEMA_VERSION",
-    "STORE_SHARD_SCOPE",
     "RunStore",
-    "ShardedRunStore",
     "StoreEntry",
     "StoreStats",
     "decode_result",
-    "detect_shards",
     "encode_result",
     "normalize_result",
-    "open_store",
     "result_fingerprint",
     "run_key",
 ]

@@ -6,8 +6,8 @@ instances independently per iteration, SimSQL runs map tasks and reduce
 partitions independently, and every replication loop in Sections 2-4
 (result caching, particle filtering, calibration sweeps) fans out over
 independent random streams.  This subpackage is the library's one
-fan-out surface: mapreduce, MCDB, the particle filter, the sharded
-store's gc and ensemble/delta node dispatch all call
+fan-out surface: mapreduce, MCDB, the particle filter and
+ensemble/delta node dispatch all call
 ``get_backend(spec).map(...)`` (or ``map_with_stats``) directly.
 
 * :class:`~repro.parallel.backend.Backend` — the executor protocol: an
@@ -21,8 +21,8 @@ store's gc and ensemble/delta node dispatch all call
   produces *byte-identical* results to ``serial`` (the EFECT
   bit-reproducibility requirement for parallel stochastic runs);
 * :mod:`repro.parallel.keys` — the canonical CRC-32 key-to-partition
-  assignment shared by the mapreduce shuffle, hash-partitioned tables
-  and the sharded store.
+  assignment shared by the mapreduce shuffle and hash-partitioned
+  tables.
 
 Determinism contract
 --------------------

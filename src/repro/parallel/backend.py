@@ -53,13 +53,7 @@ from repro.faults.retry import (
     TaskFailed,
     run_with_retry,
 )
-from repro.obs import NullObserver, get_observer, suppressed
-
-#: Stand-in observer for ``quiet`` maps: driver-side ``parallel.*``
-#: metrics are dropped without touching the process-wide observer state
-#: (``suppressed()`` would also mute anything the caller emits around
-#: the map).  Task interiors are always suppressed regardless.
-_QUIET = NullObserver()
+from repro.obs import get_observer, suppressed
 
 #: Environment variable naming the default backend for the whole library.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -235,7 +229,6 @@ class Backend:
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         on_error: str = "raise",
-        quiet: bool = False,
     ) -> List[Any]:
         """Apply ``fn`` to every item, returning results in input order."""
         return self.map_with_stats(
@@ -246,7 +239,6 @@ class Backend:
             retry=retry,
             faults=faults,
             on_error=on_error,
-            quiet=quiet,
         )[0]
 
     def map_with_stats(
@@ -259,23 +251,18 @@ class Backend:
         retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultPlan] = None,
         on_error: str = "raise",
-        quiet: bool = False,
     ) -> Tuple[List[Any], RetryStats]:
         """Ordered map returning ``(results, RetryStats)``.
 
         ``scope`` names the fan-out for fault-plan targeting (e.g.
-        ``"mapreduce.map"``, ``"pf.shard"``, or the sharded store's
-        ``"store.shard"`` for gc eviction batches); ``retry`` overrides
-        the recovery policy; ``faults`` overrides the process-wide plan;
+        ``"mapreduce.map"`` or ``"pf.shard"``); ``retry`` overrides the
+        recovery policy; ``faults`` overrides the process-wide plan;
         ``on_error="collect"`` substitutes :class:`TaskFailed` objects
-        for terminally failed results instead of raising.  ``quiet=True``
-        skips the driver-side ``parallel.*``/``faults.*`` metrics — used
-        by callers whose obs output must not depend on how work was
-        fanned out (``ShardedRunStore.gc``, whose obs must match the flat
-        store's).
+        for terminally failed results instead of raising.  Every map
+        emits the driver-side ``parallel.*`` metrics.
         """
         items = list(items)
-        observer = _QUIET if quiet else get_observer()
+        observer = get_observer()
         observer.counter("parallel.map_calls").inc()
         observer.counter("parallel.tasks").add(len(items))
         policy, plan = _resolve_recovery(retry, faults)

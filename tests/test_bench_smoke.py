@@ -118,12 +118,12 @@ def test_env_knobs_records_every_repro_variable(monkeypatch):
 
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
-    monkeypatch.setenv("REPRO_STORE_SHARDS", "4")
+    monkeypatch.setenv("REPRO_BACKEND", "thread")
     monkeypatch.setenv("REPRO_ENGINE_EXECUTION", "row")
     monkeypatch.setenv("NOT_REPRO_X", "1")
     assert env_knobs() == {
+        "REPRO_BACKEND": "thread",
         "REPRO_ENGINE_EXECUTION": "row",
-        "REPRO_STORE_SHARDS": "4",
     }
 
 

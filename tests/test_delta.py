@@ -56,7 +56,6 @@ from repro.ensemble import (
     NodeReport,
     RunStore,
     ScenarioSpec,
-    ShardedRunStore,
     canonical_json,
     compute_run_keys,
     result_fingerprint,
@@ -86,28 +85,29 @@ def eq(column, value):
 
 @pytest.fixture(params=["flat", "sharded", "flat-reopened-sharded"])
 def materialize(request, tmp_path):
-    """Run ensembles into a store of each layout; returns the store.
+    """Run ensembles into a store; returns the instance that the test
+    plans and diffs against.
 
-    ``flat-reopened-sharded`` runs into a flat :class:`RunStore` and
-    reopens it as a :class:`ShardedRunStore`, so every materialized
-    entry stays in ``objects/`` and is found through the fallback.
+    ``flat``: that instance ran every ensemble.  ``sharded``: it asked
+    for every key before anything was written, then each ensemble ran
+    through an instance of its own, as separate processes would.
+    ``flat-reopened-sharded``: it is opened after another instance ran
+    every ensemble.  (The last two ids once named layouts of the retired
+    sharded store.)
     """
 
     def run_into(*ensembles):
+        store = RunStore(tmp_path)
         if request.param == "sharded":
-            store = ShardedRunStore(tmp_path, shards=3)
-        else:
-            store = RunStore(tmp_path)
+            for ensemble in ensembles:  # no absence seen here may stick
+                keys = list(compute_run_keys(ensemble).values())
+                assert store.contains_many(keys) == [False] * len(keys)
         with injected(None):
             for ensemble in ensembles:
-                run_ensemble(ensemble, store=store).raise_if_failed()
+                writer = RunStore(tmp_path) if request.param == "sharded" else store
+                run_ensemble(ensemble, store=writer).raise_if_failed()
         if request.param == "flat-reopened-sharded":
-            store = ShardedRunStore(tmp_path, shards=3)
-            assert store.summary()[0] > 0
-            assert not any(
-                os.listdir(store._shard_objects_dir(shard))
-                for shard in range(store.shards)
-            )
+            return RunStore(tmp_path)
         return store
 
     return run_into
@@ -793,7 +793,7 @@ class TestDeltaCli:
 
 
 # ---------------------------------------------------------------------------
-# concurrency bug sweep regressions (sharded data plane PR)
+# concurrency bug sweep regressions
 # ---------------------------------------------------------------------------
 
 class TestEmptyConeShortCircuit:
@@ -943,7 +943,7 @@ class TestDiffEvictionRace:
         from repro.ensemble import compute_run_keys
 
         key = compute_run_keys(target)["n1"]
-        entry_dir = store._candidate_dirs(key)[0]
+        entry_dir = store._entry_dir(key)
         os.unlink(os.path.join(entry_dir, "arrays.npz"))
         raced = diff_timelines(store, base, target)
         statuses = {n.name: n.status for n in raced.nodes}

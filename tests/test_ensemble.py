@@ -40,7 +40,6 @@ from repro.ensemble import (
     EnsembleResult,
     RunStore,
     ScenarioSpec,
-    ShardedRunStore,
     canonical_json,
     canonical_params,
     compute_run_keys,
@@ -508,17 +507,21 @@ class TestRunStore:
         with pytest.raises(SimulationError):
             store.put("short", {})
 
-    @pytest.mark.parametrize("sharded", [False, True])
+    @pytest.mark.parametrize("reopened", [False, True])
     @pytest.mark.parametrize("bad", ["A", "/", ".", " ", "\n", "\u0663"])
     def test_one_bad_character_in_a_full_length_key_rejected(
-        self, tmp_path, bad, sharded
+        self, tmp_path, bad, reopened
     ):
-        """A 64-character key must be all lowercase hex: it names a path."""
-        store = (
-            ShardedRunStore(tmp_path, shards=3) if sharded
-            else RunStore(tmp_path)
-        )
+        """A 64-character key must be all lowercase hex: it names a path.
+
+        ``reopened`` asks a second instance over a root that already
+        holds an entry, which must reject the same keys and add nothing.
+        """
         good = run_key("f", {"x": 1}, 0)
+        store = RunStore(tmp_path)
+        if reopened:
+            store.put(good, {"v": 0})
+            store = RunStore(tmp_path)
         operations = {
             "get": store.get,
             "put": lambda key: store.put(key, {"v": 1}),
@@ -531,7 +534,8 @@ class TestRunStore:
             for name, operation in operations.items():
                 with pytest.raises(SimulationError, match="malformed"):
                     operation(key)
-        assert store.ls() == []
+        assert [entry.key for entry in store.ls()] == [good] * reopened
+        assert store.contains_many([good]) == [reopened]
 
     def test_ls_oldest_first_and_gc(self, tmp_path):
         store = RunStore(tmp_path)

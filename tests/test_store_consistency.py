@@ -3,15 +3,20 @@ eviction, and crash consistency under SIGKILL.
 
 ``RunStore.contains_many`` answers keys it has already seen present from
 memory, so it is only as sound as the generation protocol behind it:
-every path that removes or moves an entry (flat ``evict``, ``gc`` by age
-or size, the sharded ``_evict_many`` fan-out, ``migrate_layout``) must
-write a fresh token before its first removal and after its last.  These
-tests pin that per removal path, across store instances and processes,
-and with a hypothesis interleaving of put/get/evict/gc/migrate_layout
-against per-key ``contains``.  Removals themselves must be atomic: an
-entry killed mid-removal is whole or gone, never torn.  The SIGKILL
-tests stop a child process at fixed points inside ``put``, ``gc`` and
-``migrate_layout`` and check what it leaves behind.
+every path that removes an entry (``evict``, ``gc`` by age or size,
+gc's batch step run from another instance, ``get`` dropping a torn
+entry) must write a fresh token before its first removal and after its
+last.  These tests pin that per removal path, across store instances
+and processes, and with a hypothesis interleaving of put/get/evict/gc
+and reopening against per-key ``contains``.  Removals themselves must
+be atomic: an entry killed mid-removal is whole or gone, never torn.
+The SIGKILL tests stop a child process at fixed points inside ``put``,
+``gc`` and ``evict`` and check what it leaves behind.
+
+Tests marked :data:`VIEWS` run twice: through the instance that wrote
+the entries (id ``flat``), and through a second instance over the same
+root standing in for another process (id ``sharded``, the name of the
+retired layout whose cases these replace).
 
 Children get an explicit environment (every ``REPRO_*`` variable
 dropped, then the ones they need set), so an ambient fault plan or
@@ -35,18 +40,15 @@ from hypothesis import strategies as st
 
 from repro.delta import execute_plan, perturb, plan_delta
 from repro.ensemble import compute_run_keys, run_ensemble
-from repro.ensemble.store import (
-    RunStore,
-    ShardedRunStore,
-    result_fingerprint,
-    run_key,
-)
+from repro.ensemble.store import RunStore, result_fingerprint, run_key
 from repro.errors import SimulationError
 from repro.faults import injected
 from tests.test_ensemble import REPO_ROOT, chain
 
-SHARDS = 3
 BASE_MTIME = 1_000_000_000.0
+
+#: ``reopen``: act through a second instance over the root, not the writer.
+VIEWS = pytest.mark.parametrize("reopen", (False, True), ids=("flat", "sharded"))
 
 
 def _payload(i: int):
@@ -71,10 +73,7 @@ def _populate(store, count=6):
 
 def _age(store, key, minutes):
     stamp = BASE_MTIME + minutes * 60.0
-    for candidate in store._candidate_dirs(key):
-        run_path = os.path.join(candidate, "run.json")
-        if os.path.exists(run_path):
-            os.utime(run_path, (stamp, stamp))
+    os.utime(os.path.join(store._entry_dir(key), "run.json"), (stamp, stamp))
 
 
 def _agrees(store, keys):
@@ -98,10 +97,11 @@ class CountingStore(RunStore):
 # ---------------------------------------------------------------------------
 
 class TestContainsMany:
-    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
-    def test_answers_in_input_order_like_contains(self, tmp_path, shards):
-        store = ShardedRunStore(tmp_path, shards) if shards else RunStore(tmp_path)
-        keys = _populate(store, count=4)
+    @VIEWS
+    def test_answers_in_input_order_like_contains(self, tmp_path, reopen):
+        writer = RunStore(tmp_path)
+        keys = _populate(writer, count=4)
+        store = RunStore(tmp_path) if reopen else writer
         absent = [_key(i) for i in range(10, 13)]
         probe = [absent[0], keys[2], keys[0], absent[1], keys[2], absent[2]]
         expected = [False, True, True, False, True, False]
@@ -128,7 +128,7 @@ class TestContainsMany:
         assert store.contains_many([key]) == [True]
 
     def test_opening_and_asking_create_no_generation_file(self, tmp_path):
-        for store in (RunStore(tmp_path / "flat"), ShardedRunStore(tmp_path / "sh", 2)):
+        for store in (RunStore(tmp_path), RunStore(tmp_path)):
             store.contains_many([_key(0)])
             store.evict(_key(0))  # nothing to remove
             assert not os.path.exists(os.path.join(store.root, "generation"))
@@ -167,8 +167,10 @@ class TestContainsMany:
 
     def test_threads_sharing_a_store_agree_with_contains(self, tmp_path):
         """More threads than cores read one store while two others evict
-        and re-put; once they stop, memory and disk must agree."""
-        store = ShardedRunStore(tmp_path, SHARDS)
+        and re-put through a second instance over the root; once they
+        stop, memory and disk must agree."""
+        store = RunStore(tmp_path)
+        other = RunStore(tmp_path)
         keys = _populate(store, count=8)
         stop = threading.Event()
         errors = []
@@ -186,9 +188,9 @@ class TestContainsMany:
             try:
                 for round_ in range(25):
                     key = keys[1 + (offset + round_) % 7]
-                    store.evict(key)
+                    other.evict(key)
                     if round_ % 3:
-                        store.put(key, _payload(keys.index(key)))
+                        other.put(key, _payload(keys.index(key)))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -208,81 +210,56 @@ class TestContainsMany:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in readers + churners)
         assert errors == []
-        assert _agrees(store, keys)
-        assert _agrees(RunStore(tmp_path), keys)
+        for view in (store, other, RunStore(tmp_path)):
+            assert _agrees(view, keys)
 
 
 # ---------------------------------------------------------------------------
 # the generation, per removal path
 # ---------------------------------------------------------------------------
 
-def _flat(root):
-    return RunStore(root)
+def _tear_and_get(store, keys):
+    """``get`` of an entry whose arrays are gone removes the entry."""
+    os.unlink(os.path.join(store._entry_dir(keys["n2"]), "arrays.npz"))
+    assert store.get(keys["n2"]) is None
 
 
-def _sharded(root):
-    return ShardedRunStore(root, SHARDS)
-
-
-def _candidates(store, key):
-    return store._candidate_dirs(key)
-
-
-def _flat_dirs(store, key):
-    return [os.path.join(store.root, "objects", key[:2], key)]
-
-
-#: name -> (store kind that populates, acts and replans; removal;
-#: victims as chain node names; where a victim's directories are).
+#: name -> (removal; victims as chain node names).
 REMOVAL_PATHS = {
-    "flat-evict": (
-        _flat, lambda store, keys: store.evict(keys["n2"]), ("n2",), _candidates,
-    ),
+    "flat-evict": (lambda store, keys: store.evict(keys["n2"]), ("n2",)),
     "gc-by-age": (
-        _flat,
         lambda store, keys: store.gc(max_age_seconds=0, now=BASE_MTIME + 61),
         ("n0", "n1"),
-        _candidates,
     ),
     "gc-by-size": (
-        _flat,
         lambda store, keys: store.gc(max_total_bytes=store.total_bytes() - 1),
         ("n0",),
-        _candidates,
     ),
+    # gc's batch step (``_evict_many``) from an instance that did not
+    # write the entries.
     "sharded-evict-many": (
-        _sharded,
-        lambda store, keys: store.gc(max_total_bytes=0),
+        lambda store, keys: RunStore(store.root).gc(max_total_bytes=0),
         ("n0", "n1", "n2", "n3"),
-        _candidates,
     ),
-    "migrate-layout": (  # a flat view loses every moved entry
-        _flat,
-        lambda store, keys: _sharded(store.root).migrate_layout(),
-        ("n0", "n1", "n2", "n3"),
-        _flat_dirs,
-    ),
+    "migrate-layout": (_tear_and_get, ("n2",)),
 }
 
 
 @pytest.mark.parametrize("path", sorted(REMOVAL_PATHS))
 def test_removal_bumps_before_first_and_after_last(tmp_path, monkeypatch, path):
-    make, remove, victims, victim_dirs = REMOVAL_PATHS[path]
-    store = make(tmp_path)
-    ensemble = chain(4)
+    remove, victims = REMOVAL_PATHS[path]
+    store = RunStore(tmp_path)
+    ensemble = chain(4, scenario="test.array")
     with injected(None):
         assert run_ensemble(ensemble, store=store).ok
     keys = compute_run_keys(ensemble)
     for minutes, node in enumerate(ensemble.nodes()):
         _age(store, keys[node.name], minutes)
-    warm = make(tmp_path)  # another instance, as another process would be
+    warm = RunStore(tmp_path)  # another instance, as another process would be
     assert plan_delta(ensemble, warm).nodes_reused == 4  # set filled
 
     def victims_left():
-        return sum(
-            any(os.path.isdir(d) for d in victim_dirs(store, keys[name]))
-            for name in victims
-        )
+        return sum(os.path.isdir(store._entry_dir(keys[name])) for name in victims)
 
     bumps = []
     real_bump = RunStore._bump_generation
@@ -371,59 +348,62 @@ class TestAtomicEviction:
     @pytest.mark.parametrize(
         "deleted_first", ("arrays.npz", "run.json"), ids=("run-json-left", "arrays-left")
     )
-    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
+    @VIEWS
     def test_a_removal_stopped_midway_leaves_no_torn_entry(
-        self, tmp_path, monkeypatch, shards, deleted_first
+        self, tmp_path, monkeypatch, reopen, deleted_first
     ):
-        store = ShardedRunStore(tmp_path, shards) if shards else RunStore(tmp_path)
+        writer = RunStore(tmp_path)
         ensemble = chain(2, scenario="test.array")
         with injected(None):
-            cold = run_ensemble(ensemble, store=store)
+            cold = run_ensemble(ensemble, store=writer)
         key = compute_run_keys(ensemble)["n0"]
+        store = RunStore(tmp_path) if reopen else writer
         monkeypatch.setattr(
             "repro.ensemble.store.shutil.rmtree", _rmtree_stopping_after(deleted_first)
         )
         with pytest.raises(_Killed):
             store.evict(key)
         monkeypatch.undo()
-        assert not any(os.path.isdir(d) for d in store._candidate_dirs(key))
-        assert not store.contains(key)
+        assert not os.path.isdir(store._entry_dir(key))
+        for view in (writer, store):
+            assert not view.contains(key)
+            assert view.contains_many([key]) == [False]
         with injected(None):
-            warm = run_ensemble(ensemble, store=store)
+            warm = run_ensemble(ensemble, store=writer)
         warm.raise_if_failed()
         assert warm.fingerprints() == cold.fingerprints()
         assert store.contains(key)
 
-    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
-    def test_put_heals_an_entry_torn_by_an_earlier_version(self, tmp_path, shards):
-        store = ShardedRunStore(tmp_path, shards) if shards else RunStore(tmp_path)
+    @VIEWS
+    def test_put_heals_an_entry_torn_by_an_earlier_version(self, tmp_path, reopen):
+        writer = RunStore(tmp_path)
         key = _key(0)
-        store.put(key, _payload(0))
-        entry_dir = store._candidate_dirs(key)[0]
+        writer.put(key, _payload(0))
+        entry_dir = writer._entry_dir(key)
         os.unlink(os.path.join(entry_dir, "run.json"))  # the old in-place rmtree
-        assert not store.contains(key) and os.path.isdir(entry_dir)
+        assert not writer.contains(key) and os.path.isdir(entry_dir)
+        store = RunStore(tmp_path) if reopen else writer
         store.put(key, _payload(0))
-        assert result_fingerprint(store.get(key)) == result_fingerprint(_payload(0))
+        for view in (writer, store):
+            assert result_fingerprint(view.get(key)) == result_fingerprint(_payload(0))
         store.gc(scratch_age_seconds=-1)
         assert os.listdir(os.path.join(store.root, "tmp")) == []
 
-    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
-    def test_get_heals_an_entry_whose_arrays_are_gone(self, tmp_path, shards):
+    @VIEWS
+    def test_get_heals_an_entry_whose_arrays_are_gone(self, tmp_path, reopen):
         """``run.json`` left without the ``arrays.npz`` it references (the
         other torn state an earlier version's in-place removal left) is a
         miss, and the read removes it, so a warm instance stops seeing it
         and a warm run recomputes it."""
-        make = (lambda: ShardedRunStore(tmp_path, shards)) if shards else (
-            lambda: RunStore(tmp_path)
-        )
-        store = make()
+        writer = RunStore(tmp_path)
         ensemble = chain(2, scenario="test.array")
         with injected(None):
-            cold = run_ensemble(ensemble, store=store, backend="serial")
+            cold = run_ensemble(ensemble, store=writer, backend="serial")
         key = compute_run_keys(ensemble)["n0"]
-        warm = make()  # stands in for another process
+        warm = RunStore(tmp_path)  # stands in for another process
         assert warm.contains_many([key]) == [True]
-        entry_dir = next(d for d in store._candidate_dirs(key) if os.path.isdir(d))
+        store = RunStore(tmp_path) if reopen else writer
+        entry_dir = store._entry_dir(key)
         os.unlink(os.path.join(entry_dir, "arrays.npz"))  # the old in-place rmtree
         assert store.contains(key)
         token = store._read_generation()
@@ -434,23 +414,29 @@ class TestAtomicEviction:
         assert not os.path.isdir(entry_dir) and not store.contains(key)
         assert warm.contains_many([key]) == [False]
         with injected(None):
-            rerun = run_ensemble(ensemble, store=store, backend="serial")
+            rerun = run_ensemble(ensemble, store=writer, backend="serial")
         rerun.raise_if_failed()
         assert rerun.reports["n0"].status == "run"
         assert rerun.reports["n1"].status == "cached"
         assert rerun.fingerprints() == cold.fingerprints()
         assert result_fingerprint(store.get(key)) == cold.fingerprints()["n0"]
 
-    @pytest.mark.parametrize("shards", (0, SHARDS), ids=("flat", "sharded"))
-    def test_an_eviction_racing_get_is_a_miss(self, tmp_path, monkeypatch, shards):
-        store = ShardedRunStore(tmp_path, shards) if shards else RunStore(tmp_path)
-        other = RunStore(tmp_path) if not shards else ShardedRunStore(tmp_path, shards)
+    @pytest.mark.parametrize("by_gc", (False, True), ids=("flat", "sharded"))
+    def test_an_eviction_racing_get_is_a_miss(self, tmp_path, monkeypatch, by_gc):
+        """Another instance removes the entry mid-read, by ``evict`` or
+        by ``gc`` (id ``sharded``)."""
+        store = RunStore(tmp_path)
+        other = RunStore(tmp_path)
         key = _key(0)
         store.put(key, _payload(0))
         real_load = np.load
 
         def load(*args, **kwargs):
-            other.evict(key)  # another process removes it mid-read
+            # another process removes it mid-read
+            if by_gc:
+                assert other.gc(max_total_bytes=0) == [key]
+            else:
+                other.evict(key)
             return real_load(*args, **kwargs)
 
         monkeypatch.setattr(np, "load", load)
@@ -479,10 +465,9 @@ class TestAtomicEviction:
 #: The child: run one store operation and touch ``marker`` at a fixed
 #: point inside it, then wait there to be killed.
 KILL_CHILD = r"""
-import os, sys, time
+import os, shutil, sys, time
 import numpy as np
-from repro.ensemble.store import RunStore, ShardedRunStore
-from repro.faults.plan import FaultPlan
+from repro.ensemble.store import RunStore
 
 point, root, marker, key = sys.argv[1:5]
 
@@ -499,25 +484,24 @@ def stop_at_call(number, real):
         return real(*args, **kwargs)
     return wrapper
 
+def rmtree_one_file(path, *args, **kwargs):
+    os.unlink(os.path.join(path, "arrays.npz"))
+    stop_here()
+
 if point == "put":  # staged, not yet renamed into place
     os.rename = stop_at_call(1, os.rename)
     RunStore(root).put(key, {"series": np.arange(8.0), "tag": "killed"})
 elif point == "gc":  # after the opening bump, between two removals
     os.rename = stop_at_call(2, os.rename)
     RunStore(root).gc(max_total_bytes=0)
-elif point == "sharded-gc":  # while the first shard batch hangs
-    real_fire = FaultPlan.fire
-    def fire(self, scope, index, attempt):
-        if self.should_fail(scope, index, attempt):
-            open(marker, "w").close()
-        return real_fire(self, scope, index, attempt)
-    FaultPlan.fire = fire
-    ShardedRunStore(root, %d).gc(max_total_bytes=0)
-elif point == "migrate":  # between two renames
-    os.rename = stop_at_call(2, os.rename)
-    ShardedRunStore(root, %d).migrate_layout()
+elif point == "evict-bumped":  # after the opening bump, before the rename
+    os.rename = stop_at_call(1, os.rename)
+    RunStore(root).evict(key)
+elif point == "evict-rmtree":  # renamed into tmp/, partly deleted there
+    shutil.rmtree = rmtree_one_file
+    RunStore(root).evict(key)
 sys.exit("the child was not stopped at " + point)
-""" % (SHARDS, SHARDS)
+"""
 
 GC_CHILD = r"""
 import sys
@@ -527,22 +511,21 @@ print("\n".join(evicted))
 """
 
 
-def _child_env(faults=""):
+def _child_env():
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env.update(
         PYTHONPATH=str(REPO_ROOT / "src"),
         PYTHONDONTWRITEBYTECODE="1",
         REPRO_BACKEND="serial",
-        REPRO_FAULTS=faults,
     )
     return env
 
 
-def _kill_at(point, root, marker, key, faults=""):
+def _kill_at(point, root, marker, key):
     """Run the child until it touches ``marker``, then SIGKILL it."""
     child = subprocess.Popen(
         [sys.executable, "-c", KILL_CHILD, point, str(root), str(marker), key],
-        env=_child_env(faults), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     deadline = time.monotonic() + 120
     try:
@@ -560,32 +543,36 @@ def _kill_at(point, root, marker, key, faults=""):
     assert child.returncode == -signal.SIGKILL
 
 
-#: point -> (layout that populates the store, fault plan for the child)
+#: kill point -> (test id, entries gone when the child is killed).  The
+#: ids ``sharded-gc`` and ``migrate`` once named kill points of the
+#: retired sharded layout.
 KILL_POINTS = {
-    "put": ("flat", ""),
-    "gc": ("flat", ""),
-    "sharded-gc": ("sharded", "at=store.shard:0,kind=hang,hang=30"),
-    "migrate": ("flat", ""),
+    "put": ("put", 0),
+    "gc": ("gc", 1),
+    "evict-bumped": ("sharded-gc", 0),
+    "evict-rmtree": ("migrate", 1),
 }
 
 
-@pytest.mark.parametrize("point", sorted(KILL_POINTS))
+@pytest.mark.parametrize(
+    "point", list(KILL_POINTS), ids=[test_id for test_id, _ in KILL_POINTS.values()]
+)
 def test_sigkill_leaves_a_consistent_store(tmp_path, point):
-    layout, faults = KILL_POINTS[point]
     root = tmp_path / "store"
-    writer = _sharded(root) if layout == "sharded" else _flat(root)
-    keys = _populate(writer)
+    keys = _populate(RunStore(root))
     killed_key = _key(99)
-    views = [_flat(root), _sharded(root)]
+    views = [RunStore(root), RunStore(root)]
     for view in views:  # warm before the kill
         view.contains_many(keys + [killed_key])
+    token = views[0]._read_generation()
 
-    _kill_at(point, root, tmp_path / "marker", killed_key, faults)
+    _kill_at(point, root, tmp_path / "marker", killed_key if point == "put" else keys[0])
 
-    after = _sharded(root)  # sees both layouts
+    after = RunStore(root)
+    # Every point but put is past the removal's opening bump.
+    assert (after._read_generation() != token) == (point != "put")
     listed = [entry.key for entry in after.ls(with_meta=False)]
-    # Only gc had removed an entry when it was killed; migrate had moved one.
-    assert len(listed) == len(keys) - (point == "gc")
+    assert len(listed) == len(keys) - KILL_POINTS[point][1]
     for key in listed:
         assert result_fingerprint(after.get(key)) == result_fingerprint(
             _payload(keys.index(key))
@@ -606,25 +593,25 @@ def test_sigkill_leaves_a_consistent_store(tmp_path, point):
 # interleavings
 # ---------------------------------------------------------------------------
 
-OPS = ("put", "get", "evict", "gc-age", "gc-size", "migrate")
+OPS = ("put", "get", "evict", "gc-age", "gc-size", "reopen")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(OPS), st.sampled_from(("flat", "sharded")),
-                  st.integers(0, 5)),
+        st.tuples(st.sampled_from(OPS), st.sampled_from((0, 1)), st.integers(0, 5)),
         min_size=1,
         max_size=12,
     )
 )
 def test_contains_many_matches_contains_under_interleavings(steps):
-    """Two instances over one root (a flat and a sharded view) act in
-    turn; after every step each answers ``contains_many`` exactly as
-    per-key ``contains``, with sets warmed by every earlier step."""
+    """Two instances over one root act in turn, and ``reopen`` replaces
+    one with a fresh instance; after every step each answers
+    ``contains_many`` exactly as per-key ``contains``, with sets warmed
+    by every earlier step."""
     keys = [_key(i) for i in range(6)]
     with tempfile.TemporaryDirectory() as root:
-        views = {"flat": _flat(root), "sharded": _sharded(root)}
+        views = [RunStore(root), RunStore(root)]
         for op, actor, i in steps:
             store = views[actor]
             if op == "put":
@@ -641,6 +628,6 @@ def test_contains_many_matches_contains_under_interleavings(steps):
             elif op == "gc-size":
                 store.gc(max_total_bytes=store.total_bytes() * i // 6)
             else:
-                views["sharded"].migrate_layout()
-            for view in views.values():
+                views[actor] = RunStore(root)
+            for view in views:
                 assert _agrees(view, keys), (op, actor, i)

@@ -1,13 +1,16 @@
-"""Sharded RunStore: global-order identity, parallel gc, migration.
+"""One store layout, shared by several instances; the retired sharded
+layout is refused; gc under concurrency.
 
-The first half of the sharded data plane answers to one oracle: a
-:class:`ShardedRunStore` is *semantically* the flat :class:`RunStore`
-at every shard count — ``get``/``put`` round-trips, global oldest-first
-``ls(limit=)`` order, and size-ordered ``gc`` eviction sets must be
-byte-/order-identical to the flat store over the same corpus — while
-its gc deletions fan one-shard-per-task through the substrate under
-the ``store.shard`` fault scope.  This file also pins the two store
-concurrency bugfixes: the gc size pass re-derives its total from
+A root may be open in many :class:`RunStore` instances at once: one per
+process of a fleet, or several in one process.  Here ``n`` is the number
+of instances sharing a root.  Entries put through any of them land in
+the one ``objects/`` tree, every instance lists them in the same global
+oldest-first order, and ``gc`` through any one of them evicts exactly
+what a single-instance store over the same corpus evicts, in the same
+order.  A root holding ``shards/`` (the retired sharded layout) is
+refused through the API and the CLI, ``REPRO_STORE_SHARDS`` is ignored
+and ``--shards`` is an argparse error.  This file also pins the two
+store concurrency bugfixes: the gc size pass re-derives its total from
 surviving entries (a racing ``put`` can no longer leave the store above
 ``max_total_bytes``), and an 8-thread put/evict/gc hammer leaves a
 consistent store.
@@ -17,28 +20,34 @@ from __future__ import annotations
 
 import os
 import shutil
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro.__main__ import main
+from repro.delta import delta_run, perturb
 from repro.ensemble import run_ensemble
-from repro.ensemble.store import (
-    STORE_SHARD_SCOPE,
-    RunStore,
-    ShardedRunStore,
-    detect_shards,
-    open_store,
-    result_fingerprint,
-    run_key,
-)
-from repro.delta import delta_run
+from repro.ensemble.store import RunStore, result_fingerprint, run_key
 from repro.errors import SimulationError
-from repro.parallel.keys import partition_index
 from repro.faults.plan import FaultPlan, injected
-from tests.test_ensemble import chain
+from repro.faults.retry import TaskFailed
+from repro.parallel import get_backend
+from tests.test_ensemble import REPO_ROOT, chain
 
-SHARD_COUNTS = (1, 2, 7)
+INSTANCES = (1, 2, 7)
+
+#: Every store-facing subcommand of ``python -m repro``.
+STORE_COMMANDS = (
+    ("ensemble", "run"),
+    ("ensemble", "ls"),
+    ("ensemble", "gc"),
+    ("delta", "plan"),
+    ("delta", "diff"),
+    ("serve",),
+)
 
 
 def _payload(i: int):
@@ -49,228 +58,276 @@ def _payload(i: int):
     }
 
 
-def _populate(store, count=12, base_mtime=1_000_000_000.0):
-    """Put ``count`` entries with deterministic, distinct pinned mtimes.
+def _instances(root, n):
+    return [RunStore(root) for _ in range(n)]
+
+
+def _populate(*stores, count=12, base_mtime=1_000_000_000.0):
+    """Put ``count`` entries, entry ``i`` through ``stores[i % len]``,
+    with deterministic, distinct pinned mtimes.
 
     Ages are deliberately *not* in put order (entry i gets mtime
     ``base + ((i * 5) % count)``) so oldest-first ordering exercises the
-    merge, not the insertion sequence.
+    sort, not the insertion sequence.
     """
     keys = []
     for i in range(count):
-        key = run_key("test.sharded", {"i": i}, seed=i)
-        store.put(key, _payload(i), scenario="test.sharded", seed=i)
+        store = stores[i % len(stores)]
+        key = run_key("test.shared", {"i": i}, seed=i)
+        store.put(key, _payload(i), scenario="test.shared", seed=i)
         stamp = base_mtime + ((i * 5) % count) * 60.0
-        for candidate in store._candidate_dirs(key):
-            run_path = os.path.join(candidate, "run.json")
-            if os.path.exists(run_path):
-                os.utime(run_path, (stamp, stamp))
+        run_path = os.path.join(store._entry_dir(key), "run.json")
+        os.utime(run_path, (stamp, stamp))
         keys.append(key)
     return keys
 
 
+def _retired_root(root):
+    """A root as the retired sharded layout left it: one entry under
+    ``shards/0/objects/`` and nothing else."""
+    key = run_key("test.shared", {"i": 0}, seed=0)
+    entry_dir = os.path.join(root, "shards", "0", "objects", key[:2], key)
+    os.makedirs(entry_dir)
+    with open(os.path.join(entry_dir, "run.json"), "w") as handle:
+        handle.write('{"schema": 1, "result": {}}')
+    return key
+
+
+def _tree(root):
+    return sorted(
+        os.path.relpath(os.path.join(top, name), root)
+        for top, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
 class TestLayoutAndRoundTrip:
-    @pytest.mark.parametrize("n", SHARD_COUNTS)
+    @pytest.mark.parametrize("n", INSTANCES)
     def test_entries_land_in_their_crc_shard(self, tmp_path, n):
-        store = ShardedRunStore(tmp_path, shards=n)
-        keys = _populate(store, count=8)
+        """Whichever instance puts an entry, it lands at
+        ``objects/<key[:2]>/<key>/`` and every instance sees it."""
+        views = _instances(tmp_path, n)
+        keys = _populate(*views, count=8)
         for key in keys:
-            shard = partition_index(key, n)
-            assert store.shard_of(key) == shard
-            entry_dir = os.path.join(
-                str(tmp_path), "shards", str(shard), "objects", key[:2], key
-            )
+            entry_dir = os.path.join(str(tmp_path), "objects", key[:2], key)
             assert os.path.isfile(os.path.join(entry_dir, "run.json"))
-            assert store.contains(key)
+            assert all(view.contains(key) for view in views)
+        assert sorted(os.listdir(tmp_path)) == ["checkpoints", "objects", "tmp"]
 
-    @pytest.mark.parametrize("n", SHARD_COUNTS)
+    @pytest.mark.parametrize("n", INSTANCES)
     def test_round_trip_is_byte_identical_to_flat(self, tmp_path, n):
-        flat = RunStore(tmp_path / "flat")
-        sharded = ShardedRunStore(tmp_path / "sharded", shards=n)
+        views = _instances(tmp_path, n)
         for i in range(6):
-            key = run_key("test.sharded", {"i": i}, seed=i)
-            flat.put(key, _payload(i))
-            sharded.put(key, _payload(i))
-            assert result_fingerprint(sharded.get(key)) == result_fingerprint(
-                flat.get(key)
-            )
+            key = run_key("test.shared", {"i": i}, seed=i)
+            views[i % n].put(key, _payload(i))
+            for view in views:
+                assert result_fingerprint(view.get(key)) == result_fingerprint(
+                    _payload(i)
+                )
 
-    def test_shard_count_must_be_positive(self, tmp_path):
-        with pytest.raises(SimulationError):
-            ShardedRunStore(tmp_path, shards=0)
+    def test_shard_count_must_be_positive(self, tmp_path, capsys):
+        """``--shards`` is an argparse error on every store subcommand."""
+        store = str(tmp_path / "store")
+        for command in STORE_COMMANDS:
+            with pytest.raises(SystemExit) as exit_info:
+                main([*command, "--store", store, "--shards", "2"])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --shards 2" in err, command
+        assert not os.path.exists(store)
 
-    @pytest.mark.parametrize("n", SHARD_COUNTS)
+    @pytest.mark.parametrize("n", INSTANCES)
     def test_per_shard_summary_sums_to_global(self, tmp_path, n):
-        store = ShardedRunStore(tmp_path, shards=n)
-        _populate(store)
-        per_shard = store.per_shard_summary()
-        assert len(per_shard) == n
-        count, size = store.summary()
-        assert sum(c for c, _ in per_shard) == count == 12
-        assert sum(s for _, s in per_shard) == size
+        """Every instance reports the same summary: the count and byte
+        total of the entries it lists."""
+        views = _instances(tmp_path, n)
+        _populate(*views)
+        listed = views[0].ls(with_meta=False)
+        assert len(listed) == 12
+        expected = (12, sum(entry.size_bytes for entry in listed))
+        for view in views:
+            assert view.summary() == expected
+            assert view.total_bytes() == expected[1]
 
 
 class TestGlobalOrderIdentity:
-    """``ls``/``gc`` over shards equals the flat store, key for key."""
+    """``ls``/``gc`` through any of ``n`` instances equals a
+    single-instance store over the same corpus, key for key."""
 
-    @pytest.mark.parametrize("n", SHARD_COUNTS)
+    @pytest.mark.parametrize("n", INSTANCES)
     def test_ls_merges_shards_oldest_first(self, tmp_path, n):
-        flat = RunStore(tmp_path / "flat")
-        sharded = ShardedRunStore(tmp_path / "sharded", shards=n)
-        _populate(flat)
-        _populate(sharded)
-        flat_ls = [(e.key, e.size_bytes, e.mtime) for e in flat.ls()]
-        shard_ls = [(e.key, e.size_bytes, e.mtime) for e in sharded.ls()]
-        assert shard_ls == flat_ls
-        for limit in (0, 1, 5, 12, 50):
-            assert [e.key for e in sharded.ls(limit=limit)] == [
-                e.key for e in flat.ls(limit=limit)
-            ]
+        single = RunStore(tmp_path / "single")
+        views = _instances(tmp_path / "shared", n)
+        _populate(single)
+        _populate(*views)
+        expected = [(e.key, e.size_bytes, e.mtime) for e in single.ls()]
+        assert [mtime for _, _, mtime in expected] == sorted(
+            mtime for _, _, mtime in expected
+        )
+        for view in views:
+            assert [(e.key, e.size_bytes, e.mtime) for e in view.ls()] == expected
+            for limit in (0, 1, 5, 12, 50):
+                assert [e.key for e in view.ls(limit=limit)] == [
+                    e.key for e in single.ls(limit=limit)
+                ]
+            assert view.summary() == single.summary()
         # ls(limit=) reads metadata for exactly the returned entries.
-        entry = sharded.ls(limit=3)[0]
-        assert entry.scenario == "test.sharded"
-        assert flat.summary() == sharded.summary()
+        assert views[-1].ls(limit=3)[0].scenario == "test.shared"
 
-    @pytest.mark.parametrize("n", SHARD_COUNTS)
+    @pytest.mark.parametrize("n", INSTANCES)
     def test_gc_eviction_sets_and_order_match_flat(self, tmp_path, n):
-        flat = RunStore(tmp_path / "flat")
-        sharded = ShardedRunStore(tmp_path / "sharded", shards=n)
-        _populate(flat)
-        _populate(sharded)
-        budget = flat.total_bytes() // 3
-        flat_evicted = flat.gc(max_total_bytes=budget)
-        shard_evicted = sharded.gc(max_total_bytes=budget)
-        assert shard_evicted == flat_evicted
-        assert [e.key for e in sharded.ls()] == [e.key for e in flat.ls()]
-        assert sharded.total_bytes() == flat.total_bytes() <= budget
-        assert sharded.stats.evictions == flat.stats.evictions
+        single = RunStore(tmp_path / "single")
+        views = _instances(tmp_path / "shared", n)
+        _populate(single)
+        keys = _populate(*views)
+        for view in views:  # every instance has seen every key present
+            assert view.contains_many(keys) == [True] * len(keys)
+        budget = single.total_bytes() // 3
+        expected = single.gc(max_total_bytes=budget)
+        assert views[-1].gc(max_total_bytes=budget) == expected
+        assert views[-1].stats.evictions == single.stats.evictions
+        for view in views:
+            assert [e.key for e in view.ls()] == [e.key for e in single.ls()]
+            assert view.total_bytes() == single.total_bytes() <= budget
+            assert view.contains_many(keys) == [k not in expected for k in keys]
 
-    @pytest.mark.parametrize("n", SHARD_COUNTS)
+    @pytest.mark.parametrize("n", INSTANCES)
     def test_gc_by_age_matches_flat(self, tmp_path, n):
-        flat = RunStore(tmp_path / "flat")
-        sharded = ShardedRunStore(tmp_path / "sharded", shards=n)
+        single = RunStore(tmp_path / "single")
+        views = _instances(tmp_path / "shared", n)
         base = 1_000_000_000.0
-        _populate(flat, base_mtime=base)
-        _populate(sharded, base_mtime=base)
-        now = base + 12 * 60.0
-        kwargs = {"max_age_seconds": 6 * 60.0, "now": now}
-        assert sharded.gc(**kwargs) == flat.gc(**kwargs)
-        assert [e.key for e in sharded.ls()] == [e.key for e in flat.ls()]
+        _populate(single, base_mtime=base)
+        keys = _populate(*views, base_mtime=base)
+        for view in views:
+            view.contains_many(keys)
+        kwargs = {"max_age_seconds": 6 * 60.0, "now": base + 12 * 60.0}
+        expected = single.gc(**kwargs)
+        assert len(expected) == 6
+        assert views[0].gc(**kwargs) == expected
+        for view in views:
+            assert [e.key for e in view.ls()] == [e.key for e in single.ls()]
+            assert view.contains_many(keys) == [k not in expected for k in keys]
 
     def test_gc_fanout_recovers_from_injected_shard_fault(self, tmp_path):
-        plain = ShardedRunStore(tmp_path / "plain", shards=4)
-        faulted = ShardedRunStore(tmp_path / "faulted", shards=4)
+        """gc starts no backend task, so a plan that fails every task
+        past any retry leaves its eviction set unchanged."""
+        plain = RunStore(tmp_path / "plain")
+        faulted = RunStore(tmp_path / "faulted")
         _populate(plain)
         _populate(faulted)
         budget = plain.total_bytes() // 2
         expected = plain.gc(max_total_bytes=budget)
-        plan = FaultPlan(failures={(STORE_SHARD_SCOPE, 0): 1})
-        with injected(plan):
+        with injected(FaultPlan(rate=1.0, fail_attempts=100)):
+            with pytest.raises(TaskFailed):  # the plan is live
+                get_backend("serial").map(abs, [-1])
             evicted = faulted.gc(max_total_bytes=budget)
-        # The killed first attempt of shard task 0 is retried by the
-        # substrate's default policy; the eviction worker is idempotent,
-        # so the outcome is byte-identical to the fault-free store.
         assert evicted == expected
         assert [e.key for e in faulted.ls()] == [e.key for e in plain.ls()]
 
 
 class TestMigration:
+    """A root the retired sharded layout wrote is refused, untouched."""
+
     def test_sharded_store_reads_flat_layout_transparently(self, tmp_path):
-        flat = RunStore(tmp_path)
-        keys = _populate(flat)
-        baseline = [result_fingerprint(flat.get(k)) for k in keys]
-        reopened = ShardedRunStore(tmp_path, shards=3)
-        assert all(reopened.contains(k) for k in keys)
-        assert [
-            result_fingerprint(reopened.get(k)) for k in keys
-        ] == baseline
-        assert [e.key for e in reopened.ls()] == [e.key for e in flat.ls()]
+        _retired_root(tmp_path)
+        with pytest.raises(SimulationError, match="retired sharded layout") as exc:
+            RunStore(tmp_path)
+        assert "a store is a cache: delete it and rerun" in str(exc.value)
 
     def test_migrate_layout_moves_entries_into_shards(self, tmp_path):
-        flat = RunStore(tmp_path)
-        keys = _populate(flat)
-        store = ShardedRunStore(tmp_path, shards=3)
-        order_before = [e.key for e in store.ls(with_meta=False)]
-        assert store.migrate_layout() == len(keys)
-        assert store.migrate_layout() == 0  # idempotent
-        for key in keys:
-            shard_dir = store._candidate_dirs(key)[0]
-            flat_dir = store._candidate_dirs(key)[1]
-            assert os.path.isdir(shard_dir)
-            assert not os.path.isdir(flat_dir)
-            assert store.get(key) is not None
-        # rename preserves mtimes, so the global order is unchanged.
-        assert [e.key for e in store.ls(with_meta=False)] == order_before
+        """``python -m repro ensemble ls`` refuses it: non-zero exit,
+        the message on stderr, nothing listed."""
+        root = tmp_path / "store"
+        _retired_root(root)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", "ensemble", "ls", "--store", str(root)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode != 0
+        assert "retired sharded layout" in out.stderr
+        assert "delete it and rerun" in out.stderr
+        assert out.stdout == ""
 
     def test_migrate_drops_flat_duplicate_of_sharded_entry(self, tmp_path):
-        store = ShardedRunStore(tmp_path, shards=3)
-        (key,) = _populate(store, count=1)
-        shard_dir, flat_dir = store._candidate_dirs(key)
-        shutil.copytree(shard_dir, flat_dir)
-        assert store.migrate_layout() == 0
-        assert not os.path.isdir(flat_dir)
-        assert store.get(key) is not None
+        """The refusal comes before the store creates anything."""
+        _retired_root(tmp_path)
+        before = _tree(tmp_path)
+        with pytest.raises(SimulationError):
+            RunStore(tmp_path)
+        assert _tree(tmp_path) == before
+        assert sorted(os.listdir(tmp_path)) == ["shards"]
 
     def test_gc_covers_unmigrated_flat_entries(self, tmp_path):
-        flat = RunStore(tmp_path)
-        keys = _populate(flat)
-        store = ShardedRunStore(tmp_path, shards=3)
-        evicted = store.gc(max_total_bytes=0)
-        assert sorted(evicted) == sorted(keys)
-        assert store.summary() == (0, 0)
-        assert RunStore(tmp_path).ls() == []  # flat copies gone too
+        """Following the message works: delete the root and rerun."""
+        root = tmp_path / "store"
+        _retired_root(root)
+        with pytest.raises(SimulationError):
+            RunStore(root)
+        shutil.rmtree(root)
+        cold = run_ensemble(chain(4), store=RunStore(root))
+        assert cold.ok and cold.nodes_run == 4
+        assert RunStore(root).summary()[0] == 4
 
 
 class TestOpenStoreFactory:
+    """The flat layout is the only one, whatever the environment says."""
+
     def test_explicit_shards_and_flat_default(self, tmp_path):
-        flat = open_store(tmp_path / "a")
-        assert type(flat) is RunStore
-        sharded = open_store(tmp_path / "b", shards=5)
-        assert isinstance(sharded, ShardedRunStore)
-        assert sharded.shards == 5
-        assert type(open_store(tmp_path / "c", shards=0)) is RunStore
+        store = RunStore(tmp_path / "a")
+        assert sorted(os.listdir(store.root)) == ["checkpoints", "objects", "tmp"]
+        (key,) = _populate(store, count=1)
+        reopened = RunStore(tmp_path / "a")
+        assert result_fingerprint(reopened.get(key)) == result_fingerprint(
+            _payload(0)
+        )
+        assert sorted(os.listdir(store.root)) == ["checkpoints", "objects", "tmp"]
 
     def test_env_var_and_detection(self, tmp_path, monkeypatch):
+        """A set ``REPRO_STORE_SHARDS`` is ignored by the API."""
         monkeypatch.setenv("REPRO_STORE_SHARDS", "3")
-        store = open_store(tmp_path / "via-env")
-        assert isinstance(store, ShardedRunStore) and store.shards == 3
-        monkeypatch.delenv("REPRO_STORE_SHARDS")
-        # An existing sharded layout is detected without any knobs.
-        assert detect_shards(tmp_path / "via-env") == 3
-        reopened = open_store(tmp_path / "via-env")
-        assert isinstance(reopened, ShardedRunStore)
-        assert reopened.shards == 3
-        assert detect_shards(tmp_path / "nope") is None
+        store = RunStore(tmp_path / "via-env")
+        keys = _populate(store, count=4)
+        assert not os.path.exists(os.path.join(store.root, "shards"))
+        assert all(os.path.isdir(store._entry_dir(key)) for key in keys)
+        reopened = RunStore(store.root)
+        assert [e.key for e in reopened.ls()] == [e.key for e in store.ls()]
 
-    def test_env_var_must_be_integer(self, tmp_path, monkeypatch):
+    def test_env_var_must_be_integer(self, tmp_path, monkeypatch, capsys):
+        """A set ``REPRO_STORE_SHARDS``, even one that is no integer, is
+        ignored by the CLI."""
         monkeypatch.setenv("REPRO_STORE_SHARDS", "many")
-        with pytest.raises(SimulationError):
-            open_store(tmp_path)
+        root = tmp_path / "store"
+        assert main(["ensemble", "ls", "--store", str(root)]) == 0
+        assert "is empty" in capsys.readouterr().out
+        assert main(["ensemble", "gc", "--store", str(root)]) == 0
+        assert sorted(os.listdir(root)) == ["checkpoints", "objects", "tmp"]
 
 
 class TestSchedulerAndDeltaOverShards:
+    """Runs and what-if cones read through an instance that did not
+    write the entries."""
+
     def test_warm_rerun_serves_every_node_byte_identically(self, tmp_path):
-        flat_result = run_ensemble(chain(4), store=RunStore(tmp_path / "f"))
-        store = ShardedRunStore(tmp_path / "s", shards=3)
-        cold = run_ensemble(chain(4), store=store)
-        warm = run_ensemble(chain(4), store=store)
+        cold = run_ensemble(chain(4), store=RunStore(tmp_path))
+        warm = run_ensemble(chain(4), store=RunStore(tmp_path))
         assert cold.ok and warm.ok
         assert warm.nodes_cached == 4 and warm.nodes_run == 0
         assert warm.fingerprints() == cold.fingerprints()
-        assert warm.fingerprints() == flat_result.fingerprints()
 
     def test_delta_cone_executes_against_sharded_store(self, tmp_path):
-        from repro.delta import perturb
-
-        store = ShardedRunStore(tmp_path, shards=3)
+        writer = RunStore(tmp_path)
         base = chain(4)
-        cold = run_ensemble(base, store=store)
-        assert cold.ok
+        assert run_ensemble(base, store=writer).ok
         target = perturb(base, params={"n2": {"x": 41}})
-        outcome = delta_run(target, store, base=base)
+        outcome = delta_run(target, RunStore(tmp_path), base=base)
         outcome.raise_if_failed()
         assert outcome.nodes_run == 2  # n2 + its downstream n3
         assert outcome.nodes_reused == 2
+        rerun = run_ensemble(target, store=writer)
+        assert rerun.nodes_cached == 4
+        assert outcome.fingerprints().items() <= rerun.fingerprints().items()
 
 
 class TestConcurrencyRegressions:
@@ -295,7 +352,7 @@ class TestConcurrencyRegressions:
                 # knew nothing about these bytes.
                 for i in (100, 101):
                     store.put(
-                        run_key("test.sharded", {"i": i}, seed=i),
+                        run_key("test.shared", {"i": i}, seed=i),
                         _payload(i),
                     )
             return removed
@@ -310,25 +367,28 @@ class TestConcurrencyRegressions:
 
     @pytest.mark.parametrize("n", (1, 4))
     def test_eight_thread_put_evict_gc_hammer(self, tmp_path, n):
-        store = ShardedRunStore(tmp_path, shards=n)
-        seeded = _populate(store, count=8)
-        budget = store.total_bytes() * 2
+        """Eight threads, thread ``w`` working through instance
+        ``w % n`` of ``n`` sharing the root."""
+        views = _instances(tmp_path, n)
+        seeded = _populate(*views, count=8)
+        budget = views[0].total_bytes() * 2
         errors = []
         barrier = threading.Barrier(8)
 
         def worker(worker_id: int) -> None:
+            store = views[worker_id % n]
             try:
                 barrier.wait()
                 for i in range(12):
                     tag = worker_id * 1000 + i
-                    key = run_key("test.sharded", {"i": tag}, seed=tag)
+                    key = run_key("test.shared", {"i": tag}, seed=tag)
                     store.put(key, _payload(tag))
                     got = store.get(key)
                     assert got is None or got["tag"] == f"run-{tag}"
                     store.evict(seeded[(worker_id + i) % len(seeded)])
                     if i % 4 == worker_id % 4:
                         store.gc(max_total_bytes=budget)
-                    store.get(run_key("test.sharded", {"i": tag}, seed=tag))
+                    store.get(run_key("test.shared", {"i": tag}, seed=tag))
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -341,8 +401,13 @@ class TestConcurrencyRegressions:
             t.join()
         assert errors == []
         # Post-hammer invariants: a final quiesced gc lands (and keeps)
-        # the store under budget, and every surviving entry is readable.
-        store.gc(max_total_bytes=budget)
-        assert store.total_bytes() <= budget
-        for entry in store.ls(with_meta=False):
-            assert store.get(entry.key) is not None
+        # the store under budget, every surviving entry is readable, and
+        # every instance agrees with a per-key stat.
+        views[0].gc(max_total_bytes=budget)
+        listed = [entry.key for entry in views[0].ls(with_meta=False)]
+        for view in views:
+            assert view.total_bytes() <= budget
+            assert all(view.get(key) is not None for key in listed)
+            assert view.contains_many(seeded) == [
+                view.contains(key) for key in seeded
+            ]
