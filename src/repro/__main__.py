@@ -226,17 +226,26 @@ def tour(
 
 # -- ensemble ---------------------------------------------------------------
 
+def _open_store(root):
+    """The run store at ``root``; one the store refuses to open ends the
+    command with its message as one line on stderr and exit code 1."""
+    from repro.ensemble import RunStore
+    from repro.errors import SimulationError
+
+    try:
+        return RunStore(root)
+    except SimulationError as exc:
+        raise SystemExit(str(exc)) from None
+
+
 def ensemble_run(args) -> int:
-    from repro.ensemble import RunStore, run_ensemble
+    from repro.ensemble import run_ensemble
     from repro.ensemble.scenarios import DEMO_ENSEMBLES
 
+    store = _open_store(args.store)
     builder = DEMO_ENSEMBLES[args.demo]
     ensemble = builder(seed=args.seed, quick=args.quick)
-    result = run_ensemble(
-        ensemble,
-        store=RunStore(args.store),
-        backend=args.backend,
-    )
+    result = run_ensemble(ensemble, store=store, backend=args.backend)
     print(result.render())
     return 0 if result.ok else 1
 
@@ -250,9 +259,7 @@ def _store_header(store) -> str:
 
 
 def ensemble_ls(args) -> int:
-    from repro.ensemble import RunStore
-
-    store = RunStore(args.store)
+    store = _open_store(args.store)
     print(_store_header(store))
     if args.summary:
         return 0
@@ -267,9 +274,7 @@ def ensemble_ls(args) -> int:
 
 
 def ensemble_gc(args) -> int:
-    from repro.ensemble import RunStore
-
-    store = RunStore(args.store)
+    store = _open_store(args.store)
     max_age = args.max_age_days * 86400.0 if args.max_age_days else None
     evicted = store.gc(
         max_age_seconds=max_age, max_total_bytes=args.max_bytes
@@ -316,9 +321,8 @@ def _demo_ensemble(demo: str, seed: int, quick: bool):
 
 def delta_plan_cmd(args) -> int:
     from repro.delta import execute_plan, perturb, plan_delta
-    from repro.ensemble import RunStore
 
-    store = RunStore(args.store)
+    store = _open_store(args.store)
     base = _demo_ensemble(args.demo, args.seed, args.quick)
     updates = _parse_sets(args.set)
     if updates:
@@ -339,9 +343,8 @@ def delta_diff_cmd(args) -> int:
     import json as _json
 
     from repro.delta import diff_timelines, perturb
-    from repro.ensemble import RunStore
 
-    store = RunStore(args.store)
+    store = _open_store(args.store)
 
     def timeline(seed, sets, suffix):
         ensemble = _demo_ensemble(args.demo, seed, args.quick)
@@ -367,7 +370,6 @@ def delta_diff_cmd(args) -> int:
 def serve_cmd(args) -> int:
     import asyncio
 
-    from repro.ensemble import RunStore
     from repro.serve import ReproServer, ServeConfig
     from repro.serve.server import build_demo_catalog, load_csv_catalog
 
@@ -385,7 +387,7 @@ def serve_cmd(args) -> int:
     elif args.demo_catalog:
         catalog = build_demo_catalog()
 
-    store = RunStore(args.store) if args.store else None
+    store = _open_store(args.store) if args.store else None
 
     config = ServeConfig(
         host=args.host,

@@ -37,7 +37,7 @@ vectorized — the executor (:class:`repro.engine.operators
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Collection, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -733,12 +733,16 @@ class ColumnBatch:
         key, then unique ``*.name`` suffix, then — for a qualified name
         over unqualified columns — the bare tail.
         """
+        return self.columns[self.resolve_key(name)]
+
+    def resolve_key(self, name: str) -> str:
+        """The key of the column :meth:`resolve` returns for ``name``."""
         if name in self.columns:
-            return self.columns[name]
+            return name
         suffix = "." + name
         matches = [k for k in self.columns if k.endswith(suffix)]
         if len(matches) == 1:
-            return self.columns[matches[0]]
+            return matches[0]
         if len(matches) > 1:
             raise QueryError(
                 f"ambiguous column {name!r}: matches {sorted(matches)}"
@@ -746,9 +750,15 @@ class ColumnBatch:
         if "." in name and not any("." in key for key in self.columns):
             tail = name.rsplit(".", 1)[1]
             if tail in self.columns:
-                return self.columns[tail]
+                return tail
         raise QueryError(
             f"unknown column {name!r}; row has {sorted(self.columns)}"
+        )
+
+    def only(self, keys: Collection[str]) -> "ColumnBatch":
+        """The batch cut to the columns whose keys are in ``keys``."""
+        return ColumnBatch(
+            {k: v for k, v in self.columns.items() if k in keys}, self.length
         )
 
     def take(self, indexer: np.ndarray) -> "ColumnBatch":

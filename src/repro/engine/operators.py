@@ -11,10 +11,13 @@ ABS self-join).
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple,
+)
 
 import numpy as np
 
@@ -532,67 +535,125 @@ def _factorize_python(vec: ColumnVector) -> Tuple[np.ndarray, int]:
     return codes, max(len(mapping), 1)
 
 
+def _dense_bound(n: int) -> int:
+    """The widest span of integer codes addressed directly for ``n`` rows.
+
+    A table over the span costs a few passes over at most this many
+    slots, never more than the sort it replaces costs over ``n`` rows.
+    """
+    return 4 * n + 1024
+
+
+def _ranks(values: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``np.unique(values, return_inverse=True)``'s codes and count.
+
+    ``values`` are int64.  When they span at most :func:`_dense_bound`
+    slots, a presence table over ``[min, max]`` and its running count
+    give the same ranks without a sort: each value is addressed
+    directly at ``value - min``.
+    """
+    if len(values):
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1
+        if span <= _dense_bound(len(values)):
+            offsets = values - lo
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            rank = np.cumsum(present) - 1
+            return rank[offsets], int(rank[-1]) + 1
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return inverse.reshape(-1).astype(np.int64), len(uniq)
+
+
 def _factorize(vec: ColumnVector) -> Tuple[np.ndarray, int]:
     """Dense integer codes for a vector, NULLs sharing one code.
 
     Grouping key equality in the row engine is Python ``==`` on dict
     keys (where ``None`` matches ``None``).  A ``str`` vector's codes
     already are such codes (its dictionary entries are distinct); the
-    float path below is equivalent for clean numerics, and anything that
-    is not (objects, NaN, ints beyond 2**53) uses the dict fallback.
+    numeric paths below are equivalent for clean numerics, and anything
+    that is not (objects, NaN, ints beyond 2**53) uses the dict fallback.
+    Valid values get their rank among the vector's values (NULL slots
+    hold 0 and count among them) and NULL the code after the last rank;
+    ``int`` and ``bool`` values rank by direct addressing (:func:`_ranks`),
+    floats by ``np.unique``.
     """
     if vec.kind == "str":
         size = len(vec.dictionary)
         return np.where(vec.valid, vec.values, size).astype(np.int64), size + 1
     if vec.kind not in ("bool", "int", "float"):
         return _factorize_python(vec)
-    if vec.kind == "int" and _int_magnitude(vec.values) > EXACT_INT_BOUND:
-        return _factorize_python(vec)
-    values = vec.values.astype(np.float64)
-    if vec.kind == "float" and bool(np.isnan(values).any()):
-        return _factorize_python(vec)
-    safe = np.where(vec.valid, values, 0.0)
-    uniq, inverse = np.unique(safe, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    codes = np.where(vec.valid, inverse, len(uniq))
-    return codes.astype(np.int64), len(uniq) + 1
-
-
-def _joint_key_codes(
-    lv: ColumnVector, rv: ColumnVector
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Codes for two key vectors in one shared code space."""
-    codes, n_codes = _factorize(concat_vectors([lv, rv]))
-    n_left = len(lv)
-    return codes[:n_left], codes[n_left:], n_codes
+    if vec.kind == "float":
+        values = vec.values.astype(np.float64)
+        if bool(np.isnan(values).any()):
+            return _factorize_python(vec)
+        uniq, inverse = np.unique(
+            np.where(vec.valid, values, 0.0), return_inverse=True
+        )
+        ranks, n_ranks = inverse.reshape(-1), len(uniq)
+    else:
+        if vec.kind == "int" and _int_magnitude(vec.values) > EXACT_INT_BOUND:
+            return _factorize_python(vec)
+        ranks, n_ranks = _ranks(
+            np.where(vec.valid, vec.values.astype(np.int64, copy=False), 0)
+        )
+    codes = np.where(vec.valid, ranks, n_ranks)
+    return codes.astype(np.int64), n_ranks + 1
 
 
 def _combine_codes(
     codes: np.ndarray, sub: np.ndarray, n_sub: int
-) -> np.ndarray:
-    """Fold one more key column into running group codes."""
-    _, combined = np.unique(
-        codes * np.int64(n_sub) + sub, return_inverse=True
-    )
-    return combined.reshape(-1).astype(np.int64)
+) -> Tuple[np.ndarray, int]:
+    """Fold one more key column into running codes: ranks and count.
+
+    The mixed-radix codes ``codes * n_sub + sub`` are ranked by direct
+    addressing while their span stays within the bound, else sorted.
+    """
+    return _ranks(codes * np.int64(n_sub) + sub)
 
 
 def _group_codes(
     key_vecs: List[ColumnVector], n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """First-seen-ordered group codes plus each group's first row index."""
-    codes = np.zeros(n, dtype=np.int64)
-    for vec in key_vecs:
+    """First-seen-ordered group codes plus each group's first row index.
+
+    Each group's first row comes from ``np.minimum.at`` over the row
+    positions in a table indexed by code; only the groups present are
+    then sorted, by that first row.
+    """
+    codes, n_codes = np.zeros(n, dtype=np.int64), 1
+    for i, vec in enumerate(key_vecs):
         sub, n_sub = _factorize(vec)
-        codes = _combine_codes(codes, sub, n_sub)
-    uniq, first_idx, inverse = np.unique(
-        codes, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq))
-    return rank[inverse], first_idx[order]
+        if i == 0:
+            codes, n_codes = sub, n_sub
+        else:
+            codes, n_codes = _combine_codes(codes, sub, n_sub)
+    if n_codes > _dense_bound(n):
+        # A str dictionary far larger than the rows: rank what is there.
+        codes, n_codes = _ranks(codes)
+    first = np.full(n_codes, n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+    present = np.flatnonzero(first < n)
+    order = np.argsort(first[present])
+    rank = np.zeros(n_codes, dtype=np.int64)
+    rank[present[order]] = np.arange(len(present), dtype=np.int64)
+    return rank[codes], first[present[order]]
+
+
+def _resolved_keys(
+    batch: ColumnBatch, names: FrozenSet[str]
+) -> Optional[Set[str]]:
+    """The keys of the columns ``names`` resolve to in ``batch``.
+
+    ``None`` when one of them does not resolve to exactly one column.
+    Cutting a batch to these keys changes no name's resolution, as each
+    kept key still is its name's exact key, sole ``*.name`` match or
+    bare tail.
+    """
+    try:
+        return {batch.resolve_key(name) for name in names}
+    except QueryError:
+        return None
 
 
 def _concat_batches(batches: List[ColumnBatch]) -> ColumnBatch:
@@ -691,17 +752,39 @@ def _hash_join_pairs(
 
     Emits pairs left-major in original left order, with right matches in
     ascending original right position (the stable argsort of the right
-    codes), exactly like the row engine's bucket probe.
+    codes), exactly like the row engine's bucket probe.  When the right
+    codes span at most :func:`_dense_bound` of both sides' rows, each
+    code's bucket start and size are read from a table indexed by code
+    (``np.bincount`` and its running sum); wider codes find them by two
+    binary searches of the sorted right codes.
     """
-    order = np.argsort(rcodes, kind="stable")
-    sorted_rcodes = rcodes[order]
-    starts = np.searchsorted(sorted_rcodes, lcodes, side="left")
-    ends = np.searchsorted(sorted_rcodes, lcodes, side="right")
-    counts = ends - starts
+    span = 0
+    if len(rcodes):
+        lo, hi = int(rcodes.min()), int(rcodes.max())
+        span = hi - lo + 1
+    if 0 < span <= _dense_bound(len(lcodes) + len(rcodes)):
+        offsets = rcodes - lo
+        sizes = np.bincount(offsets, minlength=span)
+        bucket_starts = np.cumsum(sizes) - sizes
+        # A stable argsort of 16-bit keys is NumPy's radix sort.
+        keys = offsets.astype(np.uint16) if span <= 1 << 16 else offsets
+        order = np.argsort(keys, kind="stable")
+        hit = (lcodes >= lo) & (lcodes <= hi)
+        probe = np.where(hit, lcodes - lo, 0)
+        starts = bucket_starts[probe]
+        counts = np.where(hit, sizes[probe], 0)
+    else:
+        order = np.argsort(rcodes, kind="stable")
+        sorted_rcodes = rcodes[order]
+        starts = np.searchsorted(sorted_rcodes, lcodes, side="left")
+        ends = np.searchsorted(sorted_rcodes, lcodes, side="right")
+        counts = ends - starts
     total = int(counts.sum())
     pair_left = np.repeat(np.arange(len(lcodes)), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    pair_right = order[np.repeat(starts, counts) + offsets]
+    # Pair k of a left row's run sits at its bucket start plus k: one
+    # repeat of (start - run start) plus the running pair index.
+    shift = starts - (np.cumsum(counts) - counts)
+    pair_right = order[np.repeat(shift, counts) + np.arange(total)]
     return pair_left, pair_right
 
 
@@ -727,10 +810,20 @@ class ColumnarExecutor(Executor):
             return super()._run(node)
         return iter(batch.to_rows())
 
-    def _run_batch(self, node: lp.PlanNode) -> Optional[ColumnBatch]:
+    def _run_batch(
+        self, node: lp.PlanNode, reads: Optional[FrozenSet[str]] = None
+    ) -> Optional[ColumnBatch]:
+        """Run ``node`` as a batch, or ``None`` if it has no batch handler.
+
+        ``reads``, when given, names every column the caller will read:
+        a Filter or equi-Join then copies only the columns those names
+        resolve to (see :meth:`_filter_batch`, :meth:`_equi_join_batch`).
+        """
         handler = self._batch_handler(node)
         if handler is None:
             return None
+        if reads is not None and isinstance(node, (lp.Filter, lp.Join)):
+            handler = functools.partial(handler, reads=reads)
         observer = get_observer()
         if not observer.enabled:
             return handler(node)
@@ -790,9 +883,11 @@ class ColumnarExecutor(Executor):
             return None
         return None
 
-    def _child_batch(self, node: lp.PlanNode) -> ColumnBatch:
+    def _child_batch(
+        self, node: lp.PlanNode, reads: Optional[FrozenSet[str]] = None
+    ) -> ColumnBatch:
         """The child as a batch, converting row-mode output if needed."""
-        batch = self._run_batch(node)
+        batch = self._run_batch(node, reads)
         if batch is not None:
             return batch
         rows = list(super()._run(node))
@@ -822,9 +917,19 @@ class ColumnarExecutor(Executor):
     def _values_batch(self, node: lp.Values) -> ColumnBatch:
         return ColumnBatch.from_rows([dict(r) for r in node.rows])
 
-    def _filter_batch(self, node: lp.Filter) -> ColumnBatch:
-        child = self._child_batch(node.child)
+    def _filter_batch(
+        self, node: lp.Filter, reads: Optional[FrozenSet[str]] = None
+    ) -> ColumnBatch:
+        # Only the columns the caller reads are copied; the child is
+        # asked for those and the predicate's.
+        child = self._child_batch(
+            node.child,
+            None if reads is None else reads | node.predicate.columns(),
+        )
         predicate = evaluate_batch(node.predicate, child)
+        keys = None if reads is None else _resolved_keys(child, reads)
+        if keys is not None:
+            child = child.only(keys)
         return child.take(keep_mask(predicate))
 
     def _project_batch(self, node: lp.Project) -> ColumnBatch:
@@ -870,7 +975,9 @@ class ColumnarExecutor(Executor):
         return child.take(perm[:n])
 
     # -- join ------------------------------------------------------------
-    def _join_batch(self, node: lp.Join) -> ColumnBatch:
+    def _join_batch(
+        self, node: lp.Join, reads: Optional[FrozenSet[str]] = None
+    ) -> ColumnBatch:
         left = self._child_batch(node.left)
         right = self._child_batch(node.right)
         if node.condition is None:
@@ -901,7 +1008,7 @@ class ColumnarExecutor(Executor):
             )
             return self._rows_to_batch(rows, node)
         return self._equi_join_batch(
-            left, right, lkeys, rkeys, residual, node.how
+            left, right, lkeys, rkeys, residual, node.how, reads
         )
 
     def _join_key_codes(
@@ -926,18 +1033,13 @@ class ColumnarExecutor(Executor):
             rv = evaluate_batch(rk, right)
             lnull |= ~lv.valid
             rnull |= ~rv.valid
-            sub_l, sub_r, n_sub = _joint_key_codes(lv, rv)
-            if i == 0:
-                # One key's joint codes already are equal-iff-equal.
-                lcodes, rcodes = sub_l, sub_r
-                continue
-            both = _combine_codes(
-                np.concatenate([lcodes, rcodes]),
-                np.concatenate([sub_l, sub_r]),
-                n_sub,
-            )
-            lcodes, rcodes = both[:n_left], both[n_left:]
-        return np.where(lnull, -1, lcodes), np.where(rnull, -2, rcodes)
+            sub, n_sub = _factorize(concat_vectors([lv, rv]))
+            # One key's joint codes already are equal-iff-equal.
+            codes = sub if i == 0 else _combine_codes(codes, sub, n_sub)[0]
+        return (
+            np.where(lnull, -1, codes[:n_left]),
+            np.where(rnull, -2, codes[n_left:]),
+        )
 
     def _equi_join_batch(
         self,
@@ -947,31 +1049,49 @@ class ColumnarExecutor(Executor):
         rkeys: List[Expression],
         residual: List[Expression],
         how: str,
+        reads: Optional[FrozenSet[str]] = None,
     ) -> ColumnBatch:
+        """Pair, merge and pad both sides of an equi-join.
+
+        With ``reads`` (the columns the caller reads), each side is cut,
+        before it is copied, to the columns that ``reads`` and the
+        residual resolve to in the uncut merged batch, and to every name
+        both sides carry, which the clobber checks compare.  If a name
+        does not resolve to exactly one column, nothing is cut: the name
+        then fails where it is read, with the same message as uncut.
+        """
         lcodes, rcodes = self._join_key_codes(left, right, lkeys, rkeys)
         pair_left, pair_right = _hash_join_pairs(lcodes, rcodes)
         n_left = left.length
-        total = len(pair_left)
-        self.metrics.join_pairs_examined += total
-        merged = self._merge_batches(
+        self.metrics.join_pairs_examined += len(pair_left)
+        if reads is not None:
+            names = reads.union(*(conj.columns() for conj in residual))
+            whole = ColumnBatch({**left.columns, **right.columns}, n_left)
+            keys = _resolved_keys(whole, names)
+            if keys is not None:
+                keys |= left.columns.keys() & right.columns.keys()
+                left, right = left.only(keys), right.only(keys)
+        matched = self._merge_batches(
             left.take(pair_left), right.take(pair_right)
         )
-        keep = np.ones(total, dtype=bool)
-        for conj in residual:
-            keep &= keep_mask(evaluate_batch(conj, merged))
-        self.metrics.rows_joined += int(np.count_nonzero(keep))
-        matched = merged.take(keep)
+        if residual:
+            keep = np.ones(len(pair_left), dtype=bool)
+            for conj in residual:
+                keep &= keep_mask(evaluate_batch(conj, matched))
+            matched = matched.take(keep)
+            pair_left = pair_left[keep]
+        self.metrics.rows_joined += len(pair_left)
         if how != "left":
             return matched
         matched_left = np.zeros(n_left, dtype=bool)
-        matched_left[pair_left[keep]] = True
+        matched_left[pair_left] = True
         unmatched = np.flatnonzero(~matched_left)
         if unmatched.size == 0:
             return matched
         padded = self._null_extend_batch(left.take(unmatched), right)
         # Row mode emits each unmatched left row in left order,
         # interleaved with the matches: restore that order stably.
-        positions = np.concatenate([pair_left[keep], unmatched])
+        positions = np.concatenate([pair_left, unmatched])
         return _concat_batches([matched, padded]).take(
             np.argsort(positions, kind="stable")
         )
@@ -1026,7 +1146,15 @@ class ColumnarExecutor(Executor):
 
     # -- aggregate -------------------------------------------------------
     def _aggregate_batch(self, node: lp.Aggregate) -> ColumnBatch:
-        child = self._child_batch(node.child)
+        reads = frozenset().union(
+            *(e.columns() for e in node.group_by),
+            *(
+                spec.argument.columns()
+                for spec in node.aggregates
+                if spec.argument is not None
+            ),
+        )
+        child = self._child_batch(node.child, reads)
         key_vecs = [evaluate_batch(e, child) for e in node.group_by]
         arg_vecs = [
             None if spec.argument is None

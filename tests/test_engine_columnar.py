@@ -223,6 +223,80 @@ class TestErrorsMatch:
             with pytest.raises(QueryError):
                 nullful_db.sql(sql, execution=mode)
 
+    # A batched Aggregate asks the Filter and equi-Join under it for the
+    # columns it reads, and they copy only those.  A name that does not
+    # resolve to exactly one column cuts nothing, and every name both
+    # join sides carry is kept, so each error reads as without the cut.
+
+    def _messages(self, db, run):
+        messages = []
+        for mode in MODES:
+            with pytest.raises(QueryError) as info:
+                run(db, mode)
+            messages.append(str(info.value))
+        return messages
+
+    def test_ambiguous_column_under_a_pruned_join(self, nullful_db):
+        sql = (
+            "SELECT SUM(age) AS s FROM person p JOIN person q "
+            "ON p.pid = q.pid WHERE p.income > 0"
+        )
+        row, columnar = self._messages(
+            nullful_db, lambda db, mode: db.sql(sql, execution=mode)
+        )
+        assert row == columnar == (
+            "ambiguous column 'age': matches ['p.age', 'q.age']"
+        )
+
+    def test_unknown_column_under_a_pruned_join(self, nullful_db):
+        sql = (
+            "SELECT p.region AS g, SUM(zz) AS s FROM person p JOIN region r "
+            "ON p.region = r.region WHERE p.age > 10 GROUP BY p.region"
+        )
+        row, columnar = self._messages(
+            nullful_db, lambda db, mode: db.sql(sql, execution=mode)
+        )
+        # The message lists every column of the unpruned row.
+        assert row == columnar == (
+            "unknown column 'zz'; row has ['p.age', 'p.income', 'p.pid', "
+            "'p.region', 'r.mult', 'r.region']"
+        )
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_clobber_under_a_pruned_join(self, nullful_db, how):
+        # Unaliased scans: both sides carry ``age``, which no aggregate
+        # reads.  For the inner join the clash rows disagree with their
+        # person rows on it; for the left join they agree, and the
+        # NULL-padded unmatched person rows clobber instead.
+        ages = {row["pid"]: row["age"] for row in nullful_db.table("person")}
+        nullful_db.create_table("clash", Schema.of(cpid=int, age=int))
+        nullful_db.table("clash").insert_many(
+            {"cpid": i, "age": ages[i] if how == "left" else 99}
+            for i in range(5)
+        )
+        join = lp.Join(
+            lp.Filter(lp.Scan("person"), col("income") > lit(0)),
+            lp.Scan("clash"),
+            col("pid") == col("cpid"),
+            how,
+        )
+        plan = lp.Aggregate(
+            lp.Filter(join, col("pid") < lit(50)),
+            (col("region"),),
+            ("region",),
+            (lp.AggregateSpec("sum", col("income"), "s"),),
+        )
+        row, columnar = self._messages(
+            nullful_db,
+            lambda db, mode: db.execute_plan(
+                plan, optimized=False, execution=mode
+            ),
+        )
+        assert row == columnar == (
+            "join output would clobber column 'age'; "
+            "alias one side of the join"
+        )
+
 
 class TestExecutionModeKnob:
     def test_default_is_auto(self, monkeypatch):

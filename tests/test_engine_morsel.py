@@ -324,8 +324,8 @@ class TestFusionHelpers:
         finished = []
         run_batch = ColumnarExecutor._run_batch
 
-        def spy(self, node):
-            batch = run_batch(self, node)
+        def spy(self, node, *reads):
+            batch = run_batch(self, node, *reads)
             finished.append(node)
             return batch
 
@@ -453,17 +453,20 @@ class TestSortMergeJoin:
 
     def test_pair_parity_with_hash(self):
         rng = np.random.RandomState(11)
-        for _ in range(50):
-            lcodes = rng.randint(0, 8, size=rng.randint(0, 30)).astype(
-                np.int64
-            )
-            rcodes = rng.randint(0, 8, size=rng.randint(0, 30)).astype(
-                np.int64
-            )
-            hl, hr = operators._hash_join_pairs(lcodes, rcodes)
-            nl, nr = _nested_loop_pairs(lcodes, rcodes)
-            assert np.array_equal(hl, nl)
-            assert np.array_equal(hr, nr)
+        # Codes 0..7 take the buckets addressed by code; eight codes
+        # around +-2**40 span far past that table's bound and take the
+        # binary searches of the sorted right codes.
+        wide = np.random.RandomState(12).randint(
+            -(2 ** 40), 2 ** 40, size=8, dtype=np.int64
+        )
+        for palette in (np.arange(8, dtype=np.int64), wide):
+            for _ in range(50):
+                lcodes = palette[rng.randint(0, 8, size=rng.randint(0, 30))]
+                rcodes = palette[rng.randint(0, 8, size=rng.randint(0, 30))]
+                hl, hr = operators._hash_join_pairs(lcodes, rcodes)
+                nl, nr = _nested_loop_pairs(lcodes, rcodes)
+                assert np.array_equal(hl, nl)
+                assert np.array_equal(hr, nr)
 
     def test_join_algorithm_field_validation(self):
         with pytest.raises(TypeError):

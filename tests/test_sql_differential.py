@@ -3,14 +3,17 @@
 Every other engine oracle compares the engine with itself, so a bug the
 row and columnar executors share is invisible to it.  Here hypothesis
 generates NULL-rich, tie-rich tables and queries from the grammar
-:mod:`repro.engine.sqlparser` accepts — filters, ``GROUP BY`` a string
-key, inner and left equi-joins on a string key, ``ORDER BY`` … ``LIMIT``
-and ``ORDER BY`` over a grouped result, ``SELECT DISTINCT`` and
-``DISTINCT`` aggregates, ``HAVING``, ``[NOT] IN (SELECT …)`` and
-``WITH`` CTEs with column lists — and each query must give the same
-answer with ``execution="row"``, with ``"columnar"`` (byte for byte) and
-through ``sqlite3``.  Every statement runs through ``Database.sql``
-more than once, so all but its first answer come from a cached parse.
+:mod:`repro.engine.sqlparser` accepts — filters, ``GROUP BY`` string
+keys, int keys and both, inner and left equi-joins on string and int
+keys, ``ORDER BY`` … ``LIMIT`` and ``ORDER BY`` over a grouped result,
+``SELECT DISTINCT`` and ``DISTINCT`` aggregates, ``HAVING``, ``[NOT] IN
+(SELECT …)`` and ``WITH`` CTEs with column lists — and each query must
+give the same answer with ``execution="row"``, with ``"columnar"`` (byte
+for byte) and through ``sqlite3``.  Int keys come in two widths: ``i``
+and ``v`` span a few values, which the engine addresses directly, and
+``w`` holds values from about -2**40 to 2**52, which it sorts.  Every
+statement runs through ``Database.sql`` more than once, so all but its
+first answer come from a cached parse.
 
 Divergences these generators found are fixed, each with a regression
 test in :class:`TestDivergencesFound`: ``IN`` ignored SQL's NULL rules
@@ -70,11 +73,15 @@ ALPHABET = ("", "a", "A", "ab", "aB", "b", "B", "z", "é", "É", "ß", "日本")
 #: Literals that never occur in a table, for IN and comparisons.
 ABSENT = ("q", "Ab", "zz")
 INTS = tuple(range(-2, 4))
+#: Around +-2**40, under 2**53: keys over these span far more than the
+#: rows, so they group and join by sorting where ``INTS`` keys are
+#: addressed directly.
+WIDE = (-(2 ** 40) - 1, -(2 ** 40), 2 ** 40, 2 ** 40 + 3, 2 ** 52 + 1)
 FLOATS = tuple(k * 0.5 for k in range(-4, 5))
 OPS = ("=", "<>", "<", "<=", ">", ">=")
 
-T_SCHEMA = Schema.of(id=int, s1=str, s2=str, i=int, f=float)
-U_SCHEMA = Schema.of(id=int, s=str, v=int)
+T_SCHEMA = Schema.of(id=int, s1=str, s2=str, i=int, f=float, w=int)
+U_SCHEMA = Schema.of(id=int, s=str, v=int, w=int)
 
 
 # -- tables ------------------------------------------------------------------
@@ -106,9 +113,11 @@ def _rows(columns, max_size) -> st.SearchStrategy:
 
 
 T_ROWS = _rows(
-    [("s1", ALPHABET), ("s2", ALPHABET), ("i", INTS), ("f", FLOATS)], 25
+    [("s1", ALPHABET), ("s2", ALPHABET), ("i", INTS), ("f", FLOATS),
+     ("w", WIDE)],
+    25,
 )
-U_ROWS = _rows([("s", ALPHABET), ("v", INTS)], 12)
+U_ROWS = _rows([("s", ALPHABET), ("v", INTS), ("w", WIDE)], 12)
 
 
 _SQLITE_TYPES = {int: "INTEGER", float: "REAL", str: "TEXT"}
@@ -237,6 +246,33 @@ def join_queries(draw) -> Tuple[str, str, bool]:
     pred = draw(MAYBE_JOIN_PREDICATE)
     sql = (
         "SELECT a.id AS aid, b.id AS bid, a.s1 AS s, b.v AS v "
+        f"FROM t a {how} u b ON {on}{_where(pred)}"
+    )
+    return sql, sql, False
+
+
+@st.composite
+def int_group_queries(draw) -> Tuple[str, str, bool]:
+    key = draw(st.sampled_from(["i", "w", "s1, i", "i, w", "w, s2, i"]))
+    pred = draw(MAYBE_PREDICATE)
+    items = (
+        "COUNT(*) AS n, COUNT(f) AS nf, SUM(i) AS si, SUM(f) AS sf, "
+        "MIN(i) AS lo, MAX(s1) AS hi, MAX(w) AS wh"
+    )
+    sql = f"SELECT {key}, {items} FROM t{_where(pred)} GROUP BY {key}"
+    return sql, sql, False
+
+
+@st.composite
+def int_join_queries(draw) -> Tuple[str, str, bool]:
+    how = draw(st.sampled_from(["JOIN", "LEFT JOIN"]))
+    on = draw(st.sampled_from([
+        "a.i = b.v", "a.w = b.w", "a.i = b.v AND a.w = b.w",
+        "a.w = b.w AND a.s2 = b.s",
+    ]))
+    pred = draw(MAYBE_JOIN_PREDICATE)
+    sql = (
+        "SELECT a.id AS aid, b.id AS bid, a.i AS i, b.w AS w "
         f"FROM t a {how} u b ON {on}{_where(pred)}"
     )
     return sql, sql, False
@@ -492,6 +528,18 @@ def test_string_group_by_matches_sqlite(tables, query):
 @SETTINGS
 @given(databases(), join_queries())
 def test_string_key_joins_match_sqlite(tables, query):
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), int_group_queries())
+def test_int_group_by_matches_sqlite(tables, query):
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), int_join_queries())
+def test_int_key_joins_match_sqlite(tables, query):
     check(*tables, query)
 
 

@@ -250,6 +250,23 @@ class TestMigration:
         assert "delete it and rerun" in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("command", STORE_COMMANDS, ids=" ".join)
+    def test_every_store_command_refuses_in_one_line(self, tmp_path, command):
+        """Exit code 1, and stderr holds the refusal and nothing else."""
+        root = tmp_path / "store"
+        _retired_root(root)
+        with pytest.raises(SimulationError) as refusal:
+            RunStore(root)
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        out = subprocess.run(
+            [sys.executable, "-m", "repro", *command, "--store", str(root)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 1
+        assert out.stderr == f"{refusal.value}\n"
+        assert out.stdout == ""
+
     def test_migrate_drops_flat_duplicate_of_sharded_entry(self, tmp_path):
         """The refusal comes before the store creates anything."""
         _retired_root(tmp_path)
