@@ -8,10 +8,8 @@ perf-trajectory tooling, as JSON (:func:`save_json`).
 
 Benchmarks take a :class:`BenchConfig` knob: ``quick`` shrinks problem
 sizes so CI can exercise the harness in seconds (the ``--quick`` pytest
-flag, see ``benchmarks/conftest.py``), and ``backend`` selects the
-:mod:`repro.parallel` execution backend for the parallelized hot paths
-(``--bench-backend`` flag or ``REPRO_BENCH_BACKEND`` environment
-variable).
+flag, see ``benchmarks/conftest.py``).  Parallelized hot paths run on
+the library-wide :mod:`repro.parallel` backend, ``REPRO_BACKEND``.
 """
 
 from __future__ import annotations
@@ -29,30 +27,12 @@ from repro.obs import get_observer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Environment fallbacks for the pytest flags, so plain scripts and the
-#: CI smoke test can steer benchmarks without pytest options.
-QUICK_ENV_VAR = "REPRO_BENCH_QUICK"
-BACKEND_ENV_VAR = "REPRO_BENCH_BACKEND"
-
 
 @dataclass(frozen=True)
 class BenchConfig:
     """Execution knobs shared by every benchmark script."""
 
     quick: bool = False
-    backend: str = "serial"
-
-    @classmethod
-    def from_env(cls) -> "BenchConfig":
-        """Resolve the knobs from environment variables."""
-        quick = os.environ.get(QUICK_ENV_VAR, "").lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-        backend = os.environ.get(BACKEND_ENV_VAR, "serial").strip() or "serial"
-        return cls(quick=quick, backend=backend)
 
 
 def timed(fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Tuple[Any, float]:
@@ -81,26 +61,44 @@ def host_info() -> Dict[str, Any]:
     }
 
 
-def git_commit() -> str:
-    """The repository's current commit hash, or ``"unknown"``.
+def git_commit(repo: Path = Path(__file__).parent) -> str:
+    """The commit of the checkout holding ``repo``, or ``"unknown"``.
 
     Recorded in every JSON artifact so perf-trajectory tooling can pin a
     measurement to the code that produced it, even after the results
-    directory outlives the checkout.
+    directory outlives the checkout.  When a tracked or unignored file
+    differs from that commit the hash gets a ``-dirty`` suffix: the
+    commit did not produce the measurement on its own.  Files under
+    ``benchmarks/results/`` do not count, so one :func:`save_json` does
+    not mark the next.
     """
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args],
+            cwd=repo,
             capture_output=True,
             text=True,
             timeout=5,
             check=False,
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        status = git(
+            "status",
+            "--porcelain",
+            "--untracked-files=all",
+            "--",
+            ":(top)",
+            ":(top,exclude)benchmarks/results",
+        )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    commit = out.stdout.strip()
-    return commit if out.returncode == 0 and commit else "unknown"
+    commit = head.stdout.strip()
+    if head.returncode != 0 or not commit or status.returncode != 0:
+        return "unknown"
+    return f"{commit}-dirty" if status.stdout.strip() else commit
 
 
 def env_knobs() -> Dict[str, Any]:

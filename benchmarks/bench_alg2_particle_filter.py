@@ -7,9 +7,8 @@ count; the paper's optimal proposal q* improves the effective sample size
 over the bootstrap proposal; SIS *without* resampling collapses.
 
 The convergence sweep runs in the filter's sharded parallel mode through
-the configured :mod:`repro.parallel` backend (``--bench-backend`` /
-``REPRO_BENCH_BACKEND``); ``--quick`` shrinks the horizon and particle
-counts for CI.
+the library-wide :mod:`repro.parallel` backend (``REPRO_BACKEND``);
+``--quick`` shrinks the horizon and particle counts for CI.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from repro.assimilation import (
     normalize_log_weights,
     particle_filter,
 )
+from repro.parallel import get_backend
 from repro.stats import make_rng
 
 STEPS = 60
@@ -66,7 +66,7 @@ def run_experiment(config: BenchConfig = BenchConfig()):
                 model,
                 observations,
                 n,
-                backend=config.backend,
+                backend=get_backend(),
                 seed=10 + seed,
             )
             errors.append(
@@ -119,7 +119,7 @@ def test_alg2_particle_filter(benchmark, bench_config):
         {
             "config": {
                 "quick": bench_config.quick,
-                "backend": bench_config.backend,
+                "backend": get_backend().name,
             },
             "columns": ["particles", "rmse_vs_kalman", "mean_ess"],
             "rows": [list(row) for row in rows],

@@ -7,9 +7,9 @@ Monte Carlo counts.  Shape checks: identical estimates (same seed, same
 distribution), with the bundled path's advantage growing with n_mc.
 
 The naive path's Monte Carlo iterations are independent, so they run
-through the configured :mod:`repro.parallel` backend (``--bench-backend``
-/ ``REPRO_BENCH_BACKEND``); ``--quick`` shrinks table and iteration
-counts for CI.
+through the library-wide :mod:`repro.parallel` backend
+(``REPRO_BACKEND``); ``--quick`` shrinks table and iteration counts for
+CI.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from benchmarks._util import (
 )
 from repro.engine import Database, Schema
 from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
+from repro.parallel import get_backend
 
 
 def build_mcdb(num_rows: int = 150) -> MonteCarloDatabase:
@@ -64,7 +65,7 @@ def bundled_query(bundles, _db):
 def run_experiment(config: BenchConfig = BenchConfig()):
     num_rows = 40 if config.quick else 150
     mc_counts = (5, 20) if config.quick else (10, 50, 200)
-    backend = None if config.backend == "serial" else config.backend
+    backend = get_backend()
     mcdb = build_mcdb(num_rows)
     rows = []
     speedups = {}
@@ -106,7 +107,7 @@ def test_mcdb_tuple_bundles(benchmark, bench_config):
         {
             "config": {
                 "quick": bench_config.quick,
-                "backend": bench_config.backend,
+                "backend": get_backend().name,
             },
             "columns": headers,
             "rows": [list(row) for row in rows],

@@ -1,11 +1,9 @@
 """Pytest knobs for the benchmark harness.
 
 ``pytest benchmarks/ --quick`` runs every size-aware benchmark at small
-problem sizes (CI exercises the harness in seconds instead of minutes);
-``--bench-backend {serial,thread,process}`` selects the
-:mod:`repro.parallel` backend for the parallelized hot paths.  Both fall
-back to the ``REPRO_BENCH_QUICK`` / ``REPRO_BENCH_BACKEND`` environment
-variables so non-pytest entry points behave the same.
+problem sizes (CI exercises the harness in seconds instead of minutes).
+Parallelized hot paths take the library-wide backend from
+``REPRO_BACKEND``.
 """
 
 from __future__ import annotations
@@ -23,18 +21,9 @@ def pytest_addoption(parser):
         default=False,
         help="run benchmarks at small problem sizes (CI smoke mode)",
     )
-    group.addoption(
-        "--bench-backend",
-        default=None,
-        help="repro.parallel backend for benchmark hot paths "
-        "(serial, thread, process)",
-    )
 
 
 @pytest.fixture
 def bench_config(request) -> BenchConfig:
-    """Benchmark knobs: pytest flags first, environment fallback second."""
-    env = BenchConfig.from_env()
-    backend = request.config.getoption("--bench-backend") or env.backend
-    quick = request.config.getoption("--quick") or env.quick
-    return BenchConfig(quick=quick, backend=backend)
+    """Benchmark knobs from the pytest flags."""
+    return BenchConfig(quick=request.config.getoption("--quick"))

@@ -21,9 +21,9 @@ Observability is **off by default**: unless the ``REPRO_OBS``
 environment variable is set to a truthy value, :func:`get_observer`
 returns a shared :class:`NullObserver` whose instruments and spans are
 reusable singleton no-ops, so instrumented hot paths pay only a
-function call and an attribute check (``benchmarks/results/BENCH_obs.json``
-records the disabled path running within noise of un-instrumented
-timings).
+function call and an attribute check.  The repository benchmark
+(``perfbench/``) runs with ``REPRO_OBS`` unset, so every figure it
+reports includes the disabled path's cost.
 
 Determinism contract
 --------------------

@@ -1,8 +1,8 @@
 """CI smoke test for the benchmark harness.
 
-Runs two benchmarks' experiment bodies in ``--quick`` mode (small sizes,
-serial backend) so the tier-1 suite exercises the harness — config
-knobs, timing, report/JSON persistence — without multi-minute runs.
+Runs one benchmark's experiment body in ``--quick`` mode (small sizes)
+so the tier-1 suite exercises the harness — config knobs, timing,
+report/JSON persistence, commit provenance — without multi-minute runs.
 The full-size runs stay behind ``pytest benchmarks/``.
 """
 
@@ -10,33 +10,18 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 
 import pytest
 
-from benchmarks._util import RESULTS_DIR, BenchConfig
-from benchmarks.bench_engine_columnar import (
-    run_experiment as run_columnar_experiment,
-)
-from benchmarks.bench_ensemble_reuse import (
-    run_experiment as run_ensemble_experiment,
-)
-from benchmarks.bench_fault_overhead import (
-    run_experiment as run_fault_experiment,
-)
+from benchmarks._util import BenchConfig, git_commit
 from benchmarks.bench_mcdb_tuple_bundles import (
     run_experiment as run_mcdb_experiment,
 )
-from benchmarks.bench_parallel_backends import (
-    run_experiment as run_parallel_experiment,
-)
-from benchmarks.bench_delta_invalidation import (
-    run_experiment as run_delta_experiment,
-)
-from benchmarks.bench_serve import run_experiment as run_serve_experiment
 
 pytestmark = pytest.mark.bench_smoke
 
-QUICK = BenchConfig(quick=True, backend="serial")
+QUICK = BenchConfig(quick=True)
 
 
 def test_quick_mcdb_tuple_bundles():
@@ -46,55 +31,6 @@ def test_quick_mcdb_tuple_bundles():
     for _, naive_mean, bundled_mean, *_ in rows:
         assert abs(naive_mean - bundled_mean) < 2.0
     assert all(s > 0 for s in speedups.values())
-
-
-def test_quick_engine_columnar():
-    rows, speedups, identical = run_columnar_experiment(QUICK)
-    # Three workloads, all byte-identical across executors.
-    assert len(rows) == 3
-    assert all(identical.values())
-    assert all(s > 0 for s in speedups.values())
-
-
-def test_quick_parallel_backends():
-    rows, identical = run_parallel_experiment(QUICK)
-    # Two workloads x three backends, all byte-identical to serial.
-    assert len(rows) == 6
-    assert all(identical.values())
-
-
-def test_quick_fault_overhead():
-    rows, identical = run_fault_experiment(QUICK)
-    # Two workloads, each byte-identical with recovery on and off.
-    assert len(rows) == 2
-    assert all(identical.values())
-
-
-def test_quick_ensemble_reuse():
-    rows, reuse_ok = run_ensemble_experiment(QUICK)
-    # Two ensemble families; warm reruns execute zero nodes.
-    assert len(rows) == 2
-    assert all(row[-1] == 0 for row in rows)
-    assert all(reuse_ok.values())
-
-
-def test_quick_serve():
-    rows, dedupe, shed = run_serve_experiment(QUICK)
-    # Three workloads; identical concurrent requests cost exactly one
-    # execution with byte-identical responses, and a burst against a
-    # tiny server resolves every request (answered or explicitly shed).
-    assert len(rows) == 3
-    assert dedupe["executions"] == 1
-    assert dedupe["byte_identical"]
-    assert dedupe["dedupe_ratio"] > 0
-    assert shed["all_resolved"]
-
-
-def test_bench_config_env_roundtrip(monkeypatch):
-    monkeypatch.setenv("REPRO_BENCH_QUICK", "1")
-    monkeypatch.setenv("REPRO_BENCH_BACKEND", "thread")
-    config = BenchConfig.from_env()
-    assert config.quick and config.backend == "thread"
 
 
 def test_save_json_writes_self_describing_document(tmp_path, monkeypatch):
@@ -127,12 +63,34 @@ def test_env_knobs_records_every_repro_variable(monkeypatch):
     }
 
 
-def test_quick_delta_invalidation():
-    rows, acceptance = run_delta_experiment(QUICK)
-    # Three backends, each recomputing exactly the perturbed cone with
-    # byte-identical reuse against its own copy of the cold store.
-    assert len(rows) == 3
-    assert all(acceptance.values()), acceptance
-    payload = json.loads((RESULTS_DIR / "BENCH_delta.json").read_text())
-    fraction_column = payload["columns"].index("recompute_fraction")
-    assert all(row[fraction_column] < 0.05 for row in payload["rows"])
+def _git(repo, *args):
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.com"]
+    return subprocess.run(
+        ["git", *identity, "-c", "commit.gpgsign=false", *args],
+        cwd=repo,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+
+
+def test_git_commit_marks_a_tree_that_differs_from_head(tmp_path):
+    results = tmp_path / "benchmarks" / "results"
+    results.mkdir(parents=True)
+    (tmp_path / "model.py").write_text("RATE = 1\n")
+    (results / "RUN.json").write_text("{}\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "seed")
+    sha = _git(tmp_path, "rev-parse", "HEAD")
+    assert git_commit(tmp_path) == sha
+    # Results written by a run do not mark the next run's tree.
+    (results / "RUN.json").write_text('{"rerun": true}\n')
+    (results / "NEW.txt").write_text("new\n")
+    assert git_commit(tmp_path) == sha
+    # An unignored new file or an edited tracked file does.
+    (tmp_path / "helper.py").write_text("")
+    assert git_commit(tmp_path) == f"{sha}-dirty"
+    (tmp_path / "helper.py").unlink()
+    (tmp_path / "model.py").write_text("RATE = 2\n")
+    assert git_commit(tmp_path) == f"{sha}-dirty"

@@ -845,9 +845,7 @@ class TestEmptyConeShortCircuit:
         # may appear for a dispatch of zero nodes.
         assert not any(name.startswith("parallel.") for name in counters)
 
-    def test_dispatch_isolated_empty_returns_without_backend(
-        self, monkeypatch
-    ):
+    def test_empty_dispatch_resolves_no_backend(self, monkeypatch):
         import repro.ensemble.scheduler as scheduler_module
         from repro.ensemble import EnsembleResult
 

@@ -136,6 +136,14 @@ CORPUS = [
     "ON p.pid % 4 = r.mult * 0 WHERE p.region < r.region",
     "SELECT p.pid, r.region AS rr FROM person p JOIN region r "
     "ON p.pid % 4 = r.mult * 0 WHERE p.region >= r.region",
+    # Filter+aggregate, filtered str-key GROUP BY, and join+filter+group.
+    "SELECT count(*) AS n, sum(income) AS s, avg(income) AS m, "
+    "max(age) AS hi FROM person WHERE income > 21000 AND age < 60",
+    "SELECT region, count(*) AS n, sum(income) AS s FROM person "
+    "WHERE age IS NOT NULL GROUP BY region",
+    "SELECT r.region, count(*) AS n, avg(p.income) AS m FROM person p "
+    "JOIN region r ON p.region = r.region WHERE p.age > 15 "
+    "GROUP BY r.region",
 ]
 
 

@@ -764,17 +764,22 @@ class TestSchedulerSemantics:
 
     def test_demo_ensembles_complete_quickly(self, tmp_path):
         with injected(None):
-            for builder in (
+            for family in (
                 composite_caching_ensemble,
                 epidemic_branching_ensemble,
                 response_sweep_ensemble,
             ):
-                result = run_ensemble(
-                    builder(seed=0, quick=True),
-                    store=RunStore(tmp_path / builder.__name__),
-                )
+                store = RunStore(tmp_path / family.__name__)
+                result = run_ensemble(family(seed=0, quick=True), store=store)
                 result.raise_if_failed()
                 assert result.nodes_run == result.nodes
+                # A warm rerun against its own store executes nothing and
+                # serves every node byte-identically.
+                warm = run_ensemble(family(seed=0, quick=True), store=store)
+                warm.raise_if_failed()
+                assert warm.nodes_run == 0
+                assert warm.nodes_cached == warm.nodes == result.nodes
+                assert warm.fingerprints() == result.fingerprints()
 
     def test_epidemic_prefix_checkpoint_lands_in_store(self, tmp_path):
         store = RunStore(tmp_path)

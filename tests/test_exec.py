@@ -203,9 +203,9 @@ def _node_payload(fn, x, index):
     )
 
 
-class TestSubstrate:
+class TestBackendMap:
     @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
-    def test_submit_preserves_item_order(self, backend):
+    def test_map_preserves_item_order(self, backend):
         items = list(range(23))
         assert get_backend(backend).map(_square, items, scope="t.sq") == [
             i * i for i in items
@@ -216,7 +216,7 @@ class TestSubstrate:
         assert get_backend(backend) is backend
         assert get_backend("serial") is backend
 
-    def test_submit_with_stats_counts_injected_retries(self):
+    def test_map_with_stats_counts_injected_retries(self):
         plan = FaultPlan(failures={("t.flaky", 2): 1})
         results, stats = get_backend("serial").map_with_stats(
             _square,
@@ -231,7 +231,7 @@ class TestSubstrate:
         assert stats.injected == 1
         assert stats.tasks_failed == 0
 
-    def test_submit_collect_marks_terminal_failures(self):
+    def test_map_collect_marks_terminal_failures(self):
         plan = FaultPlan(failures={("t.dead", 1): 3})
         outputs = get_backend("serial").map(
             _square,
@@ -246,7 +246,7 @@ class TestSubstrate:
         assert survivors == [0, 4]
         assert [f.index for f in failures] == [1]
 
-    def test_run_isolated_ok_and_failed(self):
+    def test_run_node_ok_and_failed(self):
         ok = run_node(_node_payload(_node_square, 7, 0))
         assert isinstance(ok, TaskOutcome)
         assert (ok.status, ok.value) == ("ok", 49)
@@ -258,7 +258,7 @@ class TestSubstrate:
         assert dead.stats.tasks_failed == 1
 
     @pytest.mark.parametrize("backend", ("serial", "process"))
-    def test_dispatch_isolated_never_raises(self, backend):
+    def test_run_node_fan_out_never_raises(self, backend):
         payloads = [
             _node_payload(_node_boom if i == 1 else _node_square, i, i)
             for i in range(4)

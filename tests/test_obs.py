@@ -323,6 +323,75 @@ class TestDeterminismAcrossBackends:
 
 
 # ---------------------------------------------------------------------------
+# Enabling observability never changes a result
+# ---------------------------------------------------------------------------
+
+
+def _wordcount():
+    from repro.mapreduce.job import MapReduceJob, sum_reducer
+    from repro.mapreduce.runtime import Cluster
+
+    lines = [(None, f"alpha beta gamma w{i % 17}") for i in range(200)]
+    job = MapReduceJob("obs-wc", _word_mapper, sum_reducer)
+    return sorted(Cluster(num_workers=4).run(job, lines))
+
+
+def _sharded_particle_filter():
+    from repro.assimilation import LinearGaussianSSM, particle_filter
+    from repro.stats import make_rng
+
+    ssm = LinearGaussianSSM(a=0.9, q=0.5, r=0.5)
+    _, observations = ssm.simulate(12, make_rng(0))
+    result = particle_filter(
+        ssm.to_state_space_model(),
+        observations,
+        256,
+        backend="serial",
+        seed=1,
+        n_shards=4,
+    )
+    return (
+        result.filtered_means.tobytes(),
+        result.effective_sample_sizes.tobytes(),
+        result.log_likelihood,
+    )
+
+
+def _engine_group_by():
+    from repro.engine import Database, Schema
+
+    db = Database()
+    db.create_table("cells", Schema.of(cid=int, region=int, load=float))
+    for i in range(120):
+        db.table("cells").insert(
+            {"cid": i, "region": i % 5, "load": float(i % 11)}
+        )
+    return db.sql(
+        "SELECT region, avg(load) AS mean_load, count(*) AS n "
+        "FROM cells WHERE cid > 2 GROUP BY region ORDER BY region"
+    )
+
+
+class TestOutputsUnchangedByObs:
+    @pytest.mark.parametrize(
+        "workload, recorded",
+        [
+            (_wordcount, "mapreduce.shuffle_bytes"),
+            (_sharded_particle_filter, "assimilation.steps"),
+            (_engine_group_by, "engine.rows_scanned"),
+        ],
+    )
+    def test_outputs_equal_with_obs_off_and_on(self, workload, recorded):
+        obs.disable()
+        off = workload()
+        observer = obs.enable()
+        on = workload()
+        assert on == off
+        # The enabled path really ran: it recorded the workload.
+        assert observer.metrics.snapshot()["values"]["counters"][recorded] > 0
+
+
+# ---------------------------------------------------------------------------
 # obs-report entry point
 # ---------------------------------------------------------------------------
 

@@ -681,6 +681,42 @@ class TestServerIntegration:
         assert snapshot["admission"]["rejected"] >= 1
         assert snapshot["server"]["errors"].get("overloaded", 0) >= 1
 
+    def test_burst_resolves_every_request_answered_or_shed(self):
+        burst = 8
+        answered, shed, errors = [], [], []
+        # Every client connects before any sends, so the burst arrives
+        # together against 1 in-flight slot and 2 queue entries.
+        connected = threading.Barrier(burst, timeout=10)
+        with start_server(max_in_flight=1, max_queue=2) as (host, port):
+
+            def send(slot):
+                try:
+                    with Client(host, port) as client:
+                        connected.wait()
+                        try:
+                            client.ping(delay=0.3)
+                        except ServeError as exc:
+                            if exc.code != "overloaded":
+                                raise
+                            shed.append(slot)
+                        else:
+                            answered.append(slot)
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=send, args=(slot,))
+                for slot in range(burst)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(answered) + len(shed) == burst
+        assert answered and shed
+
     def test_request_timeout_maps_to_timeout_code(self):
         with start_server(request_timeout=0.2) as (host, port):
             with Client(host, port) as client:
