@@ -933,7 +933,8 @@ class ColumnarExecutor(Executor):
         return child.take(keep_mask(predicate))
 
     def _project_batch(self, node: lp.Project) -> ColumnBatch:
-        child = self._child_batch(node.child)
+        reads = frozenset().union(*(e.columns() for e in node.expressions))
+        child = self._child_batch(node.child, reads)
         columns = {
             alias: evaluate_batch(expr, child)
             for alias, expr in zip(node.aliases, node.expressions)

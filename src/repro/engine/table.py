@@ -35,6 +35,34 @@ from repro.errors import SchemaError
 Row = Dict[str, Any]
 
 
+def column_dtype(values: Sequence[Any]) -> type:
+    """The engine type of one column of values.
+
+    The type of its first non-NULL value, ``str`` when every value is
+    NULL.  A NumPy bool is a ``bool``.  A column whose non-NULL values
+    mix ints and floats (bools aside) is ``float``: typed ``int``, it
+    would truncate its floats.
+    """
+    first = next((v for v in values if v is not None), None)
+    if isinstance(first, (bool, np.bool_)):
+        return bool
+    if isinstance(first, (int, np.integer)):
+        types = set(map(type, values))
+        mixed = any(issubclass(t, (float, np.floating)) for t in types)
+        return float if mixed else int
+    if isinstance(first, (float, np.floating)):
+        return float
+    return str
+
+
+def _read_only(vec: ColumnVector) -> ColumnVector:
+    """``vec`` with its arrays (codes and dictionary too) made read-only."""
+    for array in (vec.values, vec.valid, vec.dictionary):
+        if array is not None:
+            array.flags.writeable = False
+    return vec
+
+
 class Table:
     """A named, schema-validated bag of rows.
 
@@ -73,50 +101,68 @@ class Table:
     ) -> "Table":
         """Infer a schema from the rows and build the table.
 
-        Columns come in the first row's order; each takes the type of its
-        first non-NULL value, ``str`` when every value is NULL.  A column
-        whose non-NULL values mix ints and floats (bools aside) is
-        ``float``: typed ``int``, it would truncate its floats.
+        Columns come in the first row's order, each typed by
+        :func:`column_dtype` over its values.
         """
         if not rows:
             raise SchemaError("cannot infer a schema from zero rows")
-        cols = []
-        for key in rows[0]:
-            value = next(
-                (row.get(key) for row in rows if row.get(key) is not None), None
-            )
-            dtype: type
-            if isinstance(value, bool):
-                dtype = bool
-            elif isinstance(value, (int, np.integer)):
-                mixed = any(
-                    isinstance(row.get(key), (float, np.floating))
-                    for row in rows
-                )
-                dtype = float if mixed else int
-            elif isinstance(value, (float, np.floating)):
-                dtype = float
-            else:
-                dtype = str
-            cols.append(Column(key, dtype))
+        cols = [
+            Column(key, column_dtype([row.get(key) for row in rows]))
+            for key in rows[0]
+        ]
         return cls(name, Schema(cols), rows)
 
     @classmethod
     def from_columns(
         cls, name: str, columns: Mapping[str, Sequence[Any]]
     ) -> "Table":
-        """Build a table from parallel column arrays."""
+        """Build a table from parallel column arrays.
+
+        Equal to :meth:`from_rows` over the rows the columns hold: each
+        column is typed by :func:`column_dtype` and its values coerced
+        by :meth:`Column.coerce`, as :meth:`Schema.validate_row` does,
+        except that a column whose values all have the column's exact
+        Python type (or are ``None``) is taken as it is.  The rows are
+        built with one ``zip``, and the typed columns seed the scan
+        cache, so the first :meth:`column_batch` converts nothing.
+        """
         lengths = {len(v) for v in columns.values()}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns with lengths {lengths}")
         n = lengths.pop() if lengths else 0
-        rows = [
-            {key: values[i] for key, values in columns.items()}
-            for i in range(n)
-        ]
-        if not rows:
+        if not n:
             raise SchemaError("from_columns needs at least one row")
-        return cls.from_rows(name, rows)
+        cols = []
+        typed = []
+        for key, values in columns.items():
+            column = Column(key, column_dtype(values))
+            exact = {column.dtype, type(None)}
+            if exact.issuperset(map(type, values)):
+                values = list(values)
+            else:
+                try:
+                    values = [column.coerce(v) for v in values]
+                except SchemaError:
+                    # Raise the row-major first failure, as from_rows does.
+                    return cls.from_rows(
+                        name,
+                        [dict(zip(columns, row)) for row in zip(*columns.values())],
+                    )
+            cols.append(column)
+            typed.append(values)
+        table = cls(name, Schema(cols))
+        names = list(columns)
+        table._rows = [dict(zip(names, row)) for row in zip(*typed)]
+        table._version = 1
+        batch = ColumnBatch(
+            {
+                column.name: _read_only(vector_from_typed(values, column.dtype))
+                for column, values in zip(cols, typed)
+            },
+            n,
+        )
+        table._batch_slot = (table._version, n, table._reorg_epoch, batch)
+        return table
 
     # -- mutation ----------------------------------------------------------
     def insert(self, row: Mapping[str, Any]) -> None:
@@ -280,10 +326,7 @@ class Table:
                     vec = vector_from_typed(
                         [row[name] for row in self._rows[:n]], column.dtype
                     )
-            for array in (vec.values, vec.valid, vec.dictionary):
-                if array is not None:
-                    array.flags.writeable = False
-            columns[name] = vec
+            columns[name] = _read_only(vec)
         batch = ColumnBatch(columns, n)
         self._batch_slot = (version, n, epoch, batch)
         return batch

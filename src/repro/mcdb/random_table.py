@@ -35,7 +35,7 @@ import numpy as np
 from repro.engine.catalog import Database
 from repro.engine.table import Table
 from repro.errors import VGFunctionError
-from repro.mcdb.vg import VGFunction
+from repro.mcdb.vg import RaggedRealizations, VGFunction, realization_columns
 
 Row = Dict[str, Any]
 ParamSource = Union[
@@ -65,9 +65,9 @@ class RandomTableSpec:
         row, whose columns become parameters), a callable
         ``(db, outer_row) -> mapping``, or ``None``.  The row-independent
         sources (mapping, SQL string, ``None``) are evaluated once per
-        instantiation, at the first outer row; a callable runs once per
-        outer row.  Either way each outer row's VG call receives its own
-        ``dict`` of parameters.
+        instantiation, and never for an empty outer table; a callable
+        runs once per outer row.  Either way each outer row draws as if
+        its VG call received its own ``dict`` of parameters.
     select:
         Mapping from output-column name to its source: either
         ``"outer.<col>"`` (copied from the outer row) or ``"vg.<col>"``
@@ -123,6 +123,11 @@ class RandomTableSpec:
             yield outer_row, dict(shared)
 
     def _assemble(self, outer_row: Row, vg_values: Mapping[str, Any]) -> Row:
+        """One output row from an outer row and its VG values.
+
+        The same rule assembles a naive world's output columns from the
+        outer columns and the VG columns, and a tuple bundle's row.
+        """
         if self.select is None:
             out = dict(outer_row)
             for column, value in vg_values.items():
@@ -148,22 +153,65 @@ class RandomTableSpec:
         return out
 
     # -- instantiation -------------------------------------------------------
+    def _outer_columns(
+        self, db: Database
+    ) -> Tuple[Dict[str, List[Any]], int]:
+        """The outer table's columns, read once, and its row count."""
+        if self.outer_table is None:
+            return {}, 1
+        table = db.table(self.outer_table)
+        columns = {
+            name: table.column_values(name) for name in table.schema.names
+        }
+        return columns, len(table)
+
+    def _vg_columns(
+        self, db: Database, rng: np.random.Generator, n: int
+    ) -> Dict[str, List[Any]]:
+        """The VG's ``n`` realizations as columns, one per outer row."""
+        if callable(self.parameters):
+            samples = [
+                self.vg.generate(rng, params)
+                for _, params in self._parametrized_rows(db)
+            ]
+            return realization_columns(samples)
+        params = self.resolve_parameters(db, {})
+        return self.vg.generate_many(rng, params, n)
+
     def instantiate(self, db: Database, rng: np.random.Generator) -> Table:
         """Generate one realization of this table (one database instance).
 
         This is the *naive* MCDB execution path: each Monte Carlo iteration
         calls ``instantiate`` afresh and runs the query on the result.
+
+        The world is built a column at a time.  The outer table's columns
+        are read once; a row-independent parameter source is resolved
+        once and the VG columns come from one
+        :meth:`~repro.mcdb.vg.VGFunction.generate_many` call, while a
+        callable source sees each outer row and its VG columns come from
+        one ``generate`` call per row.  The output columns then go to
+        :meth:`Table.from_columns`.  Realizations whose key sets differ
+        fit no columns and are assembled row by row.  Draws, values,
+        types and error messages are those of one ``generate`` per outer
+        row, assembled row by row and validated by :meth:`Table.from_rows`.
         """
-        rows = []
-        for outer_row, params in self._parametrized_rows(db):
-            vg_values = self.vg.generate(rng, params)
-            rows.append(self._assemble(outer_row, vg_values))
-        if not rows:
+        outer, n = self._outer_columns(db)
+        if n == 0:
             raise VGFunctionError(
                 f"random table {self.name!r} generated zero rows; "
                 f"outer table {self.outer_table!r} is empty"
             )
-        return Table.from_rows(self.name, rows)
+        try:
+            vg_columns = self._vg_columns(db, rng, n)
+        except RaggedRealizations as ragged:
+            pairs = zip(self._outer_rows(db), ragged.samples)
+            rows = [self._assemble(row, sample) for row, sample in pairs]
+            return Table.from_rows(self.name, rows)
+        columns = self._assemble(outer, vg_columns)
+        if not columns:
+            # An empty ``select``: columns alone cannot say how many rows.
+            return Table.from_rows(self.name, [{} for _ in range(n)])
+        return Table.from_columns(self.name, columns)
 
     def instantiate_bundle(
         self, db: Database, rng: np.random.Generator, n_mc: int

@@ -32,9 +32,17 @@ class VGFunction(ABC):
 
     A VG function maps a parameter dictionary to a realization of one or
     more uncertain values.  ``output_columns`` names the values produced;
-    :meth:`generate` returns one realization and :meth:`generate_bundle`
+    :meth:`generate` returns one realization, :meth:`generate_many`
+    returns ``n`` realizations as columns of Python values (one naive
+    Monte Carlo world's random table) and :meth:`generate_bundle`
     returns ``n`` realizations as arrays (the representation used by
     tuple-bundle query processing).
+
+    ``generate_many`` is held to ``n`` calls of ``generate``: the same
+    draws from ``rng``, the same values and Python types, and ``rng``
+    left in the same state.  The base class loops; ``NormalVG``
+    overrides it with one sized draw, and loops again when a subclass
+    overrides its ``generate``.
     """
 
     #: Names of the generated values.
@@ -45,6 +53,20 @@ class VGFunction(ABC):
         self, rng: np.random.Generator, params: Params
     ) -> Dict[str, Any]:
         """Generate one realization of the uncertain values."""
+
+    def generate_many(
+        self, rng: np.random.Generator, params: Params, n: int
+    ) -> Dict[str, List[Any]]:
+        """Generate ``n >= 1`` realizations as columns, one list per value.
+
+        Exactly ``n`` calls of :meth:`generate`, each handed its own
+        ``dict(params)``; the columns are the first realization's keys,
+        and realizations whose key sets differ raise
+        :class:`RaggedRealizations`.
+        """
+        return realization_columns(
+            [self.generate(rng, dict(params)) for _ in range(n)]
+        )
 
     def generate_bundle(
         self, rng: np.random.Generator, params: Params, n: int
@@ -71,6 +93,34 @@ class VGFunction(ABC):
         return [params[n] for n in names]
 
 
+class RaggedRealizations(VGFunctionError):
+    """Realizations whose key sets differ, which no set of columns holds.
+
+    Its ``samples`` keeps them, in draw order, for a caller that can
+    take them a row at a time.
+    """
+
+
+def realization_columns(
+    samples: Sequence[Mapping[str, Any]]
+) -> Dict[str, List[Any]]:
+    """One or more realizations as columns, keyed by the first one's keys.
+
+    Raises :class:`RaggedRealizations` when a realization's key set
+    differs from the first one's.
+    """
+    keys = samples[0].keys()
+    other = next((s for s in samples if s.keys() != keys), None)
+    if other is not None:
+        error = RaggedRealizations(
+            f"VG realizations differ in their keys: {sorted(keys)} "
+            f"and {sorted(other)}"
+        )
+        error.samples = samples
+        raise error
+    return {c: [s[c] for s in samples] for c in keys}
+
+
 class NormalVG(VGFunction):
     """Sample from ``Normal(mean, std)`` — the SBP_DATA example.
 
@@ -79,16 +129,25 @@ class NormalVG(VGFunction):
 
     output_columns = ("value",)
 
-    def generate(self, rng, params):
+    def _mean_std(self, params: Params) -> List[Any]:
         mean, std = self._require(params, "mean", "std")
         if std <= 0:
             raise VGFunctionError(f"std must be positive, got {std}")
+        return [mean, std]
+
+    def generate(self, rng, params):
+        mean, std = self._mean_std(params)
         return {"value": float(rng.normal(mean, std))}
 
+    def generate_many(self, rng, params, n):
+        if type(self).generate is not NormalVG.generate:
+            # A subclass's own ``generate`` defines its draws.
+            return super().generate_many(rng, params, n)
+        mean, std = self._mean_std(params)
+        return {"value": rng.normal(mean, std, size=n).tolist()}
+
     def generate_bundle(self, rng, params, n):
-        mean, std = self._require(params, "mean", "std")
-        if std <= 0:
-            raise VGFunctionError(f"std must be positive, got {std}")
+        mean, std = self._mean_std(params)
         return {"value": rng.normal(mean, std, size=n)}
 
 

@@ -270,6 +270,30 @@ class TestErrorsMatch:
             "'p.region', 'r.mult', 'r.region']"
         )
 
+    # A batched Project asks its input for the columns its expressions
+    # read, the same way.
+
+    def test_unknown_column_under_a_pruned_project(self, nullful_db):
+        sql = "SELECT pid, zz FROM person WHERE age > 10"
+        row, columnar = self._messages(
+            nullful_db, lambda db, mode: db.sql(sql, execution=mode)
+        )
+        assert row == columnar == (
+            "unknown column 'zz'; row has ['age', 'income', 'pid', 'region']"
+        )
+
+    def test_ambiguous_column_under_a_pruned_project(self, nullful_db):
+        sql = (
+            "SELECT age, p.pid AS k FROM person p JOIN person q "
+            "ON p.pid = q.pid WHERE p.income > 0"
+        )
+        row, columnar = self._messages(
+            nullful_db, lambda db, mode: db.sql(sql, execution=mode)
+        )
+        assert row == columnar == (
+            "ambiguous column 'age': matches ['p.age', 'q.age']"
+        )
+
     @pytest.mark.parametrize("how", ["inner", "left"])
     def test_clobber_under_a_pruned_join(self, nullful_db, how):
         # Unaliased scans: both sides carry ``age``, which no aggregate
@@ -303,6 +327,45 @@ class TestErrorsMatch:
         assert row == columnar == (
             "join output would clobber column 'age'; "
             "alias one side of the join"
+        )
+
+
+class TestPrunedInputs:
+    def test_filter_under_a_project_copies_the_columns_it_reads(
+        self, monkeypatch
+    ):
+        # perfbench's ``topk`` shape: the Filter under ``SELECT id, x, k``
+        # copies those three of the fact table's five columns.
+        db = Database()
+        db.create_table(
+            "fact", Schema.of(id=int, region=str, grp=int, x=float, k=int)
+        ).insert_many(
+            {
+                "id": i,
+                "region": ["north", "south", None][i % 3],
+                "grp": i % 4,
+                "x": float((i * 37) % 101),
+                "k": (i * 13) % 300,
+            }
+            for i in range(60)
+        )
+        copied = []
+        take = ColumnBatch.take
+
+        def spy(batch, indexer):
+            copied.append(len(batch.columns))
+            return take(batch, indexer)
+
+        monkeypatch.setattr(ColumnBatch, "take", spy)
+        sql = (
+            "SELECT id, x, k FROM fact WHERE region = 'north' "
+            "AND k > 100 ORDER BY x DESC LIMIT 7"
+        )
+        columnar = db.sql(sql, execution="columnar")
+        # The Filter's copy, then the Limit's.
+        assert copied == [3, 3]
+        assert result_fingerprint(columnar) == result_fingerprint(
+            db.sql(sql, execution="row")
         )
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine import Schema, Table, col, lit
+from repro.engine import Database, Schema, Table, col, lit
 from repro.engine.schema import Column
 from repro.errors import SchemaError
 
@@ -90,6 +90,80 @@ class TestTable:
     def test_from_columns_ragged(self):
         with pytest.raises(SchemaError):
             Table.from_columns("t", {"x": [1], "y": [1, 2]})
+
+    @pytest.mark.parametrize("build", ["from_rows", "from_columns"])
+    def test_numpy_bool_column_is_typed_bool(self, build):
+        columns = {"k": [1, 2], "b": np.array([True, False])}
+        if build == "from_rows":
+            t = Table.from_rows("t", [{"k": 1, "b": np.True_}, {"k": 2, "b": np.False_}])
+        else:
+            t = Table.from_columns("t", columns)
+        assert t.schema == Schema.of(k=int, b=bool)
+        assert [type(r["b"]) for r in t.rows] == [bool, bool]
+        db = Database()
+        db.register(t)
+        for mode in ("row", "columnar"):
+            assert db.sql("SELECT k FROM t WHERE b", execution=mode) == [{"k": 1}]
+            count = "SELECT COUNT(*) AS n FROM t WHERE b = TRUE"
+            assert db.sql(count, execution=mode) == [{"n": 1}]
+
+    def test_from_columns_equals_from_rows(self):
+        columns = {
+            "i": np.array([3, -1, 7]),
+            "f": np.array([0.5, 1.0, -2.25]),
+            "mixed": [1, None, 2.5],
+            "big": [2**60, None, 5],
+            "nul": [None, None, None],
+            "s": ["a", None, ""],
+            "flag": [True, None, np.False_],
+            "pyf": [1.5, 2.0, None],
+        }
+        rows = [
+            {name: values[i] for name, values in columns.items()} for i in range(3)
+        ]
+        built = Table.from_columns("t", columns)
+        ref = Table.from_rows("t", rows)
+        assert built.schema == ref.schema
+        typed = lambda t: [[(type(v), v) for v in r.values()] for r in t.rows]  # noqa: E731
+        assert typed(built) == typed(ref)
+        assert (built.version, built.reorg_epoch) == (ref.version, ref.reorg_epoch)
+        seeded, fresh = built.column_batch(), ref.column_batch()
+        for name in columns:
+            a, b = seeded.columns[name], fresh.columns[name]
+            assert a.kind == b.kind and a.values.dtype == b.values.dtype
+            assert a.values.tolist() == b.values.tolist()
+            assert a.valid.tolist() == b.valid.tolist()
+            assert not a.values.flags.writeable and not a.valid.flags.writeable
+
+    def test_from_columns_seeds_the_scan_cache(self, monkeypatch):
+        from repro.engine import table as table_module
+
+        t = Table.from_columns("t", {"x": [1, 2, 3], "s": ["a", "b", None]})
+        converted = []
+        real = table_module.vector_from_typed
+        monkeypatch.setattr(
+            table_module, "vector_from_typed",
+            lambda *a: converted.append(a) or real(*a),
+        )
+        assert t.column_batch() is t.column_batch()
+        assert converted == []
+        t.insert({"x": 4, "s": "d"})
+        assert t.column_batch().columns["x"].values.tolist() == [1, 2, 3, 4]
+        # Only the appended row was converted, one column at a time.
+        assert [len(a[0]) for a in converted] == [1, 1]
+
+    def test_from_columns_coercion_error_is_from_rows(self):
+        # Column ``a`` fails in the last row, ``c`` in the middle one:
+        # from_rows validates row by row and names ``c``.
+        columns = {"a": [1, 2, "zz"], "c": [0, "yy", 3]}
+        rows = [{"a": a, "c": c} for a, c in zip(*columns.values())]
+        with pytest.raises(SchemaError) as built:
+            Table.from_columns("t", columns)
+        with pytest.raises(SchemaError) as ref:
+            Table.from_rows("t", rows)
+        assert str(built.value) == str(ref.value) == (
+            "cannot coerce 'yy' to int for column 'c'"
+        )
 
     def test_delete_where(self):
         t = Table.from_columns("t", {"x": [1, 2, 3, 4]})

@@ -22,9 +22,12 @@ Covers the PR 7 acceptance surface:
 * the RunStore concurrent-access regression (many threads hammering
   one key).
 
-Tests that depend on ambient fault state wrap themselves in
-``injected(...)`` so the suite passes unchanged under a CI-set
-``REPRO_FAULTS`` environment.
+Every test runs with no fault plan, and one that needs a plan wraps
+itself in ``injected(...)``, so the suite passes unchanged under a
+CI-set ``REPRO_FAULTS`` environment.  A test marked ``ambient_faults``
+runs under the ambient plan instead: under the CI ``serve`` job's
+``REPRO_FAULTS=at=serve.request:0`` its first request's first attempt
+is killed, and the retry must still answer byte for byte.
 """
 
 from __future__ import annotations
@@ -64,8 +67,11 @@ from repro.serve.session import Session, SessionDatabase, SessionManager
 
 
 @pytest.fixture(autouse=True)
-def _quiet_faults():
+def _quiet_faults(request):
     """Serve tests control fault state explicitly (see module docstring)."""
+    if request.node.get_closest_marker("ambient_faults"):
+        yield
+        return
     with injected(None):
         yield
 
@@ -754,6 +760,52 @@ class TestServerDeterminism:
         )
         np.testing.assert_array_equal(
             served.result["samples"], dist.samples
+        )
+
+    @pytest.mark.ambient_faults
+    def test_served_answers_equal_in_process_under_the_ambient_plan(self):
+        from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
+        from repro.serve.server import _ScalarQuery
+
+        def canonical(result):
+            return json.dumps(
+                encode_payload(result), sort_keys=True, separators=(",", ":")
+            ).encode("utf-8")
+
+        namespace = 3
+        with start_server() as (host, port):
+            with Client(host, port) as client:
+                client.open_session(namespace=namespace)
+                # The naive world's table is built a column at a time:
+                # an outer table and constant parameters.
+                served = client.mcdb(**MCDB_BODY)
+                rows = client.sql(GROUP_SQL)
+        seed = fold_seed(namespace, MCDB_BODY["seed"])
+        mcdb = MonteCarloDatabase(build_demo_catalog(), seed=seed)
+        mcdb.register_random_table(
+            RandomTableSpec(
+                name="noise",
+                vg=NormalVG(),
+                outer_table="person",
+                parameters={"mean": 0.0, "std": 1.0},
+            )
+        )
+        dist = mcdb.run_naive(
+            _ScalarQuery(MCDB_BODY["statement"]), MCDB_BODY["n_mc"]
+        )
+        np.testing.assert_array_equal(served.result["samples"], dist.samples)
+        assert served.result_bytes == canonical(
+            {
+                "n": dist.n,
+                "expectation": float(dist.expectation()),
+                "variance": float(dist.variance()),
+                "samples": dist.samples,
+                "seed": seed,
+            }
+        )
+        expected = build_demo_catalog().sql(GROUP_SQL)
+        assert rows.result_bytes == canonical(
+            {"rows": expected, "rowcount": len(expected)}
         )
 
     def test_seed_namespaces_give_disjoint_streams(self):
