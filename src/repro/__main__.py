@@ -251,7 +251,7 @@ def ensemble_run(args) -> int:
 
 
 def _store_header(store) -> str:
-    """The one-line store summary (zero run.json reads)."""
+    """The one-line store summary (no entry is read)."""
     count, total = store.summary()
     if not count:
         return f"store {store.root!r} is empty"
@@ -273,9 +273,24 @@ def ensemble_ls(args) -> int:
     return 0
 
 
+def _non_negative(cast):
+    """An argparse ``type``: ``cast(raw)``, refused unless it is >= 0."""
+
+    def parse(raw: str):
+        value = cast(raw)
+        if not value >= 0:  # NaN too
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+        return value
+
+    parse.__name__ = cast.__name__  # names the type in argparse errors
+    return parse
+
+
 def ensemble_gc(args) -> int:
     store = _open_store(args.store)
-    max_age = args.max_age_days * 86400.0 if args.max_age_days else None
+    max_age = (
+        args.max_age_days * 86400.0 if args.max_age_days is not None else None
+    )
     evicted = store.gc(
         max_age_seconds=max_age, max_total_bytes=args.max_bytes
     )
@@ -531,11 +546,11 @@ def main(argv=None) -> int:
     )
     gc_cmd.add_argument("--store", default=default_store)
     gc_cmd.add_argument(
-        "--max-age-days", type=float, default=None,
+        "--max-age-days", type=_non_negative(float), default=None,
         help="evict entries older than this many days",
     )
     gc_cmd.add_argument(
-        "--max-bytes", type=int, default=None,
+        "--max-bytes", type=_non_negative(int), default=None,
         help="evict oldest entries until the store fits in this many bytes",
     )
     gc_cmd.set_defaults(handler=ensemble_gc)

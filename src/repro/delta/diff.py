@@ -407,9 +407,8 @@ def _diff_node(
 ) -> NodeDiff:
     """One node present on both sides under different keys.
 
-    ``store.get`` reads an entry evicted mid-read, or one torn by an
-    older version, as a miss: that is the ``unstored`` finding, not an
-    error.
+    ``store.get`` reads an entry evicted before it was opened as a
+    miss: that is the ``unstored`` finding, not an error.
     """
     result_a = store.get(key_a)
     result_b = store.get(key_b)

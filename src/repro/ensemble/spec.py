@@ -49,7 +49,8 @@ from repro.errors import SimulationError
 #: spec's integer seed (build generators with ``repro.stats.make_rng``),
 #: and ``upstream`` maps dependency node names to their results.  The
 #: result must be JSON-serializable apart from numpy arrays (which the
-#: run store persists losslessly as ``.npz`` entries).
+#: run store persists losslessly as ``.npy`` records, refusing arrays
+#: that hold Python objects).
 ScenarioFn = Callable[[Mapping[str, Any], int, Mapping[str, Any]], Any]
 
 _REGISTRY: Dict[str, ScenarioFn] = {}

@@ -10,8 +10,8 @@ name is a content address::
 
 so two processes that describe the same run derive the same key, a
 parameter dict reordered or re-typed through numpy derives the same
-key, and bumping :data:`STORE_SCHEMA_VERSION` (a serialization change)
-invalidates every old entry at once instead of mixing formats.
+key, and bumping :data:`STORE_SCHEMA_VERSION` (a change to the result
+encoding) invalidates every old entry at once instead of mixing formats.
 Dependency keys fold in Merkle-style: a node's address pins its whole
 upstream timeline, which is what lets branched ensembles share exactly
 their common prefix.
@@ -19,35 +19,39 @@ their common prefix.
 On-disk layout (documented in README "Ensemble orchestration")::
 
     <root>/
-      objects/<key[:2]>/<key>/run.json    # metadata + JSON result tree
-      objects/<key[:2]>/<key>/arrays.npz  # numpy leaves, lossless
-      checkpoints/                        # ChainCheckpoint files for
-                                          # crash-resumable chain prefixes
-      tmp/                                # put staging, doomed entries
-      generation                          # eviction generation token
+      runs/<key[:2]>/<key>   # one file per entry: a JSON header line,
+                             # then one .npy record per array
+      checkpoints/           # ChainCheckpoint files for
+                             # crash-resumable chain prefixes
+      tmp/                   # put staging
+      generation             # eviction generation token
 
-This is the only layout.  A root holding ``shards/`` was written by the
-retired sharded layout and is refused on open: a store is a cache, so
-such a root is deleted and its runs recomputed.
+An entry's first line is its document (schema, key, scenario, params,
+seed, the JSON result tree and the names of its arrays, in order) as
+compact JSON, its fields in sorted order and the result's dicts in
+their own; the arrays follow as ``.npy`` records, written and read
+without pickling.  This is the only layout.  A root holding
+``shards/`` or ``objects/`` was written by a retired layout (sharded,
+or a directory of two files per entry) and is refused on open: a store
+is a cache, so such a root is deleted and its runs recomputed.
 
-Writes are atomic: each entry is staged in a scratch directory and
-``os.rename``d into place, so readers never observe a half-written
-entry and a crash mid-``put`` leaves only scratch debris (removed by
-:meth:`RunStore.gc`).  Removals are atomic the same way: an entry
-directory is renamed into ``tmp/`` and deleted there, so a kill or a
+Writes are atomic: each entry is staged as one file in ``tmp/`` and
+hard-linked into place, which never replaces an entry, so the first
+commit of a key wins, readers never observe a half-written entry, and a
+crash mid-``put`` leaves only scratch debris (removed by
+:meth:`RunStore.gc`).  A removal is one ``os.unlink``, so a kill or a
 concurrent reader sees the whole entry or none of it.  ``gc`` evicts by
 age and/or total size, oldest first; hit/miss/put/eviction counts are
 kept on the store and mirrored to ``ensemble.store.*`` obs counters
 when observability is live.
 
 Entries are immutable, so a key seen present stays present until
-something removes it.  Every removal (``evict``, ``gc``, and ``get``
-dropping a torn entry) writes a fresh random token to
-``generation`` before its first removal and again after its last, and
-:meth:`RunStore.contains_many` answers a key it has already seen
-present under the current token from memory, statting only the rest.
-A store that never removed anything has no ``generation`` file; it
-reads as the empty token.
+something removes it.  Every removal (``evict`` and ``gc``) writes a
+fresh random token to ``generation`` before its first removal and again
+after its last, and :meth:`RunStore.contains_many` answers a key it has
+already seen present under the current token from memory, statting only
+the rest.  A store that never removed anything has no ``generation``
+file; it reads as the empty token.
 """
 
 from __future__ import annotations
@@ -55,10 +59,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import shutil
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
@@ -80,12 +83,20 @@ from repro.ensemble.spec import canonical_json, canonical_params
 from repro.errors import SimulationError
 from repro.obs import get_observer
 
-#: Bump when the entry format or result encoding changes; participates
-#: in every run key, so old entries become unreachable (and collectable
-#: by ``gc``) rather than mis-decoded.
+#: Bump when the result encoding changes (what ``decode_result(
+#: encode_result(x))`` returns); participates in every run key, so old
+#: entries become unreachable (and collectable by ``gc``) rather than
+#: mis-decoded.  The container is guarded apart from it: a root holding
+#: a retired layout's directory is refused on open.
 STORE_SCHEMA_VERSION = 1
 
 _ARRAY_MARKER = "__npz__"
+
+#: Top-level directory of each retired layout -> what wrote it.
+_RETIRED_LAYOUTS = {
+    "shards": "the retired sharded layout",
+    "objects": "the retired two-file entry layout",
+}
 
 
 def run_key(
@@ -127,6 +138,13 @@ def encode_result(result: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
 
     def walk(value: Any) -> Any:
         if isinstance(value, np.ndarray):
+            if value.dtype.hasobject:
+                raise SimulationError(
+                    f"scenario result contains an array of dtype "
+                    f"{value.dtype}, which the run store cannot persist "
+                    "without pickling; return arrays of numbers, bools "
+                    "or fixed-width strings"
+                )
             name = f"a{len(arrays)}"
             arrays[name] = value
             return {_ARRAY_MARKER: name}
@@ -182,8 +200,8 @@ def result_fingerprint(result: Any) -> str:
     """A sha256 over the full content of a result, arrays included.
 
     Byte-identity oracle for tests and benchmarks: two results with the
-    same fingerprint serialize to the same ``run.json`` + ``arrays.npz``
-    content (array dtype, shape, and raw bytes all participate).
+    same fingerprint store the same result tree and arrays (array dtype,
+    shape, and raw bytes all participate).
     """
     tree, arrays = encode_result(result)
     digest = hashlib.sha256()
@@ -231,32 +249,9 @@ class StoreEntry:
     params_json: str = ""
 
 
-def _discard_entry(
-    scratch: str,
-    key: str,
-    entry_dir: str,
-    checkpoint: Optional[str] = None,
-) -> bool:
-    """Remove ``key``'s entry directory; whether it existed.
-
-    The directory is renamed into ``scratch`` under a name no ``put``
-    stage can take (stages start with the key) and deleted there, so a
-    kill or a concurrent reader sees the whole entry or none of it;
-    ``gc``'s scratch sweep collects whatever a kill leaves behind.  The
-    chain ``checkpoint``, if given, goes with a removed entry.
-    """
-    doomed = os.path.join(scratch, f"evicted.{key}.{os.urandom(8).hex()}")
-    try:
-        os.rename(entry_dir, doomed)
-    except FileNotFoundError:
-        return False
-    shutil.rmtree(doomed, ignore_errors=True)
-    if checkpoint is not None:
-        try:
-            os.unlink(checkpoint)
-        except FileNotFoundError:
-            pass
-    return True
+def _read_header(handle) -> Dict[str, Any]:
+    """An entry's document, from its first line."""
+    return json.loads(handle.readline())
 
 
 class RunStore:
@@ -265,28 +260,29 @@ class RunStore:
     Thread-safe within one process: the serve layer hands a single
     store to every session, so ``get``/``put``/``evict`` from
     concurrent worker threads interleave freely.  Entry *content* is
-    already safe by construction (entries are immutable and committed
-    with one atomic rename — the first rename wins and later stagings
-    of identical content are discarded, which also makes concurrent
-    same-key writers from separate processes safe), but the in-process
-    paths share mutable state: :class:`StoreStats` increments are
-    read-modify-write, and a reader that has opened ``run.json`` can
-    lose ``arrays.npz`` to a concurrent ``evict``/``gc`` mid-read.  An
-    internal re-entrant lock therefore serializes the read path, the
-    stage-and-rename commit, and eviction; result encoding and array
-    staging (the expensive parts of ``put``) happen outside the lock.
-    The keys :meth:`contains_many` has seen present are one immutable
-    set, tagged with its generation and swapped under a lock of its own.
+    safe by construction: entries are immutable, each is one file
+    committed with one hard link (the first link wins and later
+    stagings of identical content are discarded, which also makes
+    concurrent same-key writers from separate processes safe), and a
+    reader that has opened an entry reads all of it even if a
+    concurrent ``evict``/``gc`` unlinks it meanwhile, so reads take no
+    lock.  :class:`StoreStats` increments are read-modify-write and take
+    a lock of their own; an internal re-entrant lock serializes the
+    commit and eviction.  Result encoding and staging (the expensive
+    parts of ``put``) happen outside it.  The keys
+    :meth:`contains_many` has seen present are one immutable set, tagged
+    with its generation and swapped under a lock of its own.
     """
 
     def __init__(self, root: os.PathLike) -> None:
         self.root = os.fspath(root)
-        if os.path.isdir(os.path.join(self.root, "shards")):
-            raise SimulationError(
-                f"run store {self.root!r} holds shards/, the retired "
-                "sharded layout, which this version does not read; a "
-                "store is a cache: delete it and rerun"
-            )
+        for name, layout in _RETIRED_LAYOUTS.items():
+            if os.path.isdir(os.path.join(self.root, name)):
+                raise SimulationError(
+                    f"run store {self.root!r} holds {name}/, {layout}, "
+                    "which this version does not read; a store is a "
+                    "cache: delete it and rerun"
+                )
         self.stats = StoreStats()
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()
@@ -294,13 +290,13 @@ class RunStore:
         # is sound under any token.
         self._present: Tuple[str, FrozenSet[str]] = ("", frozenset())
         self._present_lock = threading.Lock()
-        os.makedirs(self._objects_dir(), exist_ok=True)
+        os.makedirs(self._runs_dir(), exist_ok=True)
         os.makedirs(self.checkpoint_dir(), exist_ok=True)
         os.makedirs(self._scratch_dir(), exist_ok=True)
 
     # -- layout --------------------------------------------------------------
-    def _objects_dir(self) -> str:
-        return os.path.join(self.root, "objects")
+    def _runs_dir(self) -> str:
+        return os.path.join(self.root, "runs")
 
     def _scratch_dir(self) -> str:
         return os.path.join(self.root, "tmp")
@@ -312,10 +308,10 @@ class RunStore:
     def _checkpoint_path(self, key: str) -> str:
         return os.path.join(self.checkpoint_dir(), f"{key}.ckpt")
 
-    def _entry_dir(self, key: str) -> str:
-        """The directory ``key``'s entry lives in."""
+    def _entry_path(self, key: str) -> str:
+        """The file ``key``'s entry lives in."""
         self._validate_key(key)
-        return os.path.join(self._objects_dir(), key[:2], key)
+        return os.path.join(self._runs_dir(), key[:2], key)
 
     # -- eviction generation -------------------------------------------------
     def _generation_path(self) -> str:
@@ -372,7 +368,7 @@ class RunStore:
     # -- read path -----------------------------------------------------------
     def contains(self, key: str) -> bool:
         """Whether ``key`` has a committed entry (no stats recorded)."""
-        return os.path.exists(os.path.join(self._entry_dir(key), "run.json"))
+        return os.path.exists(self._entry_path(key))
 
     def contains_many(self, keys: Sequence[str]) -> List[bool]:
         """``[self.contains(key) for key in keys]``, statting only unseen keys.
@@ -407,47 +403,27 @@ class RunStore:
     def get(self, key: str) -> Optional[Any]:
         """The stored result for ``key``, or ``None`` on a miss.
 
-        An entry whose ``run.json`` references arrays that are not
-        there is a miss too.  Either a removal by another process took
-        the entry between the two reads, or the entry was torn by an
-        earlier version's in-place removal; a torn entry is moved into
-        ``tmp/`` as a removal, so the generation moves and the key
-        reads absent from then on.
+        The entry is opened once: a ``get`` that opened it before a
+        concurrent removal reads all of it, and one that opens it after
+        misses.
         """
-        entry_dir = self._entry_dir(key)
-        with self._lock:
-            try:
-                with open(
-                    os.path.join(entry_dir, "run.json"), "r", encoding="utf-8"
-                ) as handle:
-                    document = json.load(handle)
-            except FileNotFoundError:
-                self._note("misses")
-                return None
-            if document.get("schema") != STORE_SCHEMA_VERSION:
-                # Unreachable via run_key addressing; guards hand-made keys.
-                self._note("misses")
-                return None
-            arrays: Dict[str, np.ndarray] = {}
-            npz_path = os.path.join(entry_dir, "arrays.npz")
-            if os.path.exists(npz_path):
-                try:
-                    with np.load(npz_path) as payload:
-                        arrays = {name: payload[name] for name in payload.files}
-                except FileNotFoundError:
-                    pass  # removed since the check: decoding below misses
-            try:
-                result = decode_result(document["result"], arrays)
-            except KeyError:
-                torn = os.path.exists(
-                    os.path.join(entry_dir, "run.json")
-                ) and not os.path.exists(npz_path)
-                if torn:
-                    with self._removing():
-                        _discard_entry(self._scratch_dir(), key, entry_dir)
-                self._note("misses")
-                return None
-            self._note("hits")
+        try:
+            handle = open(self._entry_path(key), "rb")
+        except FileNotFoundError:
+            self._note("misses")
+            return None
+        with handle:
+            document = _read_header(handle)
+            arrays = {
+                name: np.lib.format.read_array(handle, allow_pickle=False)
+                for name in document["arrays"]
+            }
+        if document.get("schema") != STORE_SCHEMA_VERSION:
+            # Unreachable via run_key addressing; guards hand-made keys.
+            self._note("misses")
+            return None
+        result = decode_result(document["result"], arrays)
+        self._note("hits")
         return result
 
     # -- write path ----------------------------------------------------------
@@ -461,102 +437,81 @@ class RunStore:
     ) -> Any:
         """Persist ``result`` under ``key``; returns the normalized result.
 
-        Staged under ``tmp/`` and committed with one atomic rename of
-        the entry directory; a concurrent identical ``put`` of the same
-        key loses the rename race harmlessly.  A directory left at the
-        entry's place without a ``run.json`` (an entry torn by an earlier
-        version's in-place removal) is moved into ``tmp/`` and the
-        rename retried once.
+        Staged as one file under ``tmp/`` and committed with one hard
+        link, which never replaces an entry: when a same-key writer
+        (thread or process) committed first, this stage is dropped.
+        Entries are immutable and content-addressed, so losing that race
+        is harmless.
         """
-        entry_dir = self._entry_dir(key)
+        path = self._entry_path(key)
         tree, arrays = encode_result(result)
         document = {
-            "schema": STORE_SCHEMA_VERSION,
+            "arrays": list(arrays),
             "key": key,
-            "scenario": scenario,
             "params": canonical_json(params or {}),
-            "seed": int(seed),
             "result": tree,
+            "scenario": scenario,
+            "schema": STORE_SCHEMA_VERSION,
+            "seed": int(seed),
         }
         stage = os.path.join(
             self._scratch_dir(),
             f"{key}.{os.getpid()}.{threading.get_ident()}"
             f".{time.monotonic_ns()}",
         )
-        os.makedirs(stage)
         try:
-            # Staging happens lock-free: the scratch directory name is
-            # unique per thread, so concurrent writers never share it.
-            if arrays:
-                with open(os.path.join(stage, "arrays.npz"), "wb") as handle:
-                    np.savez(handle, **arrays)
-            with open(
-                os.path.join(stage, "run.json"), "w", encoding="utf-8"
-            ) as handle:
-                json.dump(document, handle, sort_keys=True, indent=1)
+            # Staging happens lock-free: the stage name is unique per
+            # thread, so concurrent writers never share it.
+            with open(stage, "wb") as handle:
+                # Not ``sort_keys``: the result's dicts keep their order,
+                # so ``get`` returns what ``put`` returns (sorted, arrays
+                # under keys out of order would be numbered, and
+                # fingerprinted, differently warm than cold).
+                line = json.dumps(document, separators=(",", ":"))
+                handle.write(line.encode("ascii") + b"\n")
+                for name in document["arrays"]:
+                    np.lib.format.write_array(
+                        handle, arrays[name], allow_pickle=False
+                    )
             with self._lock:
-                os.makedirs(os.path.dirname(entry_dir), exist_ok=True)
-                for retry in (False, True):
-                    try:
-                        os.rename(stage, entry_dir)
-                        break
-                    except OSError:
-                        if self.contains(key):
-                            # A same-key writer (thread or process)
-                            # committed first; entries are immutable and
-                            # content-addressed, so losing the race is
-                            # harmless.
-                            shutil.rmtree(stage, ignore_errors=True)
-                            break
-                        if retry:
-                            raise
-                        _discard_entry(self._scratch_dir(), key, entry_dir)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with suppress(FileExistsError):
+                    os.link(stage, path)
                 self._note("puts")
-        except Exception:
-            shutil.rmtree(stage, ignore_errors=True)
-            raise
+        finally:
+            with suppress(FileNotFoundError):
+                os.unlink(stage)
         return decode_result(tree, arrays)
 
     # -- maintenance ---------------------------------------------------------
     def _stat_entries(self) -> List[StoreEntry]:
-        """Every committed entry via ``stat`` only — no ``run.json`` reads.
+        """Every committed entry via ``stat`` only — no entry is read.
 
         Entries come back oldest first (mtime, then key) with the
         metadata fields (scenario/seed/params) left empty; :meth:`ls`
         fills them in for the entries it actually returns.
         """
-        objects_dir = self._objects_dir()
+        runs_dir = self._runs_dir()
         entries: List[StoreEntry] = []
-        if not os.path.isdir(objects_dir):
-            return entries
-        for prefix in sorted(os.listdir(objects_dir)):
-            prefix_dir = os.path.join(objects_dir, prefix)
-            if not os.path.isdir(prefix_dir):
-                continue
-            for key in sorted(os.listdir(prefix_dir)):
-                entry_dir = os.path.join(prefix_dir, key)
-                run_path = os.path.join(entry_dir, "run.json")
-                if not os.path.isfile(run_path):
-                    continue
+        for prefix in os.listdir(runs_dir):
+            prefix_dir = os.path.join(runs_dir, prefix)
+            for key in os.listdir(prefix_dir):
                 try:
-                    size = 0
-                    for filename in os.listdir(entry_dir):
-                        info = os.stat(os.path.join(entry_dir, filename))
-                        size += info.st_size
-                    mtime = os.stat(run_path).st_mtime
-                except OSError:
+                    info = os.stat(os.path.join(prefix_dir, key))
+                except FileNotFoundError:
                     continue  # evicted between listing and stat
-                entries.append(StoreEntry(key, "", 0, size, mtime))
+                entries.append(
+                    StoreEntry(key, "", 0, info.st_size, info.st_mtime)
+                )
         entries.sort(key=lambda entry: (entry.mtime, entry.key))
         return entries
 
     def _read_meta(self, entry: StoreEntry) -> StoreEntry:
-        """``entry`` with scenario/seed/params filled from ``run.json``."""
+        """``entry`` with scenario/seed/params filled from its header."""
         scenario, seed, params_json = "", 0, ""
-        run_path = os.path.join(self._entry_dir(entry.key), "run.json")
         try:
-            with open(run_path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            with open(self._entry_path(entry.key), "rb") as handle:
+                document = _read_header(handle)
             scenario = document.get("scenario", "")
             seed = int(document.get("seed", 0))
             params_json = document.get("params", "")
@@ -575,10 +530,10 @@ class RunStore:
         """Committed entries, oldest first (mtime, then key).
 
         ``limit`` truncates to the ``limit`` oldest entries *before* any
-        ``run.json`` is opened, so listing a huge store costs one cheap
-        ``stat`` pass plus O(limit) metadata reads rather than O(store).
-        ``with_meta=False`` skips the metadata reads entirely (keys,
-        sizes, and mtimes only).
+        header is read, so listing a huge store costs one cheap ``stat``
+        pass plus O(limit) header reads rather than O(store).
+        ``with_meta=False`` skips the header reads entirely (keys, sizes,
+        and mtimes only).
         """
         entries = self._stat_entries()
         if limit is not None:
@@ -592,9 +547,9 @@ class RunStore:
     def summary(self) -> Tuple[int, int]:
         """``(entry count, total bytes)`` from the stat pass alone.
 
-        O(entries) directory stats, zero ``run.json`` reads — the cheap
-        header line for ``python -m repro ensemble ls --summary`` and the
-        delta CLI's store banner.
+        O(entries) stats, zero entry reads — the cheap header line for
+        ``python -m repro ensemble ls --summary`` and the delta CLI's
+        store banner.
         """
         entries = self._stat_entries()
         return len(entries), sum(entry.size_bytes for entry in entries)
@@ -604,16 +559,20 @@ class RunStore:
         return self.summary()[1]
 
     def _discard(self, key: str) -> bool:
-        """Remove ``key``'s entry and checkpoint under the store lock."""
+        """Remove ``key``'s entry, and with it its chain checkpoint, under
+        the store lock; whether the entry existed."""
         with self._lock:
-            return _discard_entry(
-                self._scratch_dir(), key, self._entry_dir(key),
-                self._checkpoint_path(key),
-            )
+            try:
+                os.unlink(self._entry_path(key))
+            except FileNotFoundError:
+                return False
+            with suppress(FileNotFoundError):
+                os.unlink(self._checkpoint_path(key))
+        return True
 
     def evict(self, key: str) -> bool:
         """Remove one entry (and its chain checkpoint, if any)."""
-        if not os.path.isdir(self._entry_dir(key)):
+        if not self.contains(key):
             return False  # nothing to remove: the generation stays
         with self._removing():
             removed = self._discard(key)
@@ -648,10 +607,10 @@ class RunStore:
         batch — a total snapshotted before the age pass goes stale the
         moment a concurrent ``put`` lands, and trusting it could return
         with the store still above the bound.  Scratch debris from
-        crashed ``put`` calls is swept once it is older than
-        ``scratch_age_seconds`` — the age gate is what makes ``gc`` safe
-        to run concurrently with ``put``, whose staging directory lives
-        in the same scratch space until the atomic rename (an
+        crashed ``put`` calls and generation bumps is swept once it is
+        older than ``scratch_age_seconds`` — the age gate is what makes
+        ``gc`` safe to run concurrently with ``put``, whose stage lives
+        in the same scratch space until it is linked into place (an
         unconditional sweep used to delete an in-flight put's staging
         files out from under it).  With neither bound set, only stale
         debris is collected.
@@ -660,7 +619,7 @@ class RunStore:
         now = wall if now is None else now
         evicted: List[str] = []
         # Age/size eviction needs only keys, sizes, and mtimes — skip
-        # the per-entry run.json reads.
+        # the per-entry header reads.
         if max_age_seconds is not None:
             stale = [
                 entry.key
@@ -685,25 +644,14 @@ class RunStore:
                 if not removed:
                     break  # nothing evictable remains; avoid spinning
         scratch = self._scratch_dir()
-        if os.path.isdir(scratch):
-            for debris in os.listdir(scratch):
-                path = os.path.join(scratch, debris)
-                try:
-                    # Age against the real clock, not the caller-injected
-                    # ``now``: staging mtimes are real timestamps, so a
-                    # test pinning ``now`` must not nuke live stages.
-                    age = wall - os.path.getmtime(path)
-                except OSError:
-                    continue  # renamed or removed by a concurrent put
-                if age <= scratch_age_seconds:
-                    continue
-                if os.path.isdir(path):
-                    shutil.rmtree(path, ignore_errors=True)
-                else:  # a generation token staged by a killed bump
-                    try:
-                        os.unlink(path)
-                    except FileNotFoundError:
-                        pass
+        for debris in os.listdir(scratch):
+            path = os.path.join(scratch, debris)
+            # Age against the real clock, not the caller-injected
+            # ``now``: staging mtimes are real timestamps, so a test
+            # pinning ``now`` must not nuke live stages.
+            with suppress(FileNotFoundError):  # a concurrent put's commit
+                if wall - os.path.getmtime(path) > scratch_age_seconds:
+                    os.unlink(path)
         return evicted
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -63,6 +63,9 @@ from repro.faults import FaultPlan, RetryPolicy, injected
 
 BACKENDS = ("serial", "thread", "process")
 
+#: numpy's variable-width string dtype (numpy >= 2), which holds objects.
+STRING_DTYPE = getattr(getattr(np, "dtypes", None), "StringDType", None)
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -90,6 +93,10 @@ def always_fails(params, seed, upstream):
     raise SimulationError("scenario is broken on purpose")
 
 
+def object_array_scenario(params, seed, upstream):
+    return {"labels": np.array(["a", 1], dtype=object)}
+
+
 def context_probe(params, seed, upstream):
     context = current_node_context()
     return {
@@ -102,6 +109,7 @@ register_scenario("test.double", double_scenario)
 register_scenario("test.array", array_scenario)
 register_scenario("test.flaky", flaky_scenario)
 register_scenario("test.always_fails", always_fails)
+register_scenario("test.object_array", object_array_scenario)
 register_scenario("test.context_probe", context_probe)
 
 
@@ -491,14 +499,27 @@ class TestRunStore:
         store = RunStore(tmp_path)
         key = run_key("f", {"x": 1}, 0)
         store.put(key, {"v": 1})
-        store.put(key, {"v": 1})  # losing the rename race is harmless
+        store.put(key, {"v": 1})  # losing the commit race is harmless
         assert store.get(key) == {"v": 1}
-        # A failed put leaves only scratch debris, never a partial entry.
+        # A failed put leaves no entry, whole or partial.
         bad_key = run_key("f", {"x": 2}, 0)
         with pytest.raises(SimulationError):
             store.put(bad_key, {"v": object()})
         assert not store.contains(bad_key)
         assert store.get(bad_key) is None
+
+    def test_the_first_commit_of_a_key_wins(self, tmp_path):
+        """A commit never replaces an entry: a later ``put`` of the key
+        returns its own normalized result, leaves the stored one in
+        place and nothing in ``tmp/``."""
+        store = RunStore(tmp_path)
+        key = run_key("f", {"x": 1}, 0)
+        store.put(key, {"v": np.arange(3)})
+        assert store.put(key, {"v": (2,)}) == {"v": [2]}
+        for view in (store, RunStore(tmp_path)):
+            np.testing.assert_array_equal(view.get(key)["v"], np.arange(3))
+        assert os.listdir(store._scratch_dir()) == []
+        assert store.stats.puts == 2
 
     def test_malformed_key_rejected(self, tmp_path):
         store = RunStore(tmp_path)
@@ -542,8 +563,7 @@ class TestRunStore:
         keys = [run_key("f", {"x": i}, 0) for i in range(3)]
         for i, key in enumerate(keys):
             store.put(key, {"x": i}, scenario="f", seed=0)
-            run_json = os.path.join(store._entry_dir(key), "run.json")
-            os.utime(run_json, (1000.0 + i, 1000.0 + i))
+            os.utime(store._entry_path(key), (1000.0 + i, 1000.0 + i))
         listed = store.ls()
         assert [entry.key for entry in listed] == keys
         assert all(entry.scenario == "f" for entry in listed)
@@ -571,17 +591,16 @@ class TestRunStore:
 
         store = RunStore(tmp_path)
         debris = Path(store._scratch_dir()) / "crashed-put"
-        debris.mkdir()
-        (debris / "run.json").write_text("{}")
+        debris.write_text("{}")
         stale = _time.time() - 3600.0
         os.utime(debris, (stale, stale))
-        # A fresh staging dir — a concurrent in-flight put — survives.
+        # A fresh stage — a concurrent in-flight put — survives.
         inflight = Path(store._scratch_dir()) / "inflight-put"
-        inflight.mkdir()
+        inflight.write_text("{}")
         assert store.gc() == []
         assert not debris.exists()
         assert inflight.exists()
-        # Shrinking the age gate sweeps the remaining dir too.
+        # Shrinking the age gate sweeps the remaining stage too.
         assert store.gc(scratch_age_seconds=-1.0) == []
         assert not inflight.exists()
 
@@ -595,6 +614,99 @@ class TestRunStore:
     def test_encode_rejects_marker_collision(self):
         with pytest.raises(SimulationError):
             encode_result({"__npz__": "x"})
+
+    def test_round_trip_keeps_every_leaf_kind(self, tmp_path):
+        """Arrays of every persisted kind and layout, non-finite scalars
+        and nested containers read back as ``put`` returned them.  Keys
+        are out of sorted order: a read must keep the result's order,
+        or its arrays would be numbered, and fingerprinted, differently
+        from the cold result's."""
+        store = RunStore(tmp_path)
+        key = run_key("f", {"kinds": 1}, 0)
+        grid = np.arange(12, dtype=np.float64).reshape(3, 4)
+        original = {
+            "zero_d": np.array(7, dtype=np.int16),
+            "floats": grid,
+            "empty": np.zeros((0, 3), dtype=np.float32),
+            "strided": grid[:, ::2],
+            "fortran": np.asfortranarray(grid.astype(np.int64)),
+            "flags": np.array([True, False, True]),
+            "text": np.array(["\u03b1", "beta", ""]),
+            "nan": float("nan"),
+            "inf": np.float64(-np.inf),
+            "nested": {
+                "b": [1, [2.5, {"c": np.arange(3, dtype=np.uint8)}]],
+                "a": ("x", None, True),
+            },
+        }
+        assert not original["strided"].flags.contiguous
+        assert original["fortran"].flags.f_contiguous
+        put_back = store.put(key, original)
+        got = RunStore(tmp_path).get(key)
+        assert result_fingerprint(got) == result_fingerprint(original)
+        assert result_fingerprint(got) == result_fingerprint(put_back)
+
+        def arrays(value, path="$"):
+            if isinstance(value, np.ndarray):
+                yield path, value
+            elif isinstance(value, dict):
+                for name, item in value.items():
+                    yield from arrays(item, f"{path}.{name}")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    yield from arrays(item, f"{path}[{i}]")
+
+        expected = list(arrays(put_back))
+        assert [path for path, _ in arrays(got)] == [path for path, _ in expected]
+        for (path, array), (_, reference) in zip(arrays(got), expected):
+            assert array.dtype == reference.dtype, path
+            assert array.shape == reference.shape, path
+            assert array.flags.writeable == reference.flags.writeable, path
+            np.testing.assert_array_equal(array, reference)
+        assert np.isnan(got["nan"]) and got["inf"] == -np.inf
+        assert got["nested"]["a"] == ["x", None, True]
+
+    @pytest.mark.parametrize(
+        "dtype",
+        [
+            object,
+            [("label", object), ("x", "f8")],
+            pytest.param(
+                STRING_DTYPE and STRING_DTYPE(),
+                marks=pytest.mark.skipif(
+                    STRING_DTYPE is None, reason="numpy has no StringDType"
+                ),
+            ),
+        ],
+        ids=["object", "record", "string"],
+    )
+    def test_arrays_holding_objects_are_refused_before_staging(
+        self, tmp_path, dtype
+    ):
+        """numpy persists an array holding Python objects only by
+        pickling, which the store never reads back: ``put`` refuses it
+        like any other value it cannot persist, stages nothing and
+        leaves the key absent."""
+        store = RunStore(tmp_path)
+        key = run_key("f", {"objects": 1}, 0)
+        value = {"labels": np.zeros(2, dtype=dtype)}
+        with pytest.raises(SimulationError, match="without pickling"):
+            store.put(key, value)
+        with pytest.raises(SimulationError, match="without pickling"):
+            normalize_result(value)
+        assert not store.contains(key)
+        assert os.listdir(store._scratch_dir()) == []
+
+    def test_a_run_returning_an_object_array_fails_cold_and_warm(self, tmp_path):
+        """The run fails the same way every time, rather than running
+        cold and poisoning its key for every warm run."""
+        ensemble = Ensemble("objects")
+        ensemble.add("n0", ScenarioSpec("test.object_array", {}, seed=0))
+        store = RunStore(tmp_path)
+        for _ in range(2):
+            with injected(None), pytest.raises(SimulationError, match="pickling"):
+                run_ensemble(ensemble, store=store, backend="serial")
+        assert store.ls() == []
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +956,26 @@ class TestEnsembleCli:
         empty = _run_cli("ensemble", "ls", "--store", store)
         assert "empty" in empty.stdout
 
+    def test_gc_bounds_from_the_command_line(self, tmp_path):
+        """``--max-age-days 0`` is a bound, so it evicts every run older
+        than now; a negative bound is a usage error that evicts nothing."""
+        root = tmp_path / "store"
+        store = RunStore(root)
+        for i in range(3):
+            key = run_key("f", {"x": i}, 0)
+            store.put(key, {"v": i})
+            os.utime(store._entry_path(key), (1000.0, 1000.0))
+        for flag, value in (("--max-bytes", "-1"), ("--max-age-days", "-0.5")):
+            refused = _run_cli("ensemble", "gc", "--store", str(root), flag, value)
+            assert refused.returncode == 2, (flag, refused.stderr)
+            assert f"argument {flag}: must be >= 0, got {value}" in refused.stderr
+            assert refused.stdout == ""
+            assert RunStore(root).summary()[0] == 3
+        swept = _run_cli("ensemble", "gc", "--store", str(root), "--max-age-days", "0")
+        assert swept.returncode == 0, swept.stderr
+        assert "evicted 3 run(s)" in swept.stdout
+        assert RunStore(root).summary() == (0, 0)
+
     def test_store_env_var_default(self, tmp_path):
         store = str(tmp_path / "env-store")
         result = _run_cli(
@@ -851,7 +983,7 @@ class TestEnsembleCli:
             env_extra={"REPRO_ENSEMBLE_STORE": store},
         )
         assert result.returncode == 0, result.stderr
-        assert os.path.isdir(os.path.join(store, "objects"))
+        assert os.path.isdir(os.path.join(store, "runs"))
 
     def test_help_epilog_lists_commands(self):
         result = _run_cli("--help")
@@ -860,16 +992,15 @@ class TestEnsembleCli:
             assert command in result.stdout
 
 
-def test_run_json_on_disk_is_canonical(tmp_path):
-    """The persisted entry is valid JSON with the schema + canonical params."""
+def test_entry_header_on_disk_is_canonical(tmp_path):
+    """The entry's first line is JSON with the schema + canonical params."""
     store = RunStore(tmp_path)
     spec = ScenarioSpec("test.double", {"b": 2, "a": 1}, seed=4)
     key = run_key(scenario_qualname("test.double"), spec.params, spec.seed)
     store.put(key, {"v": 1}, scenario=spec.scenario, params=spec.params,
               seed=spec.seed)
-    document = json.loads(
-        (Path(store._entry_dir(key)) / "run.json").read_text()
-    )
+    header = Path(store._entry_path(key)).read_bytes().split(b"\n")[0]
+    document = json.loads(header)
     assert document["schema"] == STORE_SCHEMA_VERSION
     assert document["key"] == key
     assert document["params"] == '{"a":1,"b":2}'

@@ -4,19 +4,18 @@ eviction, and crash consistency under SIGKILL.
 ``RunStore.contains_many`` answers keys it has already seen present from
 memory, so it is only as sound as the generation protocol behind it:
 every path that removes an entry (``evict``, ``gc`` by age or size,
-gc's batch step run from another instance, ``get`` dropping a torn
-entry) must write a fresh token before its first removal and after its
-last.  These tests pin that per removal path, across store instances
-and processes, and with a hypothesis interleaving of put/get/evict/gc
-and reopening against per-key ``contains``.  Removals themselves must
-be atomic: an entry killed mid-removal is whole or gone, never torn.
-The SIGKILL tests stop a child process at fixed points inside ``put``,
-``gc`` and ``evict`` and check what it leaves behind.
+gc's batch step run from another instance) must write a fresh token
+before its first removal and after its last.  These tests pin that per
+removal path, across store instances and processes, and with a
+hypothesis interleaving of put/get/evict/gc and reopening against
+per-key ``contains``.  An entry is one file, so a removal is one unlink
+and a ``get`` racing it reads the whole entry or misses.  The SIGKILL
+tests stop a child process at fixed points inside ``put``, ``gc`` and
+``evict`` and check what it leaves behind.
 
 Tests marked :data:`VIEWS` run twice: through the instance that wrote
-the entries (id ``flat``), and through a second instance over the same
-root standing in for another process (id ``sharded``, the name of the
-retired layout whose cases these replace).
+the entries (id ``writer``), and through a second instance over the
+same root standing in for another process (id ``other-instance``).
 
 Children get an explicit environment (every ``REPRO_*`` variable
 dropped, then the ones they need set), so an ambient fault plan or
@@ -48,7 +47,9 @@ from tests.test_ensemble import REPO_ROOT, chain
 BASE_MTIME = 1_000_000_000.0
 
 #: ``reopen``: act through a second instance over the root, not the writer.
-VIEWS = pytest.mark.parametrize("reopen", (False, True), ids=("flat", "sharded"))
+VIEWS = pytest.mark.parametrize(
+    "reopen", (False, True), ids=("writer", "other-instance")
+)
 
 
 def _payload(i: int):
@@ -73,7 +74,7 @@ def _populate(store, count=6):
 
 def _age(store, key, minutes):
     stamp = BASE_MTIME + minutes * 60.0
-    os.utime(os.path.join(store._entry_dir(key), "run.json"), (stamp, stamp))
+    os.utime(store._entry_path(key), (stamp, stamp))
 
 
 def _agrees(store, keys):
@@ -81,7 +82,7 @@ def _agrees(store, keys):
 
 
 class CountingStore(RunStore):
-    """A flat store that counts the stats ``contains`` makes."""
+    """A store that counts the stats ``contains`` makes."""
 
     def __init__(self, root) -> None:
         self.stats_made = 0
@@ -218,15 +219,9 @@ class TestContainsMany:
 # the generation, per removal path
 # ---------------------------------------------------------------------------
 
-def _tear_and_get(store, keys):
-    """``get`` of an entry whose arrays are gone removes the entry."""
-    os.unlink(os.path.join(store._entry_dir(keys["n2"]), "arrays.npz"))
-    assert store.get(keys["n2"]) is None
-
-
 #: name -> (removal; victims as chain node names).
 REMOVAL_PATHS = {
-    "flat-evict": (lambda store, keys: store.evict(keys["n2"]), ("n2",)),
+    "evict": (lambda store, keys: store.evict(keys["n2"]), ("n2",)),
     "gc-by-age": (
         lambda store, keys: store.gc(max_age_seconds=0, now=BASE_MTIME + 61),
         ("n0", "n1"),
@@ -237,11 +232,10 @@ REMOVAL_PATHS = {
     ),
     # gc's batch step (``_evict_many``) from an instance that did not
     # write the entries.
-    "sharded-evict-many": (
+    "gc-by-another-instance": (
         lambda store, keys: RunStore(store.root).gc(max_total_bytes=0),
         ("n0", "n1", "n2", "n3"),
     ),
-    "migrate-layout": (_tear_and_get, ("n2",)),
 }
 
 
@@ -259,7 +253,7 @@ def test_removal_bumps_before_first_and_after_last(tmp_path, monkeypatch, path):
     assert plan_delta(ensemble, warm).nodes_reused == 4  # set filled
 
     def victims_left():
-        return sum(os.path.isdir(store._entry_dir(keys[name])) for name in victims)
+        return sum(os.path.exists(store._entry_path(keys[name])) for name in victims)
 
     bumps = []
     real_bump = RunStore._bump_generation
@@ -322,127 +316,39 @@ def test_gc_between_plan_and_execute_still_raises_vanished(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# atomic eviction: no torn entries
+# atomic eviction: a racing read is whole or a miss
 # ---------------------------------------------------------------------------
 
-class _Killed(BaseException):
-    """Stands in for a kill that stops a removal partway through."""
-
-
-def _rmtree_stopping_after(name):
-    """An ``rmtree`` that deletes ``name`` inside the tree, then dies."""
-
-    def rmtree(path, ignore_errors=False, onerror=None):
-        os.unlink(os.path.join(path, name))
-        raise _Killed(path)
-
-    return rmtree
-
-
 class TestAtomicEviction:
-    #: The two torn states an in-place removal left behind, by the file
-    #: it had deleted when it was stopped.  ``run.json`` alone made
-    #: ``contains`` say yes and a warm run die with ``KeyError``;
-    #: ``arrays.npz`` alone was invisible to ``gc`` and made every later
-    #: ``put`` of the key raise ``OSError``.
-    @pytest.mark.parametrize(
-        "deleted_first", ("arrays.npz", "run.json"), ids=("run-json-left", "arrays-left")
-    )
-    @VIEWS
-    def test_a_removal_stopped_midway_leaves_no_torn_entry(
-        self, tmp_path, monkeypatch, reopen, deleted_first
+    @pytest.mark.parametrize("by_gc", (False, True), ids=("evict", "gc"))
+    def test_an_eviction_racing_get_is_whole_or_a_miss(
+        self, tmp_path, monkeypatch, by_gc
     ):
-        writer = RunStore(tmp_path)
-        ensemble = chain(2, scenario="test.array")
-        with injected(None):
-            cold = run_ensemble(ensemble, store=writer)
-        key = compute_run_keys(ensemble)["n0"]
-        store = RunStore(tmp_path) if reopen else writer
-        monkeypatch.setattr(
-            "repro.ensemble.store.shutil.rmtree", _rmtree_stopping_after(deleted_first)
-        )
-        with pytest.raises(_Killed):
-            store.evict(key)
-        monkeypatch.undo()
-        assert not os.path.isdir(store._entry_dir(key))
-        for view in (writer, store):
-            assert not view.contains(key)
-            assert view.contains_many([key]) == [False]
-        with injected(None):
-            warm = run_ensemble(ensemble, store=writer)
-        warm.raise_if_failed()
-        assert warm.fingerprints() == cold.fingerprints()
-        assert store.contains(key)
-
-    @VIEWS
-    def test_put_heals_an_entry_torn_by_an_earlier_version(self, tmp_path, reopen):
-        writer = RunStore(tmp_path)
-        key = _key(0)
-        writer.put(key, _payload(0))
-        entry_dir = writer._entry_dir(key)
-        os.unlink(os.path.join(entry_dir, "run.json"))  # the old in-place rmtree
-        assert not writer.contains(key) and os.path.isdir(entry_dir)
-        store = RunStore(tmp_path) if reopen else writer
-        store.put(key, _payload(0))
-        for view in (writer, store):
-            assert result_fingerprint(view.get(key)) == result_fingerprint(_payload(0))
-        store.gc(scratch_age_seconds=-1)
-        assert os.listdir(os.path.join(store.root, "tmp")) == []
-
-    @VIEWS
-    def test_get_heals_an_entry_whose_arrays_are_gone(self, tmp_path, reopen):
-        """``run.json`` left without the ``arrays.npz`` it references (the
-        other torn state an earlier version's in-place removal left) is a
-        miss, and the read removes it, so a warm instance stops seeing it
-        and a warm run recomputes it."""
-        writer = RunStore(tmp_path)
-        ensemble = chain(2, scenario="test.array")
-        with injected(None):
-            cold = run_ensemble(ensemble, store=writer, backend="serial")
-        key = compute_run_keys(ensemble)["n0"]
-        warm = RunStore(tmp_path)  # stands in for another process
-        assert warm.contains_many([key]) == [True]
-        store = RunStore(tmp_path) if reopen else writer
-        entry_dir = store._entry_dir(key)
-        os.unlink(os.path.join(entry_dir, "arrays.npz"))  # the old in-place rmtree
-        assert store.contains(key)
-        token = store._read_generation()
-        misses = store.stats.misses
-        assert store.get(key) is None
-        assert store.stats.misses == misses + 1
-        assert store._read_generation() != token  # removed as a removal
-        assert not os.path.isdir(entry_dir) and not store.contains(key)
-        assert warm.contains_many([key]) == [False]
-        with injected(None):
-            rerun = run_ensemble(ensemble, store=writer, backend="serial")
-        rerun.raise_if_failed()
-        assert rerun.reports["n0"].status == "run"
-        assert rerun.reports["n1"].status == "cached"
-        assert rerun.fingerprints() == cold.fingerprints()
-        assert result_fingerprint(store.get(key)) == cold.fingerprints()["n0"]
-
-    @pytest.mark.parametrize("by_gc", (False, True), ids=("flat", "sharded"))
-    def test_an_eviction_racing_get_is_a_miss(self, tmp_path, monkeypatch, by_gc):
-        """Another instance removes the entry mid-read, by ``evict`` or
-        by ``gc`` (id ``sharded``)."""
+        """Another instance removes the entry, by ``evict`` or by ``gc``,
+        after a ``get`` opened it: that ``get`` returns the whole result,
+        and one that opens the entry afterwards misses."""
         store = RunStore(tmp_path)
         other = RunStore(tmp_path)
         key = _key(0)
         store.put(key, _payload(0))
-        real_load = np.load
+        real_read_array = np.lib.format.read_array
+        removals = []
 
-        def load(*args, **kwargs):
-            # another process removes it mid-read
-            if by_gc:
-                assert other.gc(max_total_bytes=0) == [key]
-            else:
-                other.evict(key)
-            return real_load(*args, **kwargs)
+        def read_array(*args, **kwargs):
+            if not removals:  # another process removes it mid-read
+                removals.append(
+                    other.gc(max_total_bytes=0) if by_gc else other.evict(key)
+                )
+                assert not os.path.exists(store._entry_path(key))
+            return real_read_array(*args, **kwargs)
 
-        monkeypatch.setattr(np, "load", load)
-        assert store.get(key) is None
+        monkeypatch.setattr(np.lib.format, "read_array", read_array)
+        opened_first = store.get(key)
         monkeypatch.undo()
-        assert store.stats.as_dict()["hits"] == 0
+        assert removals == [[key] if by_gc else True]
+        assert result_fingerprint(opened_first) == result_fingerprint(_payload(0))
+        assert store.get(key) is None
+        assert store.stats.as_dict()["hits"] == 1
         assert store.stats.as_dict()["misses"] == 1
         assert not store.contains(key)
         store.put(key, _payload(0))
@@ -465,7 +371,7 @@ class TestAtomicEviction:
 #: The child: run one store operation and touch ``marker`` at a fixed
 #: point inside it, then wait there to be killed.
 KILL_CHILD = r"""
-import os, shutil, sys, time
+import os, sys, time
 import numpy as np
 from repro.ensemble.store import RunStore
 
@@ -475,30 +381,30 @@ def stop_here():
     open(marker, "w").close()
     time.sleep(120)  # the parent kills the process here
 
-def stop_at_call(number, real):
+def stop_at_call(number, real, under=""):
+    # real, stopping before its number-th call on a path under ``under``
     calls = []
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == number:
-            stop_here()
-        return real(*args, **kwargs)
+    def wrapper(path, *args, **kwargs):
+        if path.startswith(under):
+            calls.append(path)
+            if len(calls) == number:
+                stop_here()
+        return real(path, *args, **kwargs)
     return wrapper
 
-def rmtree_one_file(path, *args, **kwargs):
-    os.unlink(os.path.join(path, "arrays.npz"))
-    stop_here()
-
-if point == "put":  # staged, not yet renamed into place
-    os.rename = stop_at_call(1, os.rename)
-    RunStore(root).put(key, {"series": np.arange(8.0), "tag": "killed"})
+runs = os.path.join(root, "runs")
+killed = {"series": np.arange(8.0), "tag": "killed"}
+if point == "put":  # staged, not yet linked into place
+    os.link = stop_at_call(1, os.link)
+    RunStore(root).put(key, killed)
+elif point == "put-linked":  # linked into place, the stage not yet removed
+    os.unlink = stop_at_call(1, os.unlink, under=os.path.join(root, "tmp"))
+    RunStore(root).put(key, killed)
 elif point == "gc":  # after the opening bump, between two removals
-    os.rename = stop_at_call(2, os.rename)
+    os.unlink = stop_at_call(2, os.unlink, under=runs)
     RunStore(root).gc(max_total_bytes=0)
-elif point == "evict-bumped":  # after the opening bump, before the rename
-    os.rename = stop_at_call(1, os.rename)
-    RunStore(root).evict(key)
-elif point == "evict-rmtree":  # renamed into tmp/, partly deleted there
-    shutil.rmtree = rmtree_one_file
+elif point == "evict-bumped":  # after the opening bump, before the unlink
+    os.unlink = stop_at_call(1, os.unlink, under=runs)
     RunStore(root).evict(key)
 sys.exit("the child was not stopped at " + point)
 """
@@ -543,20 +449,14 @@ def _kill_at(point, root, marker, key):
     assert child.returncode == -signal.SIGKILL
 
 
-#: kill point -> (test id, entries gone when the child is killed).  The
-#: ids ``sharded-gc`` and ``migrate`` once named kill points of the
-#: retired sharded layout.
-KILL_POINTS = {
-    "put": ("put", 0),
-    "gc": ("gc", 1),
-    "evict-bumped": ("sharded-gc", 0),
-    "evict-rmtree": ("migrate", 1),
-}
+#: kill point -> change in the entry count when the child is killed.
+KILL_POINTS = {"put": 0, "put-linked": 1, "gc": -1, "evict-bumped": 0}
+
+#: What the child's ``put`` writes.
+KILLED = {"series": np.arange(8.0), "tag": "killed"}
 
 
-@pytest.mark.parametrize(
-    "point", list(KILL_POINTS), ids=[test_id for test_id, _ in KILL_POINTS.values()]
-)
+@pytest.mark.parametrize("point", list(KILL_POINTS))
 def test_sigkill_leaves_a_consistent_store(tmp_path, point):
     root = tmp_path / "store"
     keys = _populate(RunStore(root))
@@ -566,17 +466,18 @@ def test_sigkill_leaves_a_consistent_store(tmp_path, point):
         view.contains_many(keys + [killed_key])
     token = views[0]._read_generation()
 
-    _kill_at(point, root, tmp_path / "marker", killed_key if point == "put" else keys[0])
+    putting = point.startswith("put")
+    _kill_at(point, root, tmp_path / "marker", killed_key if putting else keys[0])
 
     after = RunStore(root)
-    # Every point but put is past the removal's opening bump.
-    assert (after._read_generation() != token) == (point != "put")
+    # The removals are past their opening bump; a put bumps nothing.
+    assert (after._read_generation() != token) == (not putting)
     listed = [entry.key for entry in after.ls(with_meta=False)]
-    assert len(listed) == len(keys) - KILL_POINTS[point][1]
+    assert len(listed) == len(keys) + KILL_POINTS[point]
+    payloads = {key: _payload(i) for i, key in enumerate(keys)}
+    payloads[killed_key] = KILLED
     for key in listed:
-        assert result_fingerprint(after.get(key)) == result_fingerprint(
-            _payload(keys.index(key))
-        )
+        assert result_fingerprint(after.get(key)) == result_fingerprint(payloads[key])
     for view in views:
         assert _agrees(view, keys + [killed_key])
     budget = after.total_bytes() // 2
@@ -584,7 +485,9 @@ def test_sigkill_leaves_a_consistent_store(tmp_path, point):
     assert after.total_bytes() <= budget
     after.gc(scratch_age_seconds=-1)  # whatever the kill left in tmp/
     assert os.listdir(os.path.join(root, "tmp")) == []
-    for i, key in enumerate(keys):  # no torn leftover blocks a put
+    if point == "put-linked":  # sweeping the stage left the newest entry whole
+        assert result_fingerprint(after.get(killed_key)) == result_fingerprint(KILLED)
+    for i, key in enumerate(keys):  # nothing the kill left blocks a put
         after.put(key, _payload(i))
         assert result_fingerprint(after.get(key)) == result_fingerprint(_payload(i))
 

@@ -1,15 +1,16 @@
-"""One store layout, shared by several instances; the retired sharded
-layout is refused; gc under concurrency.
+"""One store layout, shared by several instances; retired layouts are
+refused; gc under concurrency.
 
 A root may be open in many :class:`RunStore` instances at once: one per
 process of a fleet, or several in one process.  Here ``n`` is the number
 of instances sharing a root.  Entries put through any of them land in
-the one ``objects/`` tree, every instance lists them in the same global
+the one ``runs/`` tree, every instance lists them in the same global
 oldest-first order, and ``gc`` through any one of them evicts exactly
 what a single-instance store over the same corpus evicts, in the same
-order.  A root holding ``shards/`` (the retired sharded layout) is
-refused through the API and the CLI, ``REPRO_STORE_SHARDS`` is ignored
-and ``--shards`` is an argparse error.  This file also pins the two
+order.  A root holding ``shards/`` (the retired sharded layout) or
+``objects/`` (the retired two-file entry layout) is refused through the
+API and the CLI, ``REPRO_STORE_SHARDS`` is ignored and ``--shards`` is
+an argparse error.  This file also pins the two
 store concurrency bugfixes: the gc size pass re-derives its total from
 surviving entries (a racing ``put`` can no longer leave the store above
 ``max_total_bytes``), and an 8-thread put/evict/gc hammer leaves a
@@ -76,17 +77,20 @@ def _populate(*stores, count=12, base_mtime=1_000_000_000.0):
         key = run_key("test.shared", {"i": i}, seed=i)
         store.put(key, _payload(i), scenario="test.shared", seed=i)
         stamp = base_mtime + ((i * 5) % count) * 60.0
-        run_path = os.path.join(store._entry_dir(key), "run.json")
-        os.utime(run_path, (stamp, stamp))
+        os.utime(store._entry_path(key), (stamp, stamp))
         keys.append(key)
     return keys
 
 
-def _retired_root(root):
-    """A root as the retired sharded layout left it: one entry under
-    ``shards/0/objects/`` and nothing else."""
+#: Retired layout -> the directory it kept entry directories in.
+RETIRED = {"shards": os.path.join("shards", "0", "objects"), "objects": "objects"}
+
+
+def _retired_root(root, layout):
+    """A root as a retired layout left it: one entry's ``run.json`` under
+    ``RETIRED[layout]`` and nothing else."""
     key = run_key("test.shared", {"i": 0}, seed=0)
-    entry_dir = os.path.join(root, "shards", "0", "objects", key[:2], key)
+    entry_dir = os.path.join(root, RETIRED[layout], key[:2], key)
     os.makedirs(entry_dir)
     with open(os.path.join(entry_dir, "run.json"), "w") as handle:
         handle.write('{"schema": 1, "result": {}}')
@@ -103,16 +107,15 @@ def _tree(root):
 
 class TestLayoutAndRoundTrip:
     @pytest.mark.parametrize("n", INSTANCES)
-    def test_entries_land_in_their_crc_shard(self, tmp_path, n):
-        """Whichever instance puts an entry, it lands at
-        ``objects/<key[:2]>/<key>/`` and every instance sees it."""
+    def test_entries_land_in_one_file_under_runs(self, tmp_path, n):
+        """Whichever instance puts an entry, it lands as the one file
+        ``runs/<key[:2]>/<key>`` and every instance sees it."""
         views = _instances(tmp_path, n)
         keys = _populate(*views, count=8)
         for key in keys:
-            entry_dir = os.path.join(str(tmp_path), "objects", key[:2], key)
-            assert os.path.isfile(os.path.join(entry_dir, "run.json"))
+            assert os.path.isfile(os.path.join(str(tmp_path), "runs", key[:2], key))
             assert all(view.contains(key) for view in views)
-        assert sorted(os.listdir(tmp_path)) == ["checkpoints", "objects", "tmp"]
+        assert sorted(os.listdir(tmp_path)) == ["checkpoints", "runs", "tmp"]
 
     @pytest.mark.parametrize("n", INSTANCES)
     def test_round_trip_is_byte_identical_to_flat(self, tmp_path, n):
@@ -225,36 +228,47 @@ class TestGlobalOrderIdentity:
         assert [e.key for e in faulted.ls()] == [e.key for e in plain.ls()]
 
 
-class TestMigration:
-    """A root the retired sharded layout wrote is refused, untouched."""
+#: Retired layout -> the words naming it in the refusal.
+REFUSALS = {
+    "shards": "holds shards/, the retired sharded layout",
+    "objects": "holds objects/, the retired two-file entry layout",
+}
+RETIRED_LAYOUTS = pytest.mark.parametrize("layout", list(RETIRED))
 
-    def test_sharded_store_reads_flat_layout_transparently(self, tmp_path):
-        _retired_root(tmp_path)
-        with pytest.raises(SimulationError, match="retired sharded layout") as exc:
+
+class TestMigration:
+    """A root a retired layout wrote is refused, untouched."""
+
+    @RETIRED_LAYOUTS
+    def test_open_refuses_a_retired_root(self, tmp_path, layout):
+        _retired_root(tmp_path, layout)
+        with pytest.raises(SimulationError, match=REFUSALS[layout]) as exc:
             RunStore(tmp_path)
         assert "a store is a cache: delete it and rerun" in str(exc.value)
 
-    def test_migrate_layout_moves_entries_into_shards(self, tmp_path):
-        """``python -m repro ensemble ls`` refuses it: non-zero exit,
-        the message on stderr, nothing listed."""
+    @RETIRED_LAYOUTS
+    def test_cli_ls_refuses_a_retired_root(self, tmp_path, layout):
+        """``python -m repro ensemble ls`` refuses it: exit code 1, the
+        message as one line on stderr, nothing listed."""
         root = tmp_path / "store"
-        _retired_root(root)
+        _retired_root(root, layout)
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         out = subprocess.run(
             [sys.executable, "-m", "repro", "ensemble", "ls", "--store", str(root)],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert out.returncode != 0
-        assert "retired sharded layout" in out.stderr
-        assert "delete it and rerun" in out.stderr
+        assert out.returncode == 1
+        assert REFUSALS[layout] in out.stderr
+        assert out.stderr.endswith("delete it and rerun\n")
+        assert out.stderr.count("\n") == 1
         assert out.stdout == ""
 
     @pytest.mark.parametrize("command", STORE_COMMANDS, ids=" ".join)
     def test_every_store_command_refuses_in_one_line(self, tmp_path, command):
         """Exit code 1, and stderr holds the refusal and nothing else."""
         root = tmp_path / "store"
-        _retired_root(root)
+        _retired_root(root, "shards")
         with pytest.raises(SimulationError) as refusal:
             RunStore(root)
         env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
@@ -267,19 +281,20 @@ class TestMigration:
         assert out.stderr == f"{refusal.value}\n"
         assert out.stdout == ""
 
-    def test_migrate_drops_flat_duplicate_of_sharded_entry(self, tmp_path):
+    @RETIRED_LAYOUTS
+    def test_the_refusal_creates_nothing(self, tmp_path, layout):
         """The refusal comes before the store creates anything."""
-        _retired_root(tmp_path)
+        _retired_root(tmp_path, layout)
         before = _tree(tmp_path)
         with pytest.raises(SimulationError):
             RunStore(tmp_path)
         assert _tree(tmp_path) == before
-        assert sorted(os.listdir(tmp_path)) == ["shards"]
+        assert sorted(os.listdir(tmp_path)) == [layout]
 
-    def test_gc_covers_unmigrated_flat_entries(self, tmp_path):
+    def test_deleting_the_root_and_rerunning_works(self, tmp_path):
         """Following the message works: delete the root and rerun."""
         root = tmp_path / "store"
-        _retired_root(root)
+        _retired_root(root, "objects")
         with pytest.raises(SimulationError):
             RunStore(root)
         shutil.rmtree(root)
@@ -293,13 +308,13 @@ class TestOpenStoreFactory:
 
     def test_explicit_shards_and_flat_default(self, tmp_path):
         store = RunStore(tmp_path / "a")
-        assert sorted(os.listdir(store.root)) == ["checkpoints", "objects", "tmp"]
+        assert sorted(os.listdir(store.root)) == ["checkpoints", "runs", "tmp"]
         (key,) = _populate(store, count=1)
         reopened = RunStore(tmp_path / "a")
         assert result_fingerprint(reopened.get(key)) == result_fingerprint(
             _payload(0)
         )
-        assert sorted(os.listdir(store.root)) == ["checkpoints", "objects", "tmp"]
+        assert sorted(os.listdir(store.root)) == ["checkpoints", "runs", "tmp"]
 
     def test_env_var_and_detection(self, tmp_path, monkeypatch):
         """A set ``REPRO_STORE_SHARDS`` is ignored by the API."""
@@ -307,7 +322,7 @@ class TestOpenStoreFactory:
         store = RunStore(tmp_path / "via-env")
         keys = _populate(store, count=4)
         assert not os.path.exists(os.path.join(store.root, "shards"))
-        assert all(os.path.isdir(store._entry_dir(key)) for key in keys)
+        assert all(os.path.isfile(store._entry_path(key)) for key in keys)
         reopened = RunStore(store.root)
         assert [e.key for e in reopened.ls()] == [e.key for e in store.ls()]
 
@@ -319,7 +334,7 @@ class TestOpenStoreFactory:
         assert main(["ensemble", "ls", "--store", str(root)]) == 0
         assert "is empty" in capsys.readouterr().out
         assert main(["ensemble", "gc", "--store", str(root)]) == 0
-        assert sorted(os.listdir(root)) == ["checkpoints", "objects", "tmp"]
+        assert sorted(os.listdir(root)) == ["checkpoints", "runs", "tmp"]
 
 
 class TestSchedulerAndDeltaOverShards:
