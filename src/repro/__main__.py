@@ -465,6 +465,8 @@ def query_cmd(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 def main(argv=None) -> int:
+    from repro.engine.operators import EXECUTIONS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Model-Data Ecosystems (PODS 2014) reproduction.",
@@ -670,7 +672,9 @@ def main(argv=None) -> int:
     query_parser.add_argument("--host", default="127.0.0.1")
     query_parser.add_argument("--port", type=int, default=7411)
     query_parser.add_argument(
-        "--execution", default=None, choices=("auto", "row", "columnar"),
+        "--execution", default=None, choices=EXECUTIONS,
+        help="executor for the statement: columnar (the default) or row, "
+        "the reference; both answer byte for byte alike",
     )
     query_parser.add_argument(
         "--session-namespace", type=int, default=None,

@@ -24,17 +24,14 @@ from repro.engine.expressions import (
 )
 from repro.engine.columnar import ColumnBatch, ColumnVector
 from repro.engine.operators import (
+    EXECUTIONS,
     ColumnarExecutor,
     ExecutionMetrics,
     Executor,
+    choose_execution,
     provider_from,
 )
 from repro.engine.partition import PartitionedTable
-from repro.engine.optimizer import (
-    EXECUTION_ENV_VAR,
-    choose_execution,
-    resolve_execution_mode,
-)
 from repro.engine.plan import AggregateSpec, plan_summary
 from repro.engine.query import Query, agg, avg, count, max_, min_, sum_
 from repro.engine.schema import Column as SchemaColumn
@@ -51,12 +48,11 @@ __all__ = [
     "ColumnVector",
     "ColumnarExecutor",
     "Database",
-    "EXECUTION_ENV_VAR",
+    "EXECUTIONS",
     "ExecutionMetrics",
     "Executor",
     "PartitionedTable",
     "choose_execution",
-    "resolve_execution_mode",
     "Expression",
     "FunctionCall",
     "InList",

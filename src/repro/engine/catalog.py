@@ -5,13 +5,8 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.engine import plan as lp
-from repro.engine.operators import (
-    ColumnarExecutor,
-    ExecutionMetrics,
-    Executor,
-    TableProvider,
-)
-from repro.engine.optimizer import choose_execution, optimize
+from repro.engine.operators import ExecutionMetrics, TableProvider, executor_for
+from repro.engine.optimizer import optimize
 from repro.engine.query import Query
 from repro.engine.schema import Schema
 from repro.engine.statistics import TableStatistics
@@ -157,19 +152,16 @@ class Database(TableProvider):
 
         Uncorrelated ``IN (SELECT ...)`` subqueries are materialized into
         literal value lists before planning, under the same
-        ``execution``.  ``execution`` selects the executor per plan
-        (``"row"``, ``"columnar"``, or ``"auto"``); when ``None`` it
-        defaults to the ``REPRO_ENGINE_EXECUTION`` environment variable,
-        then ``"auto"``.
+        ``execution``: ``"columnar"`` (``None`` means it) or ``"row"``,
+        the reference executor; any other value raises
+        :class:`~repro.errors.QueryError`.  A columnar plan holding a
+        LIMIT not directly over an ORDER BY still runs on the row
+        executor (see :func:`~repro.engine.operators.choose_execution`).
         """
         plan = self._materialize_subqueries(plan, execution)
         if optimized:
             plan = self.optimize_plan(plan)
-        if choose_execution(plan, execution) == "columnar":
-            executor: Executor = ColumnarExecutor(self, self.metrics)
-        else:
-            executor = Executor(self, self.metrics)
-        return executor.execute(plan)
+        return executor_for(self, plan, execution, self.metrics).execute(plan)
 
     def _materialize_subqueries(
         self, plan: lp.PlanNode, execution: Optional[str]

@@ -6,7 +6,7 @@ condition contains at least one equality between columns of opposite sides)
 and a nested-loop join otherwise; an :class:`ExecutionMetrics` object counts
 rows flowing through each operator so benchmarks can compare plan costs
 (e.g. the gridfields restrict/regrid commutation, or the full vs partitioned
-ABS self-join).
+ABS self-join).  :func:`executor_for` builds the executor a plan runs on.
 """
 
 from __future__ import annotations
@@ -1282,3 +1282,53 @@ class ColumnarExecutor(Executor):
             acc = np.full(n_groups, fill, dtype=np.float64)
         ufunc.at(acc, grouped, values)
         return _group_output(kind, acc, counts)
+
+
+# ---------------------------------------------------------------------------
+# Executor selection (columnar vs row)
+# ---------------------------------------------------------------------------
+
+#: The executors a caller may name with ``execution=``: the first runs
+#: when none is named, and ``"row"`` is the reference it answers to.
+EXECUTIONS = ("columnar", "row")
+
+
+def choose_execution(
+    plan: lp.PlanNode, requested: Optional[str] = None
+) -> str:
+    """Pick ``"row"`` or ``"columnar"`` for one plan.
+
+    ``requested`` is one of :data:`EXECUTIONS`, or ``None`` for the
+    first; any other value raises :class:`QueryError`.  Even
+    ``"columnar"`` degrades to row mode when the plan holds a LIMIT that
+    is not directly over an ORDER BY: the row pipeline evaluates lazily
+    and stops pulling once the limit is reached, so its per-operator
+    ``engine.operator.rows`` counters reflect the short-circuit — a
+    materializing batch executor could not emit identical observability.
+    Under an ORDER BY only the sort's own counter shows it, and the
+    columnar ``Limit`` handler reproduces that one.  Individual
+    non-vectorizable operators inside a columnar plan need no rule here;
+    :class:`ColumnarExecutor` falls back per node.
+    """
+    if requested is not None and requested not in EXECUTIONS:
+        raise QueryError(
+            f"unknown execution {requested!r}; expected one of {EXECUTIONS}"
+        )
+    if requested == "row" or any(
+        isinstance(n, lp.Limit) and not isinstance(n.child, lp.OrderBy)
+        for n in lp.walk(plan)
+    ):
+        return "row"
+    return "columnar"
+
+
+def executor_for(
+    provider: TableProvider,
+    plan: lp.PlanNode,
+    execution: Optional[str] = None,
+    metrics: Optional[ExecutionMetrics] = None,
+) -> Executor:
+    """The executor that runs ``plan`` under ``execution``."""
+    if choose_execution(plan, execution) == "columnar":
+        return ColumnarExecutor(provider, metrics)
+    return Executor(provider, metrics)

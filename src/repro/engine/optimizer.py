@@ -14,7 +14,6 @@ Two classical rewrites are implemented:
 
 from __future__ import annotations
 
-import os
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import plan as lp
@@ -23,7 +22,6 @@ from repro.engine.expressions import (
     combine_and,
     conjuncts,
 )
-from repro.errors import QueryError
 from repro.engine.statistics import TableStatistics, predicate_selectivity
 
 StatsLookup = Callable[[str], Optional[TableStatistics]]
@@ -272,55 +270,3 @@ def optimize(
     node = reorder_joins(node, stats_lookup)
     return push_down_filters(node, schema_lookup)
 
-
-# ---------------------------------------------------------------------------
-# Execution-mode selection (row vs columnar)
-# ---------------------------------------------------------------------------
-
-#: Environment knob overriding the default execution mode for every plan
-#: that does not pass an explicit ``execution=`` argument.
-EXECUTION_ENV_VAR = "REPRO_ENGINE_EXECUTION"
-
-_EXECUTION_MODES = ("auto", "row", "columnar")
-
-
-def resolve_execution_mode(requested: Optional[str] = None) -> str:
-    """Resolve the effective execution mode.
-
-    Precedence: explicit ``requested`` argument, then the
-    ``REPRO_ENGINE_EXECUTION`` environment variable, then ``"auto"``.
-    """
-    mode = requested
-    if mode is None:
-        mode = os.environ.get(EXECUTION_ENV_VAR) or "auto"
-    if mode not in _EXECUTION_MODES:
-        raise QueryError(
-            f"unknown execution mode {mode!r}; "
-            f"expected one of {_EXECUTION_MODES}"
-        )
-    return mode
-
-
-def choose_execution(
-    plan: lp.PlanNode, requested: Optional[str] = None
-) -> str:
-    """Pick ``"row"`` or ``"columnar"`` for one plan.
-
-    ``auto`` (and even a forced ``columnar``) degrades to row mode when
-    the plan holds a LIMIT that is not directly over an ORDER BY: the
-    row pipeline evaluates lazily and stops pulling once the limit is
-    reached, so its per-operator ``engine.operator.rows`` counters
-    reflect the short-circuit — a materializing batch executor could
-    not emit identical observability.  Under an ORDER BY only the sort's
-    own counter shows it, and the columnar ``Limit`` handler reproduces
-    that one.  Individual non-vectorizable operators inside a columnar
-    plan do not need this knob;
-    :class:`repro.engine.operators.ColumnarExecutor` falls back per node.
-    """
-    mode = resolve_execution_mode(requested)
-    if mode == "row" or any(
-        isinstance(n, lp.Limit) and not isinstance(n.child, lp.OrderBy)
-        for n in lp.walk(plan)
-    ):
-        return "row"
-    return "columnar"

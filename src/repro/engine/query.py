@@ -16,7 +16,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.engine import plan as lp
 from repro.engine.expressions import Column, Expression, col
-from repro.engine.operators import ExecutionMetrics, Executor, TableProvider
+from repro.engine.operators import ExecutionMetrics, TableProvider, executor_for
 from repro.errors import QueryError
 
 Row = Dict[str, Any]
@@ -186,16 +186,11 @@ class Query:
     ) -> List[Row]:
         """Execute the plan and return materialized rows.
 
-        ``execution`` selects row vs columnar evaluation (``"auto"``
-        consults the ``REPRO_ENGINE_EXECUTION`` environment variable).
+        ``execution`` is ``"columnar"`` (``None`` means it) or ``"row"``,
+        the reference executor, as for
+        :meth:`repro.engine.catalog.Database.execute_plan`.
         """
-        from repro.engine.operators import ColumnarExecutor
-        from repro.engine.optimizer import choose_execution
-
-        if choose_execution(self._plan, execution) == "columnar":
-            executor: Executor = ColumnarExecutor(self._provider, metrics)
-        else:
-            executor = Executor(self._provider, metrics)
+        executor = executor_for(self._provider, self._plan, execution, metrics)
         return executor.execute(self._plan)
 
     def scalar(self) -> Any:

@@ -149,7 +149,9 @@ def encode_result(result: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
             arrays[name] = value
             return {_ARRAY_MARKER: name}
         if isinstance(value, np.generic):
-            return value.item()
+            # ``item()`` can return what JSON cannot hold (``date``,
+            # ``timedelta``, ``complex``, ``bytes``): check it too.
+            return walk(value.item())
         if isinstance(value, Mapping):
             out = {}
             for key, item in value.items():
@@ -613,8 +615,16 @@ class RunStore:
         in the same scratch space until it is linked into place (an
         unconditional sweep used to delete an in-flight put's staging
         files out from under it).  With neither bound set, only stale
-        debris is collected.
+        debris is collected.  A negative or NaN bound raises
+        :class:`SimulationError` before anything is removed.
         """
+        for name, bound in (
+            ("max_age_seconds", max_age_seconds),
+            ("max_total_bytes", max_total_bytes),
+            ("scratch_age_seconds", scratch_age_seconds),
+        ):
+            if bound is not None and not bound >= 0:
+                raise SimulationError(f"gc {name} must be >= 0, got {bound}")
         wall = time.time()
         now = wall if now is None else now
         evicted: List[str] = []

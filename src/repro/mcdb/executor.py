@@ -241,7 +241,7 @@ class MonteCarloDatabase:
 
     def run_bundled(
         self,
-        query: Callable[[Dict[str, BundledTable], Database], np.ndarray],
+        query: Callable[[Dict[str, Any], Database], np.ndarray],
         n_mc: int,
         backend: Union[str, Backend, None] = None,
         retry: Optional[RetryPolicy] = None,
@@ -254,18 +254,15 @@ class MonteCarloDatabase:
         iteration).  ``backend`` parallelizes bundle instantiation across
         random tables, with per-table retry governed by ``retry``.
 
-        ``columnar=True`` hands the query
+        By default (``columnar=None`` or ``True``) the query receives
         :class:`~repro.mcdb.columnar_bundle.ColumnarBundleTable` objects
-        (one matrix per column over all iterations) instead of row
-        bundles — samples are byte-identical, elementwise query callables
-        work unchanged, and bundles whose tuples are not column-uniform
-        quietly stay row-bundled.  ``None`` consults the engine's
-        ``REPRO_ENGINE_EXECUTION`` knob (columnar when forced).
+        (one matrix per column over all iterations); a bundle whose
+        tuples carry different columns stays a row bundle.
+        ``columnar=False`` hands it the row bundles
+        (:class:`~repro.mcdb.tuple_bundle.BundledTable`), the reference:
+        samples are byte-identical, and elementwise query callables work
+        unchanged on either.
         """
-        if columnar is None:
-            from repro.engine.optimizer import resolve_execution_mode
-
-            columnar = resolve_execution_mode() == "columnar"
         observer = get_observer()
         observer.counter("mcdb.bundled_runs").inc()
         observer.counter("mcdb.bundled_samples").add(n_mc)
@@ -273,7 +270,7 @@ class MonteCarloDatabase:
             bundles = self.instantiate_bundles(
                 n_mc, backend=backend, retry=retry
             )
-            if columnar:
+            if columnar is None or columnar:
                 converted: Dict[str, Any] = {}
                 for name, bundle in bundles.items():
                     try:

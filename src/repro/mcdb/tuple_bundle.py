@@ -198,11 +198,13 @@ class BundledTable:
         """
         if not 0.0 <= q <= 1.0:
             raise QueryError(f"quantile level must be in [0,1], got {q}")
+        out = np.full(self.n_mc, np.nan)
+        if not self.rows:
+            return out
         values = np.stack(
             [_broadcast(row[column], self.n_mc).astype(float) for row in self.rows]
         )
         masks = np.stack([row[MASK_COLUMN] for row in self.rows])
-        out = np.full(self.n_mc, np.nan)
         for i in range(self.n_mc):
             present = values[masks[:, i], i]
             if present.size:

@@ -46,6 +46,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.engine.catalog import Database
 from repro.engine.csvio import table_from_csv
+from repro.engine.operators import EXECUTIONS
 from repro.engine.schema import Schema
 from repro.engine.sqlparser import (
     execute_statement,
@@ -491,9 +492,9 @@ class ReproServer:
         if not isinstance(statement, str) or not statement.strip():
             raise BadRequest("sql requires a non-empty 'statement' string")
         execution = message.get("execution")
-        if execution is not None and execution not in ("row", "columnar", "auto"):
+        if execution is not None and execution not in EXECUTIONS:
             raise BadRequest(
-                f"execution must be row|columnar|auto, got {execution!r}"
+                f"execution must be {'|'.join(EXECUTIONS)}, got {execution!r}"
             )
         # One parse per distinct text, shared with the worker below.
         kind, payload, reads, writes = parsed_statement(statement)  # → invalid_query
@@ -520,9 +521,11 @@ class ReproServer:
         selects = kind in ("select", "select_with_ctes")
         key = None
         if selects:
+            # A request naming no executor runs the default one, so both
+            # share one entry.
             key = request_key(
                 "sql",
-                {"statement": statement, "execution": execution or ""},
+                {"statement": statement, "execution": execution or EXECUTIONS[0]},
                 0,
                 table_scopes,
             )

@@ -55,11 +55,11 @@ def test_env_knobs_records_every_repro_variable(monkeypatch):
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
     monkeypatch.setenv("REPRO_BACKEND", "thread")
-    monkeypatch.setenv("REPRO_ENGINE_EXECUTION", "row")
+    monkeypatch.setenv("REPRO_FAULTS", "at=serve.request:0")
     monkeypatch.setenv("NOT_REPRO_X", "1")
     assert env_knobs() == {
         "REPRO_BACKEND": "thread",
-        "REPRO_ENGINE_EXECUTION": "row",
+        "REPRO_FAULTS": "at=serve.request:0",
     }
 
 

@@ -18,7 +18,7 @@ import repro.obs as obs
 from repro.engine import (
     ColumnarExecutor,
     Database,
-    EXECUTION_ENV_VAR,
+    EXECUTIONS,
     ExecutionMetrics,
     Executor,
     Schema,
@@ -27,7 +27,6 @@ from repro.engine import (
     col,
     lit,
     parse_select,
-    resolve_execution_mode,
     sum_,
 )
 from repro.engine import plan as lp
@@ -43,6 +42,7 @@ from repro.engine.expressions import FunctionCall, evaluate_batch, is_vectorizab
 from repro.ensemble.store import result_fingerprint
 from repro.errors import QueryError
 from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
+from repro.mcdb.columnar_bundle import ColumnarBundleTable
 from repro.mcdb.tuple_bundle import BundledTable
 
 MODES = ("row", "columnar")
@@ -369,24 +369,32 @@ class TestPrunedInputs:
         )
 
 
-class TestExecutionModeKnob:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(EXECUTION_ENV_VAR, raising=False)
-        assert resolve_execution_mode() == "auto"
-
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv(EXECUTION_ENV_VAR, "row")
-        assert resolve_execution_mode() == "row"
-        assert resolve_execution_mode("columnar") == "columnar"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(QueryError):
-            resolve_execution_mode("vectorized")
-
-    def test_auto_picks_columnar(self, monkeypatch):
-        monkeypatch.delenv(EXECUTION_ENV_VAR, raising=False)
+class TestExecutionNames:
+    def test_default_is_columnar(self):
+        assert EXECUTIONS == ("columnar", "row")
         plan = lp.Filter(lp.Scan("t"), col("x") > lit(1))
         assert choose_execution(plan) == "columnar"
+        assert choose_execution(plan, "columnar") == "columnar"
+        assert choose_execution(plan, "row") == "row"
+
+    def test_unknown_execution_rejected(self, nullful_db):
+        query = nullful_db.query("person").where(col("age") > 30)
+        for name in ("vectorized", "auto", "ROW"):
+            with pytest.raises(QueryError, match="unknown execution"):
+                choose_execution(lp.Scan("t"), name)
+            with pytest.raises(QueryError, match="unknown execution"):
+                nullful_db.sql("SELECT pid FROM person", execution=name)
+            with pytest.raises(QueryError, match="unknown execution"):
+                query.run(execution=name)
+
+    def test_query_cli_refuses_unknown_execution(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exited:
+            main(["query", "SELECT pid FROM person", "--execution", "auto"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'auto'" in err and "columnar" in err
 
     def test_limit_plans_run_row_mode(self):
         # The row pipeline short-circuits under LIMIT (its operator
@@ -394,7 +402,7 @@ class TestExecutionModeKnob:
         # replicate that, so LIMIT plans stay row-mode even when forced.
         plan = lp.Limit(lp.Scan("t"), 3)
         assert choose_execution(plan, "columnar") == "row"
-        assert choose_execution(plan, "auto") == "row"
+        assert choose_execution(plan) == "row"
 
     def test_subqueries_run_in_the_callers_mode(self, nullful_db, monkeypatch):
         ran = []
@@ -692,19 +700,39 @@ class TestMcdbColumnarBundles:
         columnar = mcdb.run_bundled(q, n_mc=25, columnar=True).samples
         np.testing.assert_array_equal(row, columnar)
 
-    def test_env_knob_selects_columnar_bundles(self, mcdb, monkeypatch):
-        seen = {}
+    def test_bundles_arrive_columnar_by_default(self, mcdb, monkeypatch):
+        seen = []
 
         def q(bundles, _db):
-            seen["type"] = type(bundles["sbp_data"]).__name__
-            return bundles["sbp_data"].aggregate_count().astype(float)
+            (bundle,) = bundles.values()
+            seen.append(type(bundle))
+            return bundle.filter(lambda r: r["sbp"] > 115.0).aggregate_avg("sbp")
 
-        monkeypatch.setenv(EXECUTION_ENV_VAR, "columnar")
-        mcdb.run_bundled(q, n_mc=5)
-        assert seen["type"] == "ColumnarBundleTable"
-        monkeypatch.delenv(EXECUTION_ENV_VAR)
-        mcdb.run_bundled(q, n_mc=5)
-        assert seen["type"] == "BundledTable"
+        default = mcdb.run_bundled(q, n_mc=30).samples
+        reference = mcdb.run_bundled(q, n_mc=30, columnar=False).samples
+        assert seen == [ColumnarBundleTable, BundledTable]
+        assert default.tobytes() == reference.tobytes()
+        # Tuples carrying different columns stay a row bundle.
+        odd = BundledTable(
+            "odd", [{"sbp": np.full(4, 120.0)}, {"sbp": np.ones(4), "x": 1}], 4
+        )
+        monkeypatch.setattr(
+            mcdb, "instantiate_bundles", lambda n_mc, **_: {"odd": odd}
+        )
+        mcdb.run_bundled(q, n_mc=4)
+        assert seen[-1] is BundledTable
+
+    def test_quantile_of_a_filter_that_keeps_nothing(self, mcdb):
+        # Row bundles raised on stacking zero tuples; both layouts now
+        # answer NaN for every iteration, as for the other aggregates.
+        def q(bundles, _db):
+            t = bundles["sbp_data"].filter(lambda r: r["sbp"] > 1e9)
+            return t.aggregate_quantile("sbp", 0.5)
+
+        row = mcdb.run_bundled(q, n_mc=6, columnar=False).samples
+        columnar = mcdb.run_bundled(q, n_mc=6).samples
+        assert np.isnan(row).all()
+        np.testing.assert_array_equal(row, columnar)
 
     def test_non_uniform_bundle_stays_rowwise(self):
         rows = [

@@ -26,13 +26,11 @@ import repro.obs as obs
 from repro.engine import (
     ColumnarExecutor,
     Database,
-    EXECUTION_ENV_VAR,
     ExecutionMetrics,
     Schema,
     choose_execution,
     col,
     parse_select,
-    resolve_execution_mode,
     sum_,
 )
 from repro.engine import operators
@@ -74,7 +72,6 @@ RETIRED_MORSEL_ENV_VAR = "REPRO_ENGINE_MORSEL"
 def _clean_env(monkeypatch):
     # This file sets execution modes and backends explicitly per test.
     monkeypatch.delenv(RETIRED_MORSEL_ENV_VAR, raising=False)
-    monkeypatch.delenv(EXECUTION_ENV_VAR, raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
 
@@ -152,11 +149,11 @@ class TestCrossModeIdentity:
         assert counts["columnar"] == counts["row"]
         assert counts["row"][0] > 0
 
-    def test_env_knob_routes_through_morsel(
+    def test_default_runs_the_columnar_executor(
         self, nullful_db, monkeypatch
     ):
-        # The retired knob is ignored: the default (auto) mode still
-        # runs the columnar executor and answers like the row executor.
+        # The retired knob is ignored: naming no executor still runs the
+        # columnar one, which answers like the row executor.
         ran = []
         execute = ColumnarExecutor.execute
 
@@ -168,17 +165,22 @@ class TestCrossModeIdentity:
         monkeypatch.setenv(RETIRED_MORSEL_ENV_VAR, "7")
         rows = nullful_db.sql("SELECT pid FROM person WHERE age > 30")
         assert len(ran) == 1
+        query = nullful_db.query("person").where(col("age") > 30).select("pid")
+        assert query.run() == rows
+        assert len(ran) == 2
         baseline = nullful_db.sql(
             "SELECT pid FROM person WHERE age > 30", execution="row"
         )
-        assert rows == baseline
+        assert rows == baseline == query.run(execution="row")
+        assert len(ran) == 2
 
-    def test_fluent_query_morsel(self, nullful_db):
+    def test_fluent_query_columnar_matches_row(self, nullful_db):
         grown = grown_in_morsels(nullful_db, 7)
         results = {}
         for label, db, mode in [
             ("row", nullful_db, "row"),
             ("columnar", grown, "columnar"),
+            ("default", grown, None),
         ]:
             metrics = ExecutionMetrics()
             q = (
@@ -187,7 +189,7 @@ class TestCrossModeIdentity:
                 .aggregate(sum_("income", "total"), group_by=["region"])
             )
             results[label] = (q.run(metrics, execution=mode), metrics.rows_scanned)
-        assert results["columnar"] == results["row"]
+        assert results["columnar"] == results["row"] == results["default"]
 
 
 class TestVectorizedLimit:
@@ -196,9 +198,9 @@ class TestVectorizedLimit:
 
     LIMIT_SQL = "SELECT pid FROM person WHERE age > 30 LIMIT 3"
 
-    def test_choose_execution_requires_morsel(self, nullful_db):
+    def test_bare_limit_runs_on_the_row_executor(self, nullful_db):
         plan = nullful_db.optimize_plan(parse_select(self.LIMIT_SQL))
-        for requested in (None, "auto", "columnar", "row"):
+        for requested in (None, "columnar", "row"):
             assert choose_execution(plan, requested) == "row"
         with pytest.raises(TypeError):
             choose_execution(plan, morsel=True)
@@ -212,7 +214,6 @@ class TestVectorizedLimit:
         assert isinstance(plan, lp.Limit)
         assert isinstance(plan.child, lp.OrderBy)
         assert choose_execution(plan) == "columnar"
-        assert choose_execution(plan, "auto") == "columnar"
         assert choose_execution(plan, "columnar") == "columnar"
         assert choose_execution(plan, "row") == "row"
 
@@ -383,23 +384,7 @@ class TestFusionHelpers:
         assert [r["a"] for r in rows] == list(range(2, 10))
 
 
-class TestMorselKnobs:
-    def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.setenv(RETIRED_MORSEL_ENV_VAR, "32")
-        assert resolve_execution_mode() == "auto"
-        monkeypatch.setenv(EXECUTION_ENV_VAR, "row")
-        assert resolve_execution_mode() == "row"
-        assert resolve_execution_mode("columnar") == "columnar"
-        monkeypatch.delenv(EXECUTION_ENV_VAR)
-        assert resolve_execution_mode() == "auto"
-
-    def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(QueryError):
-            resolve_execution_mode("morsel")
-        monkeypatch.setenv(EXECUTION_ENV_VAR, "banana")
-        with pytest.raises(QueryError):
-            resolve_execution_mode()
-
+class TestExecutionSettings:
     def test_sql_with_invalid_morsel_size(self, nullful_db):
         # There is no morsel size to pass any more.
         with pytest.raises(TypeError):

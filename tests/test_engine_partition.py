@@ -45,7 +45,6 @@ SCHEMES = ("hash", "range")
 def _clean_env(monkeypatch):
     # Neutralize the CI jobs' global knobs: this file sets execution
     # modes, backends, and fault plans explicitly per test.
-    monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
 

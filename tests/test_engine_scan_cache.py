@@ -27,7 +27,6 @@ SCHEMA = Schema.of(i=int, x=float, s=str, b=bool)
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE_EXECUTION", raising=False)
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
 
 

@@ -601,7 +601,11 @@ class TestRunStore:
         assert not debris.exists()
         assert inflight.exists()
         # Shrinking the age gate sweeps the remaining stage too.
-        assert store.gc(scratch_age_seconds=-1.0) == []
+        minute_ago = _time.time() - 60.0
+        os.utime(inflight, (minute_ago, minute_ago))
+        assert store.gc() == []
+        assert inflight.exists()
+        assert store.gc(scratch_age_seconds=30.0) == []
         assert not inflight.exists()
 
     def test_normalize_matches_store_normal_form(self):
@@ -696,6 +700,58 @@ class TestRunStore:
             normalize_result(value)
         assert not store.contains(key)
         assert os.listdir(store._scratch_dir()) == []
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [
+            np.datetime64("2020-01-01"),
+            np.timedelta64(5, "s"),
+            np.complex128(1 + 2j),
+            np.bytes_(b"x"),
+        ],
+        ids=["datetime64", "timedelta64", "complex128", "bytes_"],
+    )
+    def test_scalars_whose_item_json_cannot_hold_are_refused(
+        self, tmp_path, scalar
+    ):
+        """``item()`` turns these into ``date``, ``timedelta``,
+        ``complex`` and ``bytes``: the normal form refuses them as
+        ``put`` does, so a run fails with or without a store."""
+        store = RunStore(tmp_path)
+        key = run_key("f", {"scalar": 1}, 0)
+        value = {"t": scalar}
+        with pytest.raises(SimulationError, match="cannot persist"):
+            normalize_result(value)
+        with pytest.raises(SimulationError, match="cannot persist"):
+            store.put(key, value)
+        assert not store.contains(key)
+        assert os.listdir(store._scratch_dir()) == []
+        # NaT reads back as NULL.
+        assert normalize_result({"t": np.datetime64("NaT")}) == {"t": None}
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            {"max_total_bytes": -1},
+            {"max_age_seconds": -5},
+            {"max_total_bytes": float("nan")},
+            {"max_age_seconds": float("nan")},
+            {"scratch_age_seconds": -1},
+        ],
+        ids=lambda bound: "=".join(map(str, next(iter(bound.items())))),
+    )
+    def test_gc_refuses_a_negative_or_nan_bound(self, tmp_path, bound):
+        store = RunStore(tmp_path)
+        keys = [run_key("f", {"x": i}, 0) for i in range(3)]
+        for i, key in enumerate(keys):
+            store.put(key, {"x": i})
+        stage = Path(store._scratch_dir()) / "inflight-put"
+        stage.write_text("{}")
+        with pytest.raises(SimulationError, match="must be >= 0"):
+            store.gc(**bound)
+        assert sorted(entry.key for entry in store.ls()) == sorted(keys)
+        assert stage.exists()
+        assert store.stats.evictions == 0
 
     def test_a_run_returning_an_object_array_fails_cold_and_warm(self, tmp_path):
         """The run fails the same way every time, rather than running

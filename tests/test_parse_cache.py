@@ -273,11 +273,15 @@ class TestServedRequests:
                 assert parses == [SQL]
                 assert lookups() == (0, 1)
                 second = client.sql(SQL)  # a result-cache hit
+                # The default executor, named: the same entry.
+                columnar = client.sql(SQL, execution="columnar")
                 rows = client.sql(SQL, execution="row")  # executed again
-                assert lookups() == (2, 1)
+                assert lookups() == (3, 1)
         assert parses == [SQL]
-        assert (first.cache, second.cache, rows.cache) == ("miss", "hit", "miss")
-        assert first.result_bytes == second.result_bytes
+        assert (first.cache, second.cache, columnar.cache, rows.cache) == (
+            "miss", "hit", "hit", "miss"
+        )
+        assert first.result_bytes == second.result_bytes == columnar.result_bytes
         assert rows.result["rows"] == first.result["rows"]
 
     def test_retried_execution_does_not_parse_again(self, parses):

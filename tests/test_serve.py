@@ -633,6 +633,10 @@ class TestServerIntegration:
                 with pytest.raises(ServeError) as excinfo:
                     client.request({"op": "mcdb", "tables": []})
                 assert excinfo.value.code == "bad_request"
+                for execution in ("auto", "vectorized", 1):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.sql("SELECT pid FROM person", execution=execution)
+                    assert excinfo.value.code == "bad_request", execution
 
     def test_execution_failure_carries_code(self):
         with start_server() as (host, port):

@@ -7,7 +7,9 @@ generates NULL-rich, tie-rich tables and queries from the grammar
 keys, int keys and both, inner and left equi-joins on string and int
 keys, ``ORDER BY`` … ``LIMIT`` and ``ORDER BY`` over a grouped result,
 ``SELECT DISTINCT`` and ``DISTINCT`` aggregates, ``HAVING``, ``[NOT] IN
-(SELECT …)`` and ``WITH`` CTEs with column lists — and each query must
+(SELECT …)``, ``WITH`` CTEs with column lists, and select-list
+arithmetic (``+``, ``-``, ``*``, unary minus, ``abs`` and ``coalesce``
+over ``i``, ``f``, ``w`` and literals) — and each query must
 give the same answer with ``execution="row"``, with ``"columnar"`` (byte
 for byte) and through ``sqlite3``.  Int keys come in two widths: ``i``
 and ``v`` span a few values, which the engine addresses directly, and
@@ -33,6 +35,12 @@ The known differences are allowed here and nowhere else:
   sqlite adds in its own order.
 * ``/`` is true division here, integer division on sqlite integers: the
   sqlite text multiplies the dividend by ``1.0``.
+* ``/`` is left out of the arithmetic generator: ``i / 0`` raises
+  ``ZeroDivisionError`` in both executors, where sqlite answers NULL.
+* Integer arithmetic stays exact past 2**63 here, where sqlite switches
+  to REAL: such values compare within ``rel_tol``, but ``w * w + 1 - w *
+  w`` answers 1 here and 0.0 there, so the arithmetic generator stops at
+  four leaves, too few to cancel an overflowing term.
 * An ORDER BY key outside the select list raises ``QueryError`` here
   while sqlite accepts it, so none is generated.
 
@@ -470,6 +478,46 @@ def cte_queries(draw, shapes=CTE_SHAPES) -> Tuple[str, str, bool]:
     return sql, sql, False
 
 
+def arithmetic() -> st.SearchStrategy:
+    """Numeric expressions over ``t``'s ``i``, ``f`` and ``w`` and literals.
+
+    ``+``, ``-``, ``*``, unary minus, ``abs`` and ``coalesce``; a binary
+    operation is parenthesized or not, so operator precedence is in play.
+    Unary minus is followed by a space: ``--`` opens a comment.
+    """
+    atoms = st.one_of(
+        st.sampled_from(("i", "f", "w")),
+        st.sampled_from(INTS + FLOATS).map(_text),
+    )
+
+    def binary(a) -> str:
+        text = f"{a[0]} {a[1]} {a[2]}"
+        return f"({text})" if a[3] else text
+
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(
+                inner, st.sampled_from(("+", "-", "*")), inner, st.booleans()
+            ).map(binary),
+            inner.map(lambda x: f"- {x}"),
+            inner.map(lambda x: f"abs({x})"),
+            st.lists(inner, min_size=2, max_size=3).map(
+                lambda xs: f"coalesce({', '.join(xs)})"
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+@st.composite
+def arithmetic_queries(draw) -> Tuple[str, str, bool]:
+    items = draw(st.lists(arithmetic(), min_size=1, max_size=3))
+    select = ", ".join(f"{item} AS e{k}" for k, item in enumerate(items))
+    sql = f"SELECT id, {select} FROM t{_where(draw(MAYBE_PREDICATE))}"
+    return sql, sql, False
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -647,6 +695,12 @@ def test_ctes_with_column_lists_match_sqlite(tables, query):
 def test_cte_columns_mixing_ints_and_floats_match_sqlite(tables, query):
     # The whole default budget on the one shape that needs many rows to
     # put an int before a non-integral float.
+    check(*tables, query)
+
+
+@SETTINGS
+@given(databases(), arithmetic_queries())
+def test_select_list_arithmetic_matches_sqlite(tables, query):
     check(*tables, query)
 
 

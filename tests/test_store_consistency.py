@@ -483,7 +483,7 @@ def test_sigkill_leaves_a_consistent_store(tmp_path, point):
     budget = after.total_bytes() // 2
     after.gc(max_total_bytes=budget)
     assert after.total_bytes() <= budget
-    after.gc(scratch_age_seconds=-1)  # whatever the kill left in tmp/
+    after.gc(scratch_age_seconds=0)  # whatever the kill left in tmp/
     assert os.listdir(os.path.join(root, "tmp")) == []
     if point == "put-linked":  # sweeping the stage left the newest entry whole
         assert result_fingerprint(after.get(killed_key)) == result_fingerprint(KILLED)
