@@ -490,8 +490,8 @@ def main(argv=None) -> int:
     report.add_argument(
         "--backend",
         default=None,
-        help="execution backend: serial, thread, or process "
-        "(default: the REPRO_BACKEND environment variable)",
+        help="execution backend: serial or process "
+        "(default: the REPRO_BACKEND environment variable, else serial)",
     )
     report.add_argument(
         "--quick",
@@ -522,8 +522,8 @@ def main(argv=None) -> int:
     )
     run_cmd.add_argument(
         "--backend", default=None,
-        help="execution backend: serial, thread, or process "
-        "(default: the REPRO_BACKEND environment variable)",
+        help="execution backend: serial or process "
+        "(default: the REPRO_BACKEND environment variable, else serial)",
     )
     run_cmd.add_argument("--seed", type=int, default=0)
     run_cmd.add_argument(
@@ -590,8 +590,8 @@ def main(argv=None) -> int:
     )
     plan_cmd.add_argument(
         "--backend", default=None,
-        help="execution backend: serial, thread, or process "
-        "(default: the REPRO_BACKEND environment variable)",
+        help="execution backend: serial or process "
+        "(default: the REPRO_BACKEND environment variable, else serial)",
     )
     plan_cmd.set_defaults(handler=delta_plan_cmd)
 
@@ -659,9 +659,9 @@ def main(argv=None) -> int:
     serve_parser.add_argument("--cache-entries", type=int, default=256)
     serve_parser.add_argument(
         "--backend", default=None,
-        help="execution backend for mcdb/ensemble fan-out: serial, "
-        "thread, or process (default: the REPRO_BACKEND environment "
-        "variable)",
+        help="execution backend for mcdb/ensemble fan-out: serial or "
+        "process (default: the REPRO_BACKEND environment variable, else "
+        "serial)",
     )
     serve_parser.set_defaults(handler=serve_cmd)
 

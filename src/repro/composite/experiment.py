@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.stats.rng import _stable_digest
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,12 @@ class ExperimentManager:
         rendered = {
             t.name: t.render(assignment) for t in self._templates
         }
+        # A digest of the assignment, not builtin ``hash``: string
+        # hashes change with each interpreter.
+        key = _stable_digest(tuple(sorted(assignment.items())))
         rng = np.random.default_rng(
             np.random.SeedSequence(
-                entropy=self.seed,
-                spawn_key=(abs(hash(tuple(sorted(assignment.items())))) % (2**31), replication),
+                entropy=self.seed, spawn_key=(key, replication)
             )
         )
         response = float(self._run_fn(rng))

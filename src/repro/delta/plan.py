@@ -304,7 +304,7 @@ def _emit_plan_metrics(observer, plan: DeltaPlan) -> None:
 
     Pure functions of (ensemble, store contents) — never of the backend
     — and nonzero-guarded, so live ``values`` snapshots stay
-    byte-identical across serial/thread/process.
+    byte-identical across the serial and process backends.
     """
     observer.counter("delta.plan").inc()
     for metric, amount in (

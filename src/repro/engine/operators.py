@@ -1293,6 +1293,15 @@ class ColumnarExecutor(Executor):
 EXECUTIONS = ("columnar", "row")
 
 
+def check_execution(requested: Optional[str]) -> None:
+    """Raise :class:`QueryError` unless ``requested`` is ``None`` or one
+    of :data:`EXECUTIONS`."""
+    if requested is not None and requested not in EXECUTIONS:
+        raise QueryError(
+            f"unknown execution {requested!r}; expected one of {EXECUTIONS}"
+        )
+
+
 def choose_execution(
     plan: lp.PlanNode, requested: Optional[str] = None
 ) -> str:
@@ -1310,10 +1319,7 @@ def choose_execution(
     non-vectorizable operators inside a columnar plan need no rule here;
     :class:`ColumnarExecutor` falls back per node.
     """
-    if requested is not None and requested not in EXECUTIONS:
-        raise QueryError(
-            f"unknown execution {requested!r}; expected one of {EXECUTIONS}"
-        )
+    check_execution(requested)
     if requested == "row" or any(
         isinstance(n, lp.Limit) and not isinstance(n.child, lp.OrderBy)
         for n in lp.walk(plan)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.engine import plan as lp
+from repro.engine.operators import check_execution
 from repro.engine.expressions import (
     BinaryOp,
     Column,
@@ -835,7 +836,10 @@ def execute_statement(db, kind: str, payload, execution=None):
     """Execute one parsed statement (see :func:`parse_statement`) against ``db``.
 
     Returns what :func:`execute_sql` returns for the statement's text.
+    ``execution`` is checked before anything runs, for every statement
+    kind, so an unknown name never leaves a DDL or DML half applied.
     """
+    check_execution(execution)
     if kind == "select":
         return db.execute_plan(payload, execution=execution)
     if kind == "select_with_ctes":

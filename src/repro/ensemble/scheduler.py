@@ -559,8 +559,8 @@ def _emit_ensemble_metrics(
 
     Statuses, retry counts, and injections are pure functions of the
     ensemble, the store contents, and the fault plan — never of the
-    backend — so live snapshots stay byte-identical across
-    serial/thread/process, matching the :mod:`repro.obs` contract.
+    backend — so live snapshots stay byte-identical across the serial
+    and process backends, matching the :mod:`repro.obs` contract.
     """
     for metric, amount in (
         ("ensemble.nodes", outcome.nodes),

@@ -218,15 +218,6 @@ class RetryStats:
         self.injected += other.injected
         self.backoff_seconds += other.backoff_seconds
 
-    def any_recovery_activity(self) -> bool:
-        """Whether anything beyond plain first-attempt successes happened."""
-        return bool(
-            self.retries
-            or self.tasks_retried
-            or self.tasks_failed
-            or self.injected
-        )
-
 
 def _call_with_timeout(
     call: Callable[[], Any],

@@ -24,6 +24,7 @@ elementwise predicate like ``lambda r: r["x"] > 5`` broadcasts over a
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 import numpy as np
@@ -120,9 +121,15 @@ class ColumnarBundleTable:
         return BundledTable(self.name, rows, self.n_mc)
 
     def _widened(self) -> Dict[str, np.ndarray]:
-        """All columns as ``(n_rows, n_mc)`` matrices (mask included)."""
+        """All columns as ``(n_rows, n_mc)`` matrices (mask included).
+
+        With no tuples any column name reads as an empty matrix: the row
+        bundle never calls a predicate then, so no name can be unknown.
+        """
         shape = (self.n_rows, self.n_mc)
-        out: Dict[str, np.ndarray] = {}
+        out: Dict[str, np.ndarray] = (
+            {} if self.n_rows else defaultdict(lambda: np.zeros(shape))
+        )
         for column in self.order:
             if column in self.scalars:
                 arr = np.asarray(self.scalars[column])
@@ -219,6 +226,11 @@ class ColumnarBundleTable:
             return np.broadcast_to(
                 arr[:, None], (self.n_rows, self.n_mc)
             )
+        if not self.n_rows:
+            # A bundle with no tuples has no column list (the row bundle
+            # takes it from its tuples) and reads no value: any column
+            # is empty, as the row reference's aggregates treat it.
+            return np.zeros((0, self.n_mc))
         raise QueryError(f"unknown bundle column {column!r}")
 
     def _masked_sum(self, contributions: np.ndarray) -> np.ndarray:
@@ -292,7 +304,9 @@ class ColumnarBundleTable:
             )
         keys = self.scalars.get(group_column)
         if keys is None:
-            raise QueryError(f"unknown bundle column {group_column!r}")
+            if self.n_rows:
+                raise QueryError(f"unknown bundle column {group_column!r}")
+            keys = []
         values = self._column_matrix(value_column).astype(float)
         contributions = np.where(self.present, values, 0.0)
         # First-seen key order, accumulating in row order within each

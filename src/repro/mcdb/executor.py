@@ -155,13 +155,15 @@ class MonteCarloDatabase:
         ``query`` receives an instantiated database and returns a scalar;
         the collected values are samples of the query-result distribution.
 
-        Each iteration already draws from its own ``(seed, i)`` stream, so
-        iterations are independent tasks: ``backend`` fans them out across
-        a :mod:`repro.parallel` backend with samples byte-identical to the
-        serial loop (``backend=None``).  Failed iterations are retried
+        Each iteration draws from its own ``(seed, i)`` stream, so
+        iterations are independent tasks that ``backend`` fans out through
+        :meth:`repro.parallel.Backend.map` (``None`` means the
+        ``REPRO_BACKEND`` environment variable, else serial), with samples
+        byte-identical on every backend.  Failed iterations are retried
         per ``retry`` under the fault scope ``"mcdb.naive"``; a retried
         iteration re-runs on the same stream, so recovered samples are
-        byte-identical too.
+        byte-identical too.  On the process backend every chunk of
+        tasks carries this database, catalog included, across the pipe.
         """
         if n_mc < 1:
             raise SimulationError("n_mc must be >= 1")
@@ -169,20 +171,14 @@ class MonteCarloDatabase:
         observer.counter("mcdb.naive_runs").inc()
         observer.counter("mcdb.naive_iterations").add(n_mc)
         with observer.span("mcdb.run_naive", n_mc=n_mc):
-            if backend is not None:
-                samples = np.asarray(
-                    get_backend(backend).map(
-                        partial(_naive_iteration, self, query),
-                        range(n_mc),
-                        scope="mcdb.naive",
-                        retry=retry,
-                    )
+            samples = np.asarray(
+                get_backend(backend).map(
+                    partial(_naive_iteration, self, query),
+                    range(n_mc),
+                    scope="mcdb.naive",
+                    retry=retry,
                 )
-            else:
-                samples = np.empty(n_mc)
-                for i in range(n_mc):
-                    instance = self.instantiate(self._rng_for(i))
-                    samples[i] = float(query(instance))
+            )
         return QueryDistribution(samples)
 
     # -- bundled execution ---------------------------------------------------
@@ -206,9 +202,10 @@ class MonteCarloDatabase:
         """Generate tuple bundles (all MC iterations at once) per table.
 
         Tables use dedicated streams, so multi-table schemas instantiate
-        their bundles concurrently through ``backend`` with identical
-        results to the serial path.  Failed per-table instantiations are
-        retried per ``retry`` under the fault scope ``"mcdb.bundle"``.
+        their bundles as independent tasks through ``backend`` (``None``
+        means ``REPRO_BACKEND``, else serial) with identical results on
+        every backend.  Failed per-table instantiations are retried per
+        ``retry`` under the fault scope ``"mcdb.bundle"``.
         """
         if n_mc < 1:
             raise SimulationError("n_mc must be >= 1")
@@ -217,17 +214,12 @@ class MonteCarloDatabase:
         with observer.span(
             "mcdb.instantiate_bundles", tables=len(names), n_mc=n_mc
         ):
-            if backend is not None:
-                timed_tables = get_backend(backend).map(
-                    partial(_bundle_for_table, self, n_mc),
-                    names,
-                    scope="mcdb.bundle",
-                    retry=retry,
-                )
-            else:
-                timed_tables = [
-                    _bundle_for_table(self, n_mc, name) for name in names
-                ]
+            timed_tables = get_backend(backend).map(
+                partial(_bundle_for_table, self, n_mc),
+                names,
+                scope="mcdb.bundle",
+                retry=retry,
+            )
         # Per-bundle instantiation cost (Section 2.1's key trade-off):
         # each bundle reports its own build time and size; values are
         # recorded at the driver so they match on every backend.
@@ -293,8 +285,8 @@ def _naive_iteration(
 ) -> float:
     """Monte Carlo iteration ``i`` of the naive path (picklable task).
 
-    Draws from the same ``(seed, i)`` stream as the serial loop, so the
-    sample is identical wherever the task runs.
+    Draws from the ``(seed, i)`` stream, so the sample is identical
+    wherever the task runs.
     """
     return float(query(mcdb.instantiate(mcdb._rng_for(i))))
 

@@ -28,9 +28,9 @@ reports includes the disabled path's cost.
 Determinism contract
 --------------------
 The ``values`` section of a metrics snapshot is byte-identical across
-the ``serial``/``thread``/``process`` execution backends; only the
-``timing`` section and the trace (both wall-clock) may differ.  Two
-rules make this hold:
+the ``serial`` and ``process`` execution backends; only the ``timing``
+section and the trace (both wall-clock) may differ.  Two rules make
+this hold:
 
 * instrumented code records deterministic quantities from the *driver*,
   folding in worker results the same way :class:`JobCounters` are
@@ -39,7 +39,7 @@ rules make this hold:
   executes tasks under :func:`suppressed`, so a metric emitted inside a
   task body is dropped identically no matter where the task ran.  (The
   process backend could not propagate worker-side metrics anyway; the
-  suppression makes the serial and thread backends agree with it.)
+  suppression makes the serial backend agree with it.)
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ them apart:
   are pure functions of the workload (record counts, ESS series,
   evaluation budgets).  Instrumented hot paths only ever update them
   from the driver, so a values snapshot is byte-identical across the
-  ``serial``/``thread``/``process`` execution backends.
+  ``serial`` and ``process`` execution backends.
 * **timing** — timers accumulate wall-clock seconds.  They are real
   measurements and therefore differ run to run and backend to backend;
   consumers comparing snapshots must compare the ``values`` section

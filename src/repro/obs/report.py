@@ -10,11 +10,11 @@ query — then writes two artifacts:
 * ``OBS_report_trace.json`` — Chrome-trace format (open in
   ``chrome://tracing`` or https://ui.perfetto.dev);
 * ``OBS_report_metrics.json`` — the metrics snapshot, whose ``values``
-  section is byte-identical for ``REPRO_BACKEND=serial|thread|process``.
+  section is byte-identical for ``REPRO_BACKEND=serial|process``.
 
 Every function the report fans out is module-level, so the process
-backend runs the same experiment as serial/thread instead of falling
-back in-process.
+backend runs the same experiment as serial instead of falling back
+in-process.
 """
 
 from __future__ import annotations

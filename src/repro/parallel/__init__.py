@@ -6,16 +6,17 @@ instances independently per iteration, SimSQL runs map tasks and reduce
 partitions independently, and every replication loop in Sections 2-4
 (result caching, particle filtering, calibration sweeps) fans out over
 independent random streams.  This subpackage is the library's one
-fan-out surface: mapreduce, MCDB, the particle filter and
-ensemble/delta node dispatch all call
-``get_backend(spec).map(...)`` (or ``map_with_stats``) directly.
+fan-out surface: mapreduce, MCDB (naive worlds and bundles, the default
+``backend=None`` included), the particle filter and ensemble/delta node
+dispatch all call ``get_backend(spec).map(...)`` (or
+``map_with_stats``) directly.
 
 * :class:`~repro.parallel.backend.Backend` — the executor protocol: an
   ordered ``map`` over picklable task closures, retried per
   :mod:`repro.faults` under a named fault ``scope``;
 * :func:`~repro.parallel.backend.get_backend` — factory resolving
-  ``"serial"``, ``"thread"``, or ``"process"`` (or the ``REPRO_BACKEND``
-  environment variable) to a shared backend instance;
+  ``"serial"`` or ``"process"`` (or, for ``None``, the ``REPRO_BACKEND``
+  environment variable, else ``"serial"``) to a shared backend instance;
 * :func:`~repro.stats.rng.task_seed_sequences` (re-exported here) —
   deterministic per-task RNG stream spawning, so that any backend
   produces *byte-identical* results to ``serial`` (the EFECT
@@ -38,7 +39,6 @@ from repro.parallel.backend import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     default_worker_count,
     get_backend,
@@ -54,7 +54,6 @@ __all__ = [
     "RetryStats",
     "SerialBackend",
     "TaskFailed",
-    "ThreadBackend",
     "available_backends",
     "default_worker_count",
     "get_backend",

@@ -1,6 +1,6 @@
-"""Executor backends: serial, thread pool, and process pool.
+"""Executor backends: serial and process pool.
 
-All backends implement one operation — an *ordered* ``map`` — because
+Both backends implement one operation — an *ordered* ``map`` — because
 every parallel workload in the library (map tasks, reduce partitions,
 Monte Carlo replications, particle shards, candidate parameter vectors)
 is a fan-out of independent tasks whose results must be merged in a
@@ -36,12 +36,7 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SimulationError
@@ -60,11 +55,11 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 def default_worker_count() -> int:
-    """Worker count for pooled backends.
+    """Worker count for the process backend's pool.
 
     The scheduler affinity (falling back to ``os.cpu_count()``), so
     ``taskset`` or a cgroup cpuset caps the pool; floored at 2 so the
-    pooled backends exercise real concurrency even on one-core hosts.
+    process backend exercises real concurrency even on one-core hosts.
     """
     try:
         cores = len(os.sched_getaffinity(0))
@@ -297,7 +292,7 @@ class Backend:
         return results, stats
 
     def shutdown(self) -> None:
-        """Release pooled resources (no-op for poolless backends)."""
+        """Release the worker pool (a no-op on the serial backend)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
@@ -316,13 +311,18 @@ class SerialBackend(Backend):
         )
 
 
-class _PooledBackend(Backend):
-    """Shared machinery for executor-pool backends.
+class ProcessBackend(Backend):
+    """Process-pool execution via :mod:`concurrent.futures`.
 
     The pool is created lazily on first use and reused across ``map``
     calls, so per-job overhead is one round of chunked submissions, not a
-    pool start-up.
+    pool start-up.  Task closures and their payloads cross a pipe, so
+    they must pickle; unpicklable work falls back to in-process execution
+    with a one-time warning instead of raising, keeping a globally
+    configured process backend safe for every workload.
     """
+
+    name = "process"
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = (
@@ -330,18 +330,21 @@ class _PooledBackend(Backend):
         )
         if self.max_workers < 1:
             raise SimulationError("max_workers must be >= 1")
-        self._pool: Optional[Executor] = None
-
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
-
-    def _ensure_pool(self) -> Executor:
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._warned_unpicklable = False
 
     def _submittable(self, fn, items) -> bool:
-        return True
+        try:
+            # Cheap pre-check: probe the function and one representative
+            # payload.  This catches the common failure (an unpicklable
+            # task closure) before any pool work; a payload deeper in
+            # the list that does not pickle is caught at submission time
+            # by :meth:`_pickling_failure` and falls back the same way.
+            pickle.dumps((fn, items[0]))
+            return True
+        except Exception:
+            self._warn_unpicklable()
+            return False
 
     def _run(
         self, fn, items, chunksize, scope, policy, plan, on_error, observer
@@ -372,10 +375,13 @@ class _PooledBackend(Backend):
                 "parallel.map", backend=self.name, tasks=len(items),
                 chunks=len(chunks),
             ):
-                pool = self._ensure_pool()
+                if self._pool is None:
+                    self._pool = ProcessPoolExecutor(
+                        max_workers=self.max_workers
+                    )
                 submitted = time.perf_counter()
                 futures = [
-                    pool.submit(
+                    self._pool.submit(
                         _run_chunk,
                         fn,
                         chunk,
@@ -444,66 +450,6 @@ class _PooledBackend(Backend):
         _emit_fault_stats(observer, stats)
         return results, stats
 
-    def _pickling_failure(self, exc: BaseException, fn, chunk) -> bool:
-        """Whether ``exc`` is a submission-side serialization failure."""
-        return False
-
-    def _warn_unpicklable(self) -> None:  # pragma: no cover - overridden
-        pass
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-
-class ThreadBackend(_PooledBackend):
-    """Thread-pool execution.
-
-    Helps when tasks release the GIL (numpy kernels, I/O); shares the
-    address space, so any task closure is submittable.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-parallel",
-        )
-
-
-class ProcessBackend(_PooledBackend):
-    """Process-pool execution via :mod:`concurrent.futures`.
-
-    Task closures and their payloads cross a pipe, so they must pickle;
-    unpicklable work falls back to in-process execution with a one-time
-    warning instead of raising, keeping a globally configured process
-    backend safe for every workload.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__(max_workers)
-        self._warned_unpicklable = False
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def _submittable(self, fn, items) -> bool:
-        try:
-            # Cheap pre-check: probe the function and one representative
-            # payload.  This catches the common failure (an unpicklable
-            # task closure) before any pool work; a payload deeper in
-            # the list that does not pickle is caught at submission time
-            # by :meth:`_pickling_failure` and falls back the same way.
-            pickle.dumps((fn, items[0] if items else None))
-            return True
-        except Exception:
-            self._warn_unpicklable()
-            return False
-
     def _warn_unpicklable(self) -> None:
         if not self._warned_unpicklable:
             self._warned_unpicklable = True
@@ -537,10 +483,14 @@ class ProcessBackend(_PooledBackend):
             return True
         return False
 
+    def shutdown(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
 
 _REGISTRY: Dict[str, Callable[[], Backend]] = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 _INSTANCES: Dict[str, Backend] = {}
@@ -557,7 +507,7 @@ def get_backend(spec: Union[str, Backend, None] = None) -> Backend:
     ``None`` reads the ``REPRO_BACKEND`` environment variable (defaulting
     to ``"serial"``); a string is looked up in the registry; a
     :class:`Backend` instance passes through unchanged.  String lookups
-    return a shared instance per name so executor pools are reused.
+    return a shared instance per name so the process pool is reused.
     """
     if isinstance(spec, Backend):
         return spec

@@ -56,7 +56,12 @@ from repro.engine.sqlparser import (
 from repro.ensemble.store import RunStore, result_fingerprint
 from repro.errors import FaultError, SimulationError
 from repro.faults.plan import FaultPlan, get_fault_plan
-from repro.faults.retry import RetryPolicy, RetryStats, run_with_retry
+from repro.faults.retry import (
+    DEFAULT_RETRY_POLICY,
+    RetryPolicy,
+    RetryStats,
+    run_with_retry,
+)
 from repro.obs import get_observer
 from repro.serve.admission import AdmissionController
 from repro.serve.cache import CachedResult, ResultCache, request_key
@@ -90,11 +95,9 @@ _CONTROL_OPS = ("open", "close", "stats")
 class ServeConfig:
     """Operational knobs of one server instance.
 
-    ``retry_attempts=None`` resolves like :meth:`repro.parallel.Backend.
-    map`: with an ambient fault plan (``REPRO_FAULTS``) executions get
-    the default three attempts, otherwise one.  ``request_timeout`` is
-    a *per-attempt* wall-clock limit enforced by
-    :class:`~repro.faults.retry.RetryPolicy`.
+    ``request_timeout`` is a *per-attempt* wall-clock limit enforced by
+    :class:`~repro.faults.retry.RetryPolicy`.  ``backend`` runs MCDB and
+    ensemble fan-out (``None`` means ``REPRO_BACKEND``, else serial).
     """
 
     host: str = "127.0.0.1"
@@ -103,7 +106,6 @@ class ServeConfig:
     max_queue: int = 32
     queue_timeout: Optional[float] = None
     request_timeout: Optional[float] = None
-    retry_attempts: Optional[int] = None
     cache_entries: int = 256
     backend: Optional[str] = None
     max_line_bytes: int = 16 * 1024 * 1024
@@ -395,16 +397,18 @@ class ReproServer:
 
     # -- execution -----------------------------------------------------------
     def _recovery(self) -> Tuple[Optional[RetryPolicy], Optional[FaultPlan]]:
-        """Resolve the (policy, plan) pair for one execution."""
+        """Resolve the (policy, plan) pair for one execution.
+
+        Like :meth:`repro.parallel.Backend.map`: with a fault plan
+        (``REPRO_FAULTS``) an execution gets the default policy's
+        attempts, otherwise one.
+        """
         plan = get_fault_plan()
-        attempts = self.config.retry_attempts
-        if attempts is None:
-            attempts = 3 if plan is not None else 1
         timeout = self.config.request_timeout
-        if attempts == 1 and timeout is None and plan is None:
+        if plan is None and timeout is None:
             return None, None  # zero-overhead direct call
         policy = RetryPolicy(
-            max_attempts=attempts,
+            max_attempts=DEFAULT_RETRY_POLICY.max_attempts if plan is not None else 1,
             timeout=timeout,
             retryable=SERVE_RETRYABLE,
         )

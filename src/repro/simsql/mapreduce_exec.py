@@ -25,6 +25,7 @@ from repro.errors import SimulationError
 from repro.mapreduce.counters import JobCounters
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import Cluster
+from repro.stats.rng import _stable_digest
 
 Row = Dict[str, Any]
 
@@ -95,10 +96,11 @@ def run_grouped_interaction_on_cluster(
         key: Any, members: Iterable[Tuple[int, Row]]
     ) -> Iterable[Tuple[int, Row]]:
         members = sorted(members, key=lambda item: item[0])
+        # A digest of the group key, not builtin ``hash``: string hashes
+        # change with each interpreter (and each pool worker).
         rng = np.random.default_rng(
             np.random.SeedSequence(
-                entropy=seed,
-                spawn_key=(tick, abs(hash(repr(key))) % (2**31)),
+                entropy=seed, spawn_key=(tick, _stable_digest(key))
             )
         )
         rows = [row for _, row in members]

@@ -37,7 +37,7 @@ def test_save_json_writes_self_describing_document(tmp_path, monkeypatch):
     import benchmarks._util as util
 
     monkeypatch.setattr(util, "RESULTS_DIR", tmp_path)
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    monkeypatch.setenv("REPRO_BACKEND", "process")
     path = util.save_json("SMOKE", {"rows": [[1, 2.5]]})
     document = json.loads(path.read_text())
     assert document["experiment"] == "SMOKE"
@@ -46,7 +46,7 @@ def test_save_json_writes_self_describing_document(tmp_path, monkeypatch):
     # Provenance header: producing commit + active repro env knobs.
     assert document["git_commit"]
     assert document["env"] == util.env_knobs()
-    assert document["env"]["REPRO_BACKEND"] == "thread"
+    assert document["env"]["REPRO_BACKEND"] == "process"
 
 
 def test_env_knobs_records_every_repro_variable(monkeypatch):
@@ -54,11 +54,11 @@ def test_env_knobs_records_every_repro_variable(monkeypatch):
 
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    monkeypatch.setenv("REPRO_BACKEND", "process")
     monkeypatch.setenv("REPRO_FAULTS", "at=serve.request:0")
     monkeypatch.setenv("NOT_REPRO_X", "1")
     assert env_knobs() == {
-        "REPRO_BACKEND": "thread",
+        "REPRO_BACKEND": "process",
         "REPRO_FAULTS": "at=serve.request:0",
     }
 

@@ -3,7 +3,7 @@
 The acceptance surface of the delta ISSUE: a single-factor perturbation
 of a DoE sweep recomputes exactly its invalidation cone while every
 reused node's ``result_fingerprint`` stays byte-identical to the cold
-run, on all three :mod:`repro.parallel` backends; incremental aggregate
+run, on both :mod:`repro.parallel` backends; incremental aggregate
 states after N appends are fingerprint-identical to a full recompute
 and any non-append mutation falls back to a rebuild; timeline diff
 reads only the store and reports array-aware per-node deltas; fault

@@ -387,6 +387,61 @@ class TestExecutionNames:
             with pytest.raises(QueryError, match="unknown execution"):
                 query.run(execution=name)
 
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "CREATE TABLE z (a int)",
+            "CREATE TABLE z AS SELECT a FROM t",
+            "INSERT INTO t VALUES (9)",
+            "INSERT INTO t SELECT a FROM t",
+            "UPDATE t SET a = 0 WHERE a > 1",
+            "DELETE FROM t WHERE a > 1",
+            "DROP TABLE t",
+            "WITH c AS (SELECT a FROM t) SELECT a FROM c",
+        ],
+    )
+    def test_unknown_execution_rejected_before_any_statement_runs(
+        self, statement
+    ):
+        db = Database()
+        db.sql("CREATE TABLE t (a int)")
+        for a in (1, 2):
+            db.sql(f"INSERT INTO t VALUES ({a})")
+
+        def catalog():
+            return db.table_names(), [dict(r) for r in db.table("t").rows]
+
+        before = catalog()
+        with pytest.raises(QueryError, match="unknown execution 'auto'"):
+            db.sql(statement, execution="auto")
+        assert catalog() == before
+        db.sql(statement, execution="row")  # a known name runs it
+
+    @pytest.mark.parametrize("name", [None, "columnar"])
+    def test_known_execution_runs_every_statement_like_row(self, name):
+        script = [
+            "CREATE TABLE t (a int)",
+            "INSERT INTO t VALUES (1)",
+            "INSERT INTO t VALUES (2)",
+            "INSERT INTO t SELECT a FROM t",
+            "CREATE TABLE z AS SELECT a FROM t WHERE a > 1",
+            "UPDATE t SET a = 0 WHERE a > 1",
+            "DELETE FROM z WHERE a > 1",
+            "WITH c AS (SELECT a FROM t) SELECT sum(a) AS s FROM c",
+            "SELECT a FROM t ORDER BY a",
+            "DROP TABLE z",
+        ]
+
+        def replay(execution):
+            db = Database()
+            answers = [db.sql(sql, execution=execution) for sql in script]
+            tables = {
+                n: [dict(r) for r in db.table(n).rows] for n in db.table_names()
+            }
+            return answers, tables
+
+        assert replay(name) == replay("row")
+
     def test_query_cli_refuses_unknown_execution(self, capsys):
         from repro.__main__ import main
 
@@ -742,3 +797,38 @@ class TestMcdbColumnarBundles:
         bundle = BundledTable("odd", rows, 4)
         with pytest.raises(QueryError):
             bundle.to_columnar()
+
+    @pytest.mark.parametrize(
+        "aggregate",
+        [
+            lambda t: t.aggregate_sum("x"),
+            lambda t: t.aggregate_count(),
+            lambda t: t.aggregate_avg("x"),
+            lambda t: t.aggregate_min("x"),
+            lambda t: t.aggregate_max("x"),
+            lambda t: t.aggregate_quantile("x", 0.5),
+            lambda t: t.grouped_aggregate_sum("g", "x"),
+            lambda t: t.filter(lambda r: r["x"] > 1).aggregate_sum("x"),
+            lambda t: t.derive("y", lambda r: r["x"] * 2).aggregate_max("y"),
+            lambda t: t.join_deterministic(
+                [{"g": "a", "w": 2.0}], "g", "g"
+            ).aggregate_sum("w"),
+        ],
+        ids=[
+            "sum", "count", "avg", "min", "max", "quantile", "grouped_sum",
+            "filter", "derive", "join",
+        ],
+    )
+    def test_emptied_bundle_answers_like_the_row_reference(self, aggregate):
+        # A filter that keeps nothing leaves a row bundle with no tuples,
+        # so its columnar copy has no column list to read.
+        bundle = BundledTable("e", [{"g": "a", "x": np.ones(3)}], 3)
+        emptied = bundle.filter(lambda r: r["x"] > 5)
+        reference = aggregate(emptied)
+        columnar = aggregate(emptied.to_columnar())
+        assert type(columnar) is type(reference)
+        if isinstance(reference, dict):
+            assert reference == columnar == {}
+        else:
+            assert columnar.dtype == reference.dtype
+            np.testing.assert_array_equal(columnar, reference)

@@ -34,7 +34,7 @@ from repro.faults.plan import FaultPlan, injected
 
 from tests.test_engine_columnar import CORPUS, nullful_db  # noqa: F401
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 PARTITION_COUNTS = (1, 2, 7)
 
 JOIN_SQL = (

@@ -58,7 +58,7 @@ from repro.parallel.backend import get_backend
 
 from tests.test_engine_columnar import CORPUS, nullful_db  # noqa: F401
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: person has 60 rows: sizes that divide nothing (1, 7), exactly cover
 #: the table (60), and exceed it (240 — a single append).

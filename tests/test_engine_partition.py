@@ -32,7 +32,7 @@ from repro.faults.plan import FaultPlan, injected
 
 from tests.test_engine_columnar import CORPUS, nullful_db  # noqa: F401
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: person has 60 rows; counts that are trivial (1), split evenly-ish
 #: (2), and guarantee ragged/empty partitions (7).

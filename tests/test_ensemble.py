@@ -61,7 +61,7 @@ from repro.ensemble.store import decode_result, encode_result
 from repro.errors import SimulationError
 from repro.faults import FaultPlan, RetryPolicy, injected
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 #: numpy's variable-width string dtype (numpy >= 2), which holds objects.
 STRING_DTYPE = getattr(getattr(np, "dtypes", None), "StringDType", None)

@@ -162,7 +162,7 @@ class TestPortGoldens:
         fp = result_fingerprint(dict(sorted(result.fingerprints().items())))
         assert fp == GOLDEN["ensemble"]
 
-    @pytest.mark.parametrize("backend", ("thread", "process"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_goldens_backend_invariant(self, backend):
         # Spot-check one golden per fan-out style off the serial path.
         job = MapReduceJob("wc", _wc_mapper, sum_reducer, num_reducers=3)
@@ -204,7 +204,7 @@ def _node_payload(fn, x, index):
 
 
 class TestBackendMap:
-    @pytest.mark.parametrize("backend", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("backend", ("serial", "process"))
     def test_map_preserves_item_order(self, backend):
         items = list(range(23))
         assert get_backend(backend).map(_square, items, scope="t.sq") == [

@@ -13,6 +13,19 @@ from repro.composite import (
 )
 from repro.doe import figure5_design
 from repro.errors import SimulationError
+from tests.test_simsql import answers_under_hash_seeds
+
+ASSIGNMENT_CHILD = """
+from repro.composite import ExperimentManager, ParameterBinding
+
+class Model:
+    rate = 1.0
+
+model = Model()
+manager = ExperimentManager(run_fn=lambda rng: model.rate * rng.normal(), seed=3)
+manager.register_parameter(ParameterBinding("rate", model, "rate"))
+print(repr(float(manager.run_assignment({"rate": 1.5}).response)))
+"""
 
 
 class _ToyModel:
@@ -126,3 +139,20 @@ class TestDesignExecution:
         a = manager.run_assignment({"rate": 1.0, "scale": 2.0}).response
         b = manager.run_assignment({"rate": 1.0, "scale": 2.0}).response
         assert a == b
+
+    def test_stream_follows_assignment_values_not_their_order(self):
+        model = _ToyModel()
+        manager = ExperimentManager(run_fn=lambda rng: rng.normal(), seed=3)
+        manager.register_parameter(ParameterBinding("rate", model, "rate"))
+        manager.register_parameter(ParameterBinding("scale", model, "scale"))
+        forward = manager.run_assignment({"rate": 1.0, "scale": 2.0}).response
+        backward = manager.run_assignment({"scale": 2.0, "rate": 1.0}).response
+        other = manager.run_assignment({"rate": 1.0, "scale": 2.5}).response
+        assert forward == backward
+        assert other != forward
+
+    def test_responses_survive_a_new_interpreter(self):
+        # The assignment's names are strings, hashed differently in each
+        # interpreter; the run's stream must not depend on that.
+        first, second = answers_under_hash_seeds(ASSIGNMENT_CHILD)
+        assert first == second

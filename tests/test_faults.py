@@ -56,7 +56,7 @@ from repro.mapreduce import (
 from repro.parallel.backend import get_backend
 from repro.stats import make_rng
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 # -- module-level (picklable) task closures ---------------------------------
@@ -446,7 +446,6 @@ class TestBackendRecovery:
             get_backend(name).map(square, range(16), faults=plan)
             serialized[name] = observer.metrics.values_json()
             obs.disable()
-        assert serialized["thread"] == serialized["serial"]
         assert serialized["process"] == serialized["serial"]
         values = json.loads(serialized["serial"])
         assert values["counters"]["faults.tasks_retried"] == 1
@@ -474,7 +473,6 @@ class TestBackendRecovery:
                 get_backend(name).map(square, range(12), faults=plan)
             serialized[name] = observer.metrics.values_json()
             obs.disable()
-        assert serialized["thread"] == serialized["serial"]
         assert serialized["process"] == serialized["serial"]
         counters = json.loads(serialized["serial"])["counters"]
         assert counters["faults.tasks_failed"] == 1
@@ -805,7 +803,6 @@ class TestAcceptanceScenario:
                 result.filtered_means, clean_pf.filtered_means
             )
             assert result.log_likelihood == clean_pf.log_likelihood
-        assert snapshots["thread"] == snapshots["serial"]
         assert snapshots["process"] == snapshots["serial"]
         values = json.loads(snapshots["serial"])
         assert values["counters"]["faults.tasks_retried"] > 0

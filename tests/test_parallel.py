@@ -1,10 +1,11 @@
 """Tests for repro.parallel: backend primitives and equivalence.
 
 The determinism contract — any backend produces byte-identical results
-to serial — is exercised on the three workload families the ISSUE names:
-a MapReduce wordcount, MCDB execution (naive Monte Carlo loop and
-tuple-bundle aggregation), and a seeded particle-filter run; plus the
-caching/calibration fan-outs.
+to serial — is exercised on a MapReduce wordcount, MCDB execution
+(naive Monte Carlo worlds and tuple-bundle aggregation, with the
+default ``backend=None`` going through ``Backend.map`` like any other),
+and a seeded particle-filter run; plus the caching/calibration
+fan-outs.
 
 Task closures live at module level so they pickle for the process
 backend.
@@ -12,9 +13,14 @@ backend.
 
 from __future__ import annotations
 
+import json
+import os
+import re
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.assimilation import LinearGaussianSSM, particle_filter
 from repro.calibration import genetic_algorithm, nelder_mead, random_search
 from repro.composite import (
@@ -23,20 +29,26 @@ from repro.composite import (
     measure_estimator_variance,
     run_with_caching,
 )
+from repro.delta import delta_run, perturb
 from repro.engine import Database, Schema
+from repro.ensemble import Ensemble, RunStore, run_ensemble
+from repro.ensemble import scenarios  # noqa: F401  (registers built-ins)
 from repro.errors import FilteringError, SimulationError
+from repro.faults import injected
 from repro.mapreduce import Cluster, JobCounters, MapReduceJob, sum_reducer
 from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
 from repro.parallel import (
+    FaultPlan,
     ProcessBackend,
     SerialBackend,
+    TaskFailed,
     available_backends,
     get_backend,
     task_seed_sequences,
 )
 from repro.stats import make_rng
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 # -- module-level (picklable) task closures ---------------------------------
@@ -52,6 +64,14 @@ def type_name(x):
 
 def raise_type_error(x):
     raise TypeError(f"task-level bug on {x}")
+
+
+def square_in_driver_only(item):
+    """Square ``x``; a pool worker that gets the task dies instead."""
+    driver_pid, x = item
+    if os.getpid() != driver_pid:
+        os._exit(1)
+    return x * x
 
 
 def wc_mapper(_, line):
@@ -92,6 +112,21 @@ def build_mcdb(num_rows=12):
     return mcdb
 
 
+def build_two_table_mcdb():
+    """``build_mcdb`` plus a second random table, so bundles fan out."""
+    mcdb = build_mcdb()
+    mcdb.register_random_table(
+        RandomTableSpec(
+            name="dbp_data",
+            vg=NormalVG(),
+            outer_table="patients",
+            parameters={"mean": 80.0, "std": 8.0},
+            select={"pid": "outer.pid", "dbp": "vg.value"},
+        )
+    )
+    return mcdb
+
+
 def sphere(x):
     return float(np.sum(np.asarray(x) ** 2))
 
@@ -101,12 +136,19 @@ def sphere(x):
 
 class TestBackendPrimitives:
     def test_factory_names(self):
-        assert available_backends() == ("process", "serial", "thread")
+        assert available_backends() == ("process", "serial")
         for name in BACKENDS:
             assert get_backend(name).name == name
 
+    def test_thread_backend_is_gone(self, monkeypatch):
+        with pytest.raises(SimulationError, match="'process', 'serial'"):
+            get_backend("thread")
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(SimulationError, match="'process', 'serial'"):
+            get_backend()
+
     def test_factory_returns_shared_instances(self):
-        assert get_backend("thread") is get_backend("thread")
+        assert get_backend("process") is get_backend("process")
 
     def test_backend_instance_passthrough(self):
         backend = SerialBackend()
@@ -117,8 +159,8 @@ class TestBackendPrimitives:
             get_backend("gpu")
 
     def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert get_backend(None).name == "thread"
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert get_backend(None).name == "process"
         monkeypatch.delenv("REPRO_BACKEND")
         assert get_backend(None).name == "serial"
 
@@ -134,7 +176,7 @@ class TestBackendPrimitives:
         assert backend.map(square, [3]) == [9]
 
     def test_explicit_chunksize(self):
-        backend = get_backend("thread")
+        backend = get_backend("process")
         items = list(range(10))
         assert backend.map(square, items, chunksize=3) == [
             square(x) for x in items
@@ -164,6 +206,55 @@ class TestBackendPrimitives:
                 out = backend.map(type_name, items)
             assert out == ["int", "lock", "float", "str"]
             # The pool must remain usable for picklable work afterwards.
+            assert backend.map(square, [1, 2, 3]) == [1, 4, 9]
+        finally:
+            backend.shutdown()
+
+    def test_process_backend_needs_a_worker(self):
+        with pytest.raises(SimulationError, match="max_workers"):
+            ProcessBackend(max_workers=0)
+
+    def test_process_pool_starts_on_first_fan_out_and_after_shutdown(self):
+        backend = ProcessBackend(max_workers=2)
+        try:
+            assert backend._pool is None
+            assert backend.map(square, [1, 2, 3]) == [1, 4, 9]
+            pool = backend._pool
+            assert pool is not None
+            assert backend.map(square, [4, 5]) == [16, 25]
+            assert backend._pool is pool  # one pool across maps
+            backend.shutdown()
+            assert backend._pool is None
+            assert backend.map(square, [6, 7]) == [36, 49]
+            assert backend._pool not in (None, pool)
+        finally:
+            backend.shutdown()
+
+    def test_process_backend_runs_a_single_task_inline(self):
+        backend = ProcessBackend(max_workers=2)
+        obs.disable()
+        observer = obs.enable()
+        try:
+            assert backend.map(square, [3]) == [9]
+            (span,) = observer.tracer.roots
+        finally:
+            obs.disable()
+            backend.shutdown()
+        assert span.name == "parallel.map"
+        assert span.attrs["backend"] == "process"
+        assert span.attrs["inline"] is True
+        assert backend._pool is None  # no pool started for one task
+
+    def test_process_backend_survives_a_dead_worker(self):
+        # A worker that dies breaks the pool: the map re-runs in-process
+        # with the same answers, and the next map starts a fresh pool.
+        backend = ProcessBackend(max_workers=2)
+        try:
+            items = [(os.getpid(), x) for x in range(6)]
+            with pytest.warns(RuntimeWarning, match="pool broke"):
+                out = backend.map(square_in_driver_only, items)
+            assert out == [x * x for x in range(6)]
+            assert backend._pool is None
             assert backend.map(square, [1, 2, 3]) == [1, 4, 9]
         finally:
             backend.shutdown()
@@ -250,7 +341,7 @@ class TestMapReduceEquivalence:
 class TestMcdbEquivalence:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_naive_samples_byte_identical(self, name):
-        expected = build_mcdb().run_naive(mc_query, 8).samples
+        expected = build_mcdb().run_naive(mc_query, 8, backend="serial").samples
         got = build_mcdb().run_naive(mc_query, 8, backend=name).samples
         np.testing.assert_array_equal(got, expected)
 
@@ -259,11 +350,198 @@ class TestMcdbEquivalence:
         def agg(bundles, _db):
             return bundles["sbp_data"].aggregate_avg("sbp")
 
-        expected = build_mcdb().run_bundled(agg, 16).samples
+        expected = build_mcdb().run_bundled(agg, 16, backend="serial").samples
         # The bundle query closure stays in the driver; only per-table
         # instantiation fans out, so even unpicklable queries are fine.
         got = build_mcdb().run_bundled(agg, 16, backend=name).samples
         np.testing.assert_array_equal(got, expected)
+
+
+def sql_query(instance):
+    return float(instance.sql("SELECT avg(sbp) AS m FROM sbp_data")[0]["m"])
+
+
+def avg_bundle(bundles, _db):
+    return bundles["sbp_data"].aggregate_avg("sbp")
+
+
+def obs_values(run):
+    """``run()``'s result and the obs ``values`` JSON it recorded."""
+    obs.disable()
+    observer = obs.enable()
+    try:
+        result = run()
+        return result, observer.metrics.values_json()
+    finally:
+        obs.disable()
+
+
+class TestMcdbDefaultBackend:
+    """``backend=None`` runs through ``Backend.map`` like any backend."""
+
+    def test_naive_default_records_what_serial_records(self):
+        default, values = obs_values(
+            lambda: build_mcdb().run_naive(sql_query, 6).samples
+        )
+        serial, serial_values = obs_values(
+            lambda: build_mcdb().run_naive(sql_query, 6, backend="serial").samples
+        )
+        np.testing.assert_array_equal(default, serial)
+        assert values == serial_values
+        counters = json.loads(values)["counters"]
+        assert counters["parallel.tasks"] == 6
+        assert not any(key.startswith("engine.") for key in counters)
+
+    def test_bundle_default_records_what_serial_records(self):
+        default, values = obs_values(lambda: build_mcdb().instantiate_bundles(6))
+        serial, serial_values = obs_values(
+            lambda: build_mcdb().instantiate_bundles(6, backend="serial")
+        )
+        assert values == serial_values
+        assert json.loads(values)["counters"]["parallel.tasks"] == 1
+        np.testing.assert_array_equal(
+            default["sbp_data"].aggregate_sum("sbp"),
+            serial["sbp_data"].aggregate_sum("sbp"),
+        )
+
+    @pytest.mark.parametrize(
+        "scope, run",
+        [
+            ("mcdb.naive", lambda mcdb, **kw: mcdb.run_naive(mc_query, 8, **kw)),
+            ("mcdb.bundle", lambda mcdb, **kw: mcdb.run_bundled(avg_bundle, 8, **kw)),
+        ],
+        ids=["naive", "bundle"],
+    )
+    def test_default_path_takes_the_fault_plan(self, scope, run):
+        clean = run(build_mcdb(), backend="serial").samples
+        with injected(FaultPlan(failures={(scope, 0): 1})):
+            recovered, values = obs_values(lambda: run(build_mcdb()).samples)
+        np.testing.assert_array_equal(recovered, clean)
+        counters = json.loads(values)["counters"]
+        assert counters["faults.injected"] == 1
+        assert counters["faults.tasks_retried"] == 1
+        with injected(FaultPlan(failures={(scope, 0): 9})):
+            with pytest.raises(TaskFailed) as excinfo:
+                run(build_mcdb())
+        assert (excinfo.value.scope, excinfo.value.index) == (scope, 0)
+
+
+
+def avg_two_bundles(bundles, _db):
+    return bundles["sbp_data"].aggregate_avg("sbp") + bundles[
+        "dbp_data"
+    ].aggregate_avg("dbp")
+
+
+def naive_fan_out(_workdir):
+    return lambda **kw: build_mcdb().run_naive(mc_query, 8, **kw).samples.tolist()
+
+
+def bundle_fan_out(_workdir):
+    return lambda **kw: build_two_table_mcdb().run_bundled(
+        avg_two_bundles, 8, **kw
+    ).samples.tolist()
+
+
+def mapreduce_fan_out(_workdir):
+    inputs = [(None, f"w{i % 7} w{i % 3} common") for i in range(40)]
+    return lambda **kw: Cluster(2, **kw).run(wordcount_job(), inputs)
+
+
+def sweep(runs=6):
+    return Ensemble.latin_hypercube(
+        "response.surface",
+        factors={"x1": (0.0, 1.0), "x2": (0.0, 1.0)},
+        runs=runs,
+        seed=3,
+        name="sweep",
+    )
+
+
+def ensemble_fan_out(_workdir):
+    return lambda **kw: run_ensemble(sweep(), **kw).fingerprints()
+
+
+def delta_fan_out(workdir):
+    base = sweep()
+    store = RunStore(workdir)
+    with injected(None):
+        run_ensemble(base, store=store, backend="serial").raise_if_failed()
+    target = perturb(
+        base, params={"sweep/001": {"x1": 0.9}, "sweep/004": {"x1": 0.1}}
+    )
+
+    def run(**kw):
+        outcome = delta_run(target, store, base=base, **kw)
+        outcome.raise_if_failed()
+        assert outcome.nodes_run == 2
+        return outcome.fingerprints()
+
+    return run
+
+
+#: Every fan-out whose ``backend=None`` resolves through ``get_backend``.
+#: Each factory sets up in a work directory and returns ``run(**kw)``;
+#: every one of them fans more than one task out.
+DEFAULT_FAN_OUTS = {
+    "naive": naive_fan_out,
+    "bundle": bundle_fan_out,
+    "mapreduce": mapreduce_fan_out,
+    "ensemble": ensemble_fan_out,
+    "delta": delta_fan_out,
+}
+
+
+class TestDefaultFanOut:
+    """``backend=None`` means ``REPRO_BACKEND``, else serial, everywhere."""
+
+    @pytest.mark.parametrize("entry", sorted(DEFAULT_FAN_OUTS))
+    def test_default_follows_repro_backend(self, entry, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        expected = DEFAULT_FAN_OUTS[entry](tmp_path / "serial")(backend="serial")
+        run = DEFAULT_FAN_OUTS[entry](tmp_path / "default")
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        obs.disable()
+        observer = obs.enable()
+        try:
+            got = run()
+            maps = [
+                span
+                for root in observer.tracer.roots
+                for span in root.walk()
+                if span.name == "parallel.map"
+            ]
+        finally:
+            obs.disable()
+        assert maps
+        assert {span.attrs["backend"] for span in maps} == {"process"}
+        assert not any("inline" in span.attrs for span in maps)
+        assert got == expected
+
+    @pytest.mark.parametrize("entry", sorted(DEFAULT_FAN_OUTS))
+    def test_removed_backend_name_is_refused(self, entry, tmp_path, monkeypatch):
+        run = DEFAULT_FAN_OUTS[entry](tmp_path)
+        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        with pytest.raises(SimulationError, match="'process', 'serial'"):
+            run()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["obs-report"], ["ensemble", "run"], ["delta", "plan"], ["serve"]],
+    ids=" ".join,
+)
+def test_backend_help_names_every_backend(command, capsys):
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main([*command, "--help"])
+    assert excinfo.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    # The last mention is the option's own line (the first, the usage).
+    help_text = text.rsplit("--backend BACKEND", 1)[1].split("(default", 1)[0]
+    named = set(re.findall(r"\w+", help_text.split(":", 1)[1])) - {"or"}
+    assert named == set(available_backends())
 
 
 class TestParticleFilterEquivalence:
@@ -329,7 +607,7 @@ class TestParticleFilterEquivalence:
             model, observations, 64, backend="serial", seed=9, n_shards=4
         )
         b = particle_filter(
-            model, observations, 64, backend="thread", seed=9, n_shards=4
+            model, observations, 64, backend="process", seed=9, n_shards=4
         )
         np.testing.assert_array_equal(a.filtered_means, b.filtered_means)
 

@@ -15,7 +15,7 @@ Covers the PR 7 acceptance surface:
 * integration (real server, real sockets): N concurrent identical
   clients → exactly ONE execution with byte-identical payloads;
   session isolation; the error taxonomy over the wire; fingerprint
-  parity with the in-process API across serial/thread/process
+  parity with the in-process API across the serial and process
   backends; fault injection (``serve.request`` scope) with retry and
   terminal attempt history; overload shedding and per-request
   timeouts;
@@ -45,7 +45,13 @@ from repro.engine.schema import Schema
 from repro.engine.sqlparser import parse_statement, statement_tables
 from repro.ensemble.store import RunStore, result_fingerprint
 from repro.errors import QueryError, SimulationError
-from repro.faults import FaultPlan, TaskFailed, TaskTimeout, injected
+from repro.faults import (
+    DEFAULT_RETRY_POLICY,
+    FaultPlan,
+    TaskFailed,
+    TaskTimeout,
+    injected,
+)
 from repro.serve import (
     AdmissionController,
     CachedResult,
@@ -738,7 +744,7 @@ class TestServerIntegration:
 
 
 class TestServerDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process", None])
     def test_mcdb_fingerprint_parity_across_backends(self, backend):
         from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
 
@@ -757,7 +763,8 @@ class TestServerDeterminism:
         from repro.serve.server import _ScalarQuery
 
         dist = mcdb.run_naive(
-            _ScalarQuery(MCDB_BODY["statement"]), MCDB_BODY["n_mc"]
+            _ScalarQuery(MCDB_BODY["statement"]), MCDB_BODY["n_mc"],
+            backend="serial",
         )
         assert served.fingerprint == result_fingerprint(
             {"samples": dist.samples}
@@ -795,7 +802,8 @@ class TestServerDeterminism:
             )
         )
         dist = mcdb.run_naive(
-            _ScalarQuery(MCDB_BODY["statement"]), MCDB_BODY["n_mc"]
+            _ScalarQuery(MCDB_BODY["statement"]), MCDB_BODY["n_mc"],
+            backend="serial",
         )
         np.testing.assert_array_equal(served.result["samples"], dist.samples)
         assert served.result_bytes == canonical(
@@ -864,6 +872,32 @@ class TestServerDeterminism:
         assert recovered.fingerprint == reference.fingerprint
         assert observer.counter("serve.faults.injected").value == 1
         assert observer.counter("serve.faults.retries").value == 1
+
+    @pytest.mark.parametrize(
+        "plan, timeout, attempts",
+        [
+            (None, None, None),
+            (None, 5.0, 1),
+            (FaultPlan(failures={("serve.request", 0): 1}), None,
+             DEFAULT_RETRY_POLICY.max_attempts),
+        ],
+        ids=["neither", "timeout", "plan"],
+    )
+    def test_recovery_attempts(self, plan, timeout, attempts):
+        # A fault plan buys the default policy's attempts; a timeout
+        # alone bounds one attempt; with neither, the call runs bare.
+        server = ReproServer(ServeConfig(request_timeout=timeout))
+        try:
+            with injected(plan):
+                policy, active = server._recovery()
+        finally:
+            asyncio.run(server.stop())
+        assert active is plan
+        if attempts is None:
+            assert policy is None
+        else:
+            assert policy.max_attempts == attempts
+            assert policy.timeout == timeout
 
     def test_exhausted_retries_report_full_history(self):
         with injected(FaultPlan(failures={("serve.request", 0): 99})):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,46 @@ from repro.simsql import (
     run_grouped_interaction_on_cluster,
     run_transition_on_cluster,
 )
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def answers_under_hash_seeds(script):
+    """What ``script`` prints in interpreters with different string hashes."""
+    answers = []
+    for hash_seed in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env.update(
+            PYTHONPATH=str(REPO_ROOT / "src"),
+            PYTHONDONTWRITEBYTECODE="1",
+            PYTHONHASHSEED=hash_seed,
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        answers.append(out.stdout)
+    return answers
+
+
+GROUPED_CHILD = """
+from repro.engine import Table
+from repro.mapreduce import Cluster
+from repro.simsql import run_grouped_interaction_on_cluster
+
+table = Table.from_rows(
+    "agents", [{"aid": i, "cell": "nsew"[i % 4], "x": float(i)} for i in range(12)]
+)
+out, _ = run_grouped_interaction_on_cluster(
+    Cluster(3, backend="serial"),
+    table,
+    group_key=lambda row: row["cell"],
+    interact=lambda rows, rng: [{**r, "x": r["x"] + float(rng.normal())} for r in rows],
+    seed=7,
+)
+print([float(x) for x in out.column_values("x")])
+"""
 
 
 def _price_chain(base=None, retain=None):
@@ -244,6 +289,12 @@ class TestMapReduceExecution:
                 group_key=lambda row: 0,
                 interact=lambda rows, rng: rows[:-1],
             )
+
+    def test_grouped_interaction_streams_survive_a_new_interpreter(self):
+        # String group keys hash differently in each interpreter; the
+        # per-group streams must not.
+        first, second = answers_under_hash_seeds(GROUPED_CHILD)
+        assert first == second
 
     def test_grouped_interaction_row_order_stable(self):
         table, _ = run_grouped_interaction_on_cluster(
