@@ -10,11 +10,16 @@ and reads only the store:
 
 * identical keys ⇒ ``same`` *by construction* (a content address pins
   callable + params + seed + the full upstream fold), zero bytes read;
-* differing keys ⇒ ``changed``: both stored results are loaded,
-  fingerprinted, and walked structurally for **array-aware value
-  deltas** — scalar leaves report ``a → b``, numpy-array leaves report
-  shape/dtype moves, the count of differing elements, and the max
-  absolute difference, rather than dumping whole arrays;
+* differing keys ⇒ ``changed``, compared by the fingerprints of both
+  stored results (one :meth:`~repro.ensemble.store.RunStore.fingerprints`
+  call for every such node, answered from the store instance's memory
+  of what it wrote, else by decoding).  Equal fingerprints mean equal
+  results, so no delta, and nothing more is read.  Only when they
+  differ are both stored results loaded and walked structurally for
+  **array-aware value deltas** — scalar leaves
+  report ``a → b``, numpy-array leaves report shape/dtype moves, the
+  count of differing elements, and the max absolute difference, rather
+  than dumping whole arrays;
 * nodes present in only one ensemble report ``only_in_a``/``only_in_b``.
 
 Nothing is ever executed: a branch whose results were never computed
@@ -34,7 +39,7 @@ import numpy as np
 
 from repro.ensemble.scheduler import run_keys
 from repro.ensemble.spec import Ensemble
-from repro.ensemble.store import RunStore, result_fingerprint
+from repro.ensemble.store import RunStore
 from repro.obs import get_observer
 
 #: Node diff statuses, in severity order for rendering.
@@ -356,7 +361,10 @@ def diff_timelines(
     topological order, so the report itself is deterministic.
     ``max_leaves`` caps the leaf deltas recorded per changed node (the
     overflow count is kept).  The two key maps are compared in C; only
-    the nodes whose keys differ are visited in Python.
+    the nodes whose keys differ are visited in Python, and of those only
+    the ones whose fingerprints differ have their two results loaded
+    and walked.  A fingerprint the store instance does not remember
+    costs one decode of that entry.
     """
     observer = get_observer()
     with observer.span(
@@ -367,22 +375,28 @@ def diff_timelines(
     ):
         keys_a = run_keys(ensemble_a)
         keys_b = run_keys(ensemble_b)
-        differing: List[NodeDiff] = []
-        in_both = len(keys_a)  # names of ``a`` that ``b`` also has
-        for name in compress(
-            keys_a, map(ne, keys_a.values(), map(keys_b.get, keys_a))
-        ):
-            key_a = keys_a[name]
-            key_b = keys_b.get(name)
-            if key_b is None:
-                differing.append(NodeDiff(name, "only_in_a", key_a=key_a))
-                in_both -= 1
-            else:
-                differing.append(
-                    _diff_node(store, name, key_a, key_b, max_leaves)
-                )
+        moved = list(
+            compress(keys_a, map(ne, keys_a.values(), map(keys_b.get, keys_a)))
+        )
+        both = [name for name in moved if name in keys_b]
+        # One call, one generation read, for both sides of every node.
+        prints = iter(
+            store.fingerprints(
+                [key for name in both for key in (keys_a[name], keys_b[name])]
+            )
+        )
+        differing = [
+            _diff_node(
+                store, name, keys_a[name], keys_b[name],
+                next(prints), next(prints), max_leaves,
+            )
+            if name in keys_b
+            else NodeDiff(name, "only_in_a", key_a=keys_a[name])
+            for name in moved
+        ]
         only_in_b = []
-        if len(keys_b) > in_both:
+        # ``b`` has names ``a`` lacks iff it outnumbers ``a``'s names in it.
+        if len(keys_b) > len(keys_a) - len(moved) + len(both):
             only_in_b = [
                 NodeDiff(name, "only_in_b", key_b=keys_b[name])
                 for name in compress(
@@ -403,33 +417,41 @@ def diff_timelines(
 
 
 def _diff_node(
-    store: RunStore, name: str, key_a: str, key_b: str, max_leaves: int
+    store: RunStore,
+    name: str,
+    key_a: str,
+    key_b: str,
+    fingerprint_a: Optional[str],
+    fingerprint_b: Optional[str],
+    max_leaves: int,
 ) -> NodeDiff:
-    """One node present on both sides under different keys.
+    """One node present on both sides under different keys, given the
+    fingerprints of its two stored results (``None`` where absent).
 
-    ``store.get`` reads an entry evicted before it was opened as a
-    miss: that is the ``unstored`` finding, not an error.
+    Equal fingerprints mean equal sorted JSON trees and equal named
+    arrays, where :func:`_walk` finds no delta, so neither result is
+    loaded.  ``store.get`` reads an entry evicted since it was
+    fingerprinted as a miss: that is the ``unstored`` finding, not an
+    error.
     """
-    result_a = store.get(key_a)
-    result_b = store.get(key_b)
-    if result_a is None or result_b is None:
-        return NodeDiff(
-            name, "unstored", key_a=key_a, key_b=key_b,
-            fingerprint_a=(
-                result_fingerprint(result_a) if result_a is not None else None
-            ),
-            fingerprint_b=(
-                result_fingerprint(result_b) if result_b is not None else None
-            ),
-        )
-    deltas, truncated = _leaf_deltas(result_a, result_b, "$", max_leaves)
+    deltas: List[LeafDelta] = []
+    truncated = 0
+    if None not in (fingerprint_a, fingerprint_b) and fingerprint_a != fingerprint_b:
+        result_a = store.get(key_a)
+        result_b = store.get(key_b)
+        if result_a is None:
+            fingerprint_a = None
+        if result_b is None:
+            fingerprint_b = None
+        if result_a is not None and result_b is not None:
+            deltas, truncated = _leaf_deltas(result_a, result_b, "$", max_leaves)
     return NodeDiff(
         name,
-        "changed",
+        "unstored" if None in (fingerprint_a, fingerprint_b) else "changed",
         key_a=key_a,
         key_b=key_b,
-        fingerprint_a=result_fingerprint(result_a),
-        fingerprint_b=result_fingerprint(result_b),
+        fingerprint_a=fingerprint_a,
+        fingerprint_b=fingerprint_b,
         deltas=tuple(deltas),
         truncated=truncated,
     )

@@ -278,13 +278,14 @@ def plan_delta(
                 reason = "added"
             elif base_key == key:
                 reason = "missing"
-            elif (
-                _own_content(base.node(name).spec)
-                != _own_content(target.node(name).spec)
-            ):
-                reason = "changed"
             else:
-                reason = "upstream"
+                # ``with_specs`` shares every node it does not replace
+                # with its base: the same spec object needs no serializing.
+                was, spec = base.node(name).spec, target.node(name).spec
+                if was is spec or _own_content(was) == _own_content(spec):
+                    reason = "upstream"
+                else:
+                    reason = "changed"
             recompute[name] = NodePlan(
                 name, key, RECOMPUTE, reason, base_key
             )

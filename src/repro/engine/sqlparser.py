@@ -4,6 +4,7 @@ Supported statements::
 
     SELECT [DISTINCT] items FROM rel [, rel | JOIN rel ON expr]*
         [WHERE expr] [GROUP BY exprs] [HAVING expr]
+        [UNION [ALL] SELECT ...]...
         [ORDER BY expr [ASC|DESC], ...] [LIMIT n]
     CREATE TABLE name (col type, ...)
     CREATE TABLE name AS SELECT ...
@@ -294,6 +295,44 @@ class _Parser:
 
     # -- SELECT ---------------------------------------------------------------
     def parse_select(self) -> lp.PlanNode:
+        """A SELECT, or SELECTs joined by ``UNION`` (a set union) and
+        ``UNION ALL`` (a bag union), left to right; a trailing ``ORDER
+        BY`` and ``LIMIT`` apply to the whole compound."""
+        plan = self._select_core()
+        while self.accept("keyword", "union"):
+            # ``ALL`` is no keyword, so a column may still be named ``all``.
+            bag = self.peek().kind == "ident" and self.peek().text.lower() == "all"
+            if bag:
+                self.advance()
+            plan = lp.Union(plan, self._select_core())
+            if not bag:
+                plan = lp.Distinct(plan)
+        order_keys: List[Tuple[Expression, bool]] = []
+        if self.accept("keyword", "order"):
+            self.expect("keyword", "by")
+            while True:
+                expr = self.parse_expression()
+                desc = False
+                if self.accept("keyword", "desc"):
+                    desc = True
+                else:
+                    self.accept("keyword", "asc")
+                order_keys.append((expr, desc))
+                if not self.accept("op", ","):
+                    break
+        if order_keys:
+            plan = lp.OrderBy(
+                plan,
+                tuple(k for k, _ in order_keys),
+                tuple(d for _, d in order_keys),
+            )
+        if self.accept("keyword", "limit"):
+            limit_token = self.expect("number")
+            plan = lp.Limit(plan, int(float(limit_token.text)))
+        return plan
+
+    def _select_core(self) -> lp.PlanNode:
+        """One SELECT up to, not including, its ORDER BY."""
         self.expect("keyword", "select")
         distinct = bool(self.accept("keyword", "distinct"))
         items = self._select_items()
@@ -312,23 +351,6 @@ class _Parser:
         having = None
         if self.accept("keyword", "having"):
             having = self.parse_expression()
-        order_keys: List[Tuple[Expression, bool]] = []
-        if self.accept("keyword", "order"):
-            self.expect("keyword", "by")
-            while True:
-                expr = self.parse_expression()
-                desc = False
-                if self.accept("keyword", "desc"):
-                    desc = True
-                else:
-                    self.accept("keyword", "asc")
-                order_keys.append((expr, desc))
-                if not self.accept("op", ","):
-                    break
-        limit = None
-        if self.accept("keyword", "limit"):
-            limit_token = self.expect("number")
-            limit = int(float(limit_token.text))
 
         plan = source
         if predicate is not None:
@@ -347,19 +369,6 @@ class _Parser:
             plan = lp.Filter(plan, having)
         if distinct:
             plan = lp.Distinct(plan)
-        for expr, desc in order_keys:
-            pass  # collected below to keep multi-key ordering in one node
-        if order_keys:
-            plan = lp.OrderBy(
-                plan,
-                tuple(k for k, _ in order_keys),
-                tuple(d for _, d in order_keys),
-            )
-        if limit is not None:
-            plan = lp.Limit(plan, limit)
-        if self.accept("keyword", "union"):
-            rest = self.parse_select()
-            plan = lp.Union(plan, rest)
         return plan
 
     def _select_items(self) -> List[SelectItem]:

@@ -45,13 +45,17 @@ age and/or total size, oldest first; hit/miss/put/eviction counts are
 kept on the store and mirrored to ``ensemble.store.*`` obs counters
 when observability is live.
 
-Entries are immutable, so a key seen present stays present until
-something removes it.  Every removal (``evict`` and ``gc``) writes a
-fresh random token to ``generation`` before its first removal and again
-after its last, and :meth:`RunStore.contains_many` answers a key it has
-already seen present under the current token from memory, statting only
-the rest.  A store that never removed anything has no ``generation``
-file; it reads as the empty token.
+Entries are immutable, so a key seen present stays present, with the
+same content, until something removes it.  Every removal (``evict`` and
+``gc``) writes a fresh random token to ``generation`` before its first
+removal and again after its last.  A store instance remembers, under one
+token, each key it has seen present and, where it wrote or fingerprinted
+the entry, its fingerprint: :meth:`RunStore.contains_many` stats only
+the keys it does not remember, and :meth:`RunStore.fingerprints` reads
+and decodes an entry only for a key whose fingerprint it does not.  The
+memory holds about 250 bytes per key and is dropped by the next removal
+only.  A store that never removed anything has no ``generation`` file;
+it reads as the empty token.
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from operator import not_
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -205,7 +208,11 @@ def result_fingerprint(result: Any) -> str:
     same fingerprint store the same result tree and arrays (array dtype,
     shape, and raw bytes all participate).
     """
-    tree, arrays = encode_result(result)
+    return _fingerprint(*encode_result(result))
+
+
+def _fingerprint(tree: Any, arrays: Mapping[str, np.ndarray]) -> str:
+    """:func:`result_fingerprint` of an already encoded result."""
     digest = hashlib.sha256()
     digest.update(
         json.dumps(tree, sort_keys=True, separators=(",", ":")).encode()
@@ -256,6 +263,32 @@ def _read_header(handle) -> Dict[str, Any]:
     return json.loads(handle.readline())
 
 
+#: ``np.lib.format.read_array`` parses each ``.npy`` header with
+#: ``ast.literal_eval``.  Some CPython releases (3.11.7 among them) keep
+#: the AST constructor's recursion depth per interpreter, not per thread,
+#: so two threads parsing at once raise ``SystemError: AST constructor
+#: recursion depth mismatch`` when the collector runs Python code
+#: mid-parse.  Array reads take this lock.
+_READ_ARRAY_LOCK = threading.Lock()
+
+
+def _read_result(handle, document: Dict[str, Any]) -> Any:
+    """The result of the entry whose header ``document`` was just read
+    from ``handle``."""
+    with _READ_ARRAY_LOCK:
+        arrays = {
+            name: np.lib.format.read_array(handle, allow_pickle=False)
+            for name in document["arrays"]
+        }
+    return decode_result(document["result"], arrays)
+
+
+def _current(document: Dict[str, Any]) -> bool:
+    # Another schema is unreachable via run_key addressing; this guards
+    # hand-made keys.
+    return document.get("schema") == STORE_SCHEMA_VERSION
+
+
 class RunStore:
     """Content-addressed result cache rooted at a directory.
 
@@ -268,12 +301,15 @@ class RunStore:
     concurrent same-key writers from separate processes safe), and a
     reader that has opened an entry reads all of it even if a
     concurrent ``evict``/``gc`` unlinks it meanwhile, so reads take no
-    lock.  :class:`StoreStats` increments are read-modify-write and take
+    store lock (array parsing takes :data:`_READ_ARRAY_LOCK`).
+    :class:`StoreStats` increments are read-modify-write and take
     a lock of their own; an internal re-entrant lock serializes the
     commit and eviction.  Result encoding and staging (the expensive
-    parts of ``put``) happen outside it.  The keys
-    :meth:`contains_many` has seen present are one immutable set, tagged
-    with its generation and swapped under a lock of its own.
+    parts of ``put``) happen outside it.  What the instance remembers is
+    one dict, key to fingerprint (``None`` where only presence is
+    known), tagged with its generation: a token change swaps in a fresh
+    dict under a lock of its own, entries are only ever added, and
+    readers look keys up without a lock.
     """
 
     def __init__(self, root: os.PathLike) -> None:
@@ -288,10 +324,10 @@ class RunStore:
         self.stats = StoreStats()
         self._lock = threading.RLock()
         self._stats_lock = threading.Lock()
-        # (generation token, keys seen present under it); an empty set
-        # is sound under any token.
-        self._present: Tuple[str, FrozenSet[str]] = ("", frozenset())
-        self._present_lock = threading.Lock()
+        # (generation token, {key seen present under it: its fingerprint,
+        # or None}); an empty dict is sound under any token.
+        self._memory: Tuple[str, Dict[str, Optional[str]]] = ("", {})
+        self._memory_lock = threading.Lock()
         os.makedirs(self._runs_dir(), exist_ok=True)
         os.makedirs(self.checkpoint_dir(), exist_ok=True)
         os.makedirs(self._scratch_dir(), exist_ok=True)
@@ -367,6 +403,37 @@ class RunStore:
         if len(key) != 64 or key.strip("0123456789abcdef"):
             raise SimulationError(f"malformed run key {key!r}")
 
+    # -- memory --------------------------------------------------------------
+    #
+    # A key is filed under a token only if it was seen present after that
+    # token was read: ``contains_many`` and ``fingerprints`` read the
+    # token first, and ``get`` and ``put`` take the memory as it stands
+    # before they open or link the entry, then file into that same dict.
+    # A removal bumps the token before its first unlink and after its
+    # last, so once it has finished, every key it removed was filed
+    # under a token that is no longer current: the next read drops it.
+    def _memory_under(self, generation: str) -> Dict[str, Optional[str]]:
+        """The memory tagged ``generation``, swapping out any other."""
+        with self._memory_lock:
+            if self._memory[0] != generation:
+                self._memory = (generation, {})
+            return self._memory[1]
+
+    @staticmethod
+    def _remember(
+        memory: Dict[str, Optional[str]], key: str,
+        fingerprint: Optional[str] = None,
+    ) -> None:
+        """File ``key`` as present, with its fingerprint when known.
+
+        Filing into a memory a newer token has replaced is harmless:
+        calls that start later read only the newer one.
+        """
+        if fingerprint is None:
+            memory.setdefault(key, None)
+        else:
+            memory[key] = fingerprint
+
     # -- read path -----------------------------------------------------------
     def contains(self, key: str) -> bool:
         """Whether ``key`` has a committed entry (no stats recorded)."""
@@ -376,31 +443,52 @@ class RunStore:
         """``[self.contains(key) for key in keys]``, statting only unseen keys.
 
         Reads the eviction generation once.  A key this instance has
-        already seen present under that generation is answered from
-        memory; every other key goes through :meth:`contains`.  Only
-        positive answers are remembered, under the generation read
-        before them: an absence is never cached, because another process
+        already seen present under that generation (by a stat, a ``get``
+        hit or a committed ``put``) is answered from memory; every other
+        key goes through :meth:`contains`.  Only positive answers are
+        remembered: an absence is never cached, because another process
         may put the key at any moment.
         """
-        generation = self._read_generation()
-        with self._present_lock:
-            if self._present[0] != generation:
-                self._present = (generation, frozenset())
-            present = self._present[1]
+        memory = self._memory_under(self._read_generation())
         # One C-level pass answers the keys seen present; only the rest
         # are visited in Python, each with one stat.
-        answers = list(map(present.__contains__, keys))
-        found: List[str] = []
+        answers = list(map(memory.__contains__, keys))
         for i in compress(range(len(answers)), map(not_, answers)):
             if self.contains(keys[i]):
                 answers[i] = True
-                found.append(keys[i])
-        if found:
-            with self._present_lock:
-                tag, known = self._present
-                if tag == generation:
-                    self._present = (generation, known.union(found))
+                self._remember(memory, keys[i])
         return answers
+
+    def fingerprints(self, keys: Sequence[str]) -> List[Optional[str]]:
+        """Each key's stored :func:`result_fingerprint`, or ``None`` if
+        the key has no entry.
+
+        Reads the eviction generation once, like :meth:`contains_many`,
+        and answers from memory where it holds the fingerprint (a
+        committed ``put`` or an earlier call filed it); otherwise it
+        reads the entry, decodes it and fingerprints the result.  Not a
+        ``get``: it records no hit or miss.
+        """
+        memory = self._memory_under(self._read_generation())
+        answers = list(map(memory.get, keys))
+        for i in compress(range(len(answers)), map(not_, answers)):
+            fingerprint = self._stored_fingerprint(keys[i])
+            if fingerprint is not None:
+                answers[i] = fingerprint
+                self._remember(memory, keys[i], fingerprint)
+        return answers
+
+    def _stored_fingerprint(self, key: str) -> Optional[str]:
+        """The fingerprint of ``key``'s stored result, or ``None``."""
+        try:
+            handle = open(self._entry_path(key), "rb")
+        except FileNotFoundError:
+            return None
+        with handle:
+            document = _read_header(handle)
+            if not _current(document):
+                return None
+            return result_fingerprint(_read_result(handle, document))
 
     def get(self, key: str) -> Optional[Any]:
         """The stored result for ``key``, or ``None`` on a miss.
@@ -409,6 +497,7 @@ class RunStore:
         concurrent removal reads all of it, and one that opens it after
         misses.
         """
+        memory = self._memory[1]  # as it stands before the entry is opened
         try:
             handle = open(self._entry_path(key), "rb")
         except FileNotFoundError:
@@ -416,15 +505,11 @@ class RunStore:
             return None
         with handle:
             document = _read_header(handle)
-            arrays = {
-                name: np.lib.format.read_array(handle, allow_pickle=False)
-                for name in document["arrays"]
-            }
-        if document.get("schema") != STORE_SCHEMA_VERSION:
-            # Unreachable via run_key addressing; guards hand-made keys.
-            self._note("misses")
-            return None
-        result = decode_result(document["result"], arrays)
+            if not _current(document):
+                self._note("misses")
+                return None
+            result = _read_result(handle, document)
+        self._remember(memory, key)
         self._note("hits")
         return result
 
@@ -443,10 +528,13 @@ class RunStore:
         link, which never replaces an entry: when a same-key writer
         (thread or process) committed first, this stage is dropped.
         Entries are immutable and content-addressed, so losing that race
-        is harmless.
+        is harmless.  A commit files the result's fingerprint in this
+        instance's memory; a stage dropped for another writer's entry
+        files nothing.
         """
         path = self._entry_path(key)
         tree, arrays = encode_result(result)
+        fingerprint = _fingerprint(tree, arrays)
         document = {
             "arrays": list(arrays),
             "key": key,
@@ -475,10 +563,15 @@ class RunStore:
                     np.lib.format.write_array(
                         handle, arrays[name], allow_pickle=False
                     )
+            memory = self._memory[1]  # as it stands before the commit
             with self._lock:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
-                with suppress(FileExistsError):
+                try:
                     os.link(stage, path)
+                except FileExistsError:
+                    pass  # another writer's entry: remember nothing
+                else:
+                    self._remember(memory, key, fingerprint)
                 self._note("puts")
         finally:
             with suppress(FileNotFoundError):

@@ -34,6 +34,7 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
+import sys
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -197,6 +198,18 @@ def _emit_fault_stats(observer, stats: RetryStats) -> None:
             pass
     if stats.backoff_seconds:
         observer.timer("faults.backoff_seconds").add(stats.backoff_seconds)
+
+
+def _warn_caller(message: str) -> None:
+    """A ``RuntimeWarning`` attributed to the first frame outside this
+    module: the caller of ``map`` or ``map_with_stats``, whichever it
+    called."""
+    frame = sys._getframe(1)
+    level = 2  # ``frame``'s stacklevel
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        frame = frame.f_back
+        level += 1
+    warnings.warn(message, RuntimeWarning, stacklevel=level)
 
 
 class Backend:
@@ -433,13 +446,11 @@ class ProcessBackend(Backend):
                 future.cancel()
             if pool_broken:
                 self.shutdown()  # drop the broken pool; next map rebuilds
-                warnings.warn(
+                _warn_caller(
                     f"{self.name} backend pool broke mid-run "
                     f"({type(exc).__name__}); re-executing this map "
                     "in-process (results are identical, only the "
-                    "parallel speedup is lost)",
-                    RuntimeWarning,
-                    stacklevel=4,
+                    "parallel speedup is lost)"
                 )
             else:
                 self._warn_unpicklable()
@@ -453,12 +464,10 @@ class ProcessBackend(Backend):
     def _warn_unpicklable(self) -> None:
         if not self._warned_unpicklable:
             self._warned_unpicklable = True
-            warnings.warn(
+            _warn_caller(
                 "process backend received an unpicklable task; "
                 "executing in-process instead (results are identical, "
-                "only the parallel speedup is lost)",
-                RuntimeWarning,
-                stacklevel=5,
+                "only the parallel speedup is lost)"
             )
 
     def _pickling_failure(self, exc: BaseException, fn, chunk) -> bool:

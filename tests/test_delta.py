@@ -46,6 +46,7 @@ from repro.delta import (
     plan_delta,
     value_deltas,
 )
+from repro.delta import plan as delta_plan
 from repro.delta.diff import STATUSES
 from repro.engine.expressions import BinaryOp, Column as Col, Literal
 from repro.engine.schema import Schema
@@ -146,6 +147,26 @@ class TestPlanDelta:
         assert plan.nodes["n3"].reason == "upstream"
         assert plan.cone == ["n1", "n2", "n3"]
         assert plan.nodes["n1"].base_key != plan.nodes["n1"].key
+
+    def test_shared_specs_are_upstream_without_serializing(
+        self, materialize, monkeypatch
+    ):
+        """A perturbed copy shares its unchanged specs with the base, so
+        only the changed node's two specs are serialized."""
+        base = chain(4)
+        store = materialize(base)
+        target = perturb(base, params={"n1": {"x": 99}})
+        serialized = []
+        real = delta_plan.canonical_json
+
+        def canonical_json(value):
+            serialized.append(value)
+            return real(value)
+
+        monkeypatch.setattr(delta_plan, "canonical_json", canonical_json)
+        plan = plan_delta(target, store, base=base)
+        assert plan.reasons() == {"changed": 1, "upstream": 2}
+        assert len(serialized) == 2
 
     def test_added_and_missing_reasons(self, materialize):
         base = chain(2)
@@ -1132,6 +1153,16 @@ def _reference_diff(store, a, b, max_leaves=64):
     return nodes, render, as_dict
 
 
+def _store_reads(values):
+    """Pop the store's hit and miss counters out of obs ``values``."""
+    counters = values["counters"]
+    return {
+        name: counters.pop(name)
+        for name in ("ensemble.store.hits", "ensemble.store.misses")
+        if name in counters
+    }
+
+
 def _timeless(report):
     """A report without its wall-clock parts (seconds, attempt times)."""
     error = report.error and re.sub(r"\(\d[\d.e+-]*s\)", "(t)", report.error)
@@ -1205,6 +1236,9 @@ class TestConeSizedCycles:
                 for name in evicted:
                     each.evict(compute_run_keys(base)[name])
             parent = base
+            # The store reads the reference's diffs made and the diffs did
+            # not; the store's own tallies lag the reference's by them.
+            skipped = {"hits": 0, "misses": 0}
             for step, (params, broken, grow, deps) in enumerate(steps):
                 scenarios = {broken: "test.always_fails"} if broken else None
                 target = perturb(
@@ -1217,26 +1251,37 @@ class TestConeSizedCycles:
                         ScenarioSpec("test.flaky", {"x": step}),
                         deps=deps,
                     )
-                self._check_cycle(parent, target, store, ref_store)
+                self._check_cycle(parent, target, store, ref_store, skipped)
                 parent = target
 
     @staticmethod
-    def _check_cycle(base, target, store, ref_store):
+    def _check_cycle(base, target, store, ref_store, skipped):
         def cycle():
             plan = plan_delta(target, store, base=base)
-            outcome = execute_plan(plan, store, backend="serial")
-            return plan, outcome, diff_timelines(store, base, target)
+            return plan, execute_plan(plan, store, backend="serial")
 
         def reference():
             nodes, keys = _reference_plan(target, ref_store, base)
             outcome, render = _reference_execute(target, nodes, keys, ref_store)
-            return nodes, outcome, render, _reference_diff(ref_store, base, target)
+            return nodes, outcome, render
 
-        (plan, outcome, diff), values = _observed(cycle)
-        (ref_nodes, ref_outcome, ref_render, ref_diff), ref_values = _observed(
-            reference
-        )
+        (plan, outcome), values = _observed(cycle)
+        (ref_nodes, ref_outcome, ref_render), ref_values = _observed(reference)
         assert values == ref_values
+        diff, diff_values = _observed(lambda: diff_timelines(store, base, target))
+        ref_diff, ref_diff_values = _observed(
+            lambda: _reference_diff(ref_store, base, target)
+        )
+        # The reference reads both results of every node whose key moved;
+        # the diff reads them only where the stored fingerprints differ.
+        reads = _store_reads(diff_values)
+        ref_reads = _store_reads(ref_diff_values)
+        assert diff_values == ref_diff_values
+        read = sum(
+            1 for n in diff.nodes
+            if n.status == "changed" and n.fingerprint_a != n.fingerprint_b
+        )
+        assert reads == ({"ensemble.store.hits": 2 * read} if read else {})
         assert list(plan.nodes.items()) == list(ref_nodes.items())
         assert plan.render() == _reference_plan_render(target.name, ref_nodes)
         assert plan.reasons() == {
@@ -1253,7 +1298,16 @@ class TestConeSizedCycles:
             sum(1 for r in ref_outcome.reports.values() if r.status == "reused"),
         )
         assert outcome.fingerprints() == ref_outcome.fingerprints()
-        assert _timeless_text(outcome.render()) == _timeless_text(ref_render)
+        ref_stats = dict(ref_outcome.store_stats)
+        for stat, amount in skipped.items():
+            ref_stats[stat] -= amount
+        assert outcome.store_stats == ref_stats
+        assert _timeless_text(outcome.render()) == _timeless_text(
+            ref_render.replace(str(ref_outcome.store_stats), str(ref_stats))
+        )
+        for stat in skipped:
+            name = f"ensemble.store.{stat}"
+            skipped[stat] += ref_reads.get(name, 0) - reads.get(name, 0)
         ref_diff_nodes, ref_diff_render, ref_diff_dict = ref_diff
         assert diff.nodes == ref_diff_nodes
         assert diff.render() == ref_diff_render

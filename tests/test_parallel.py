@@ -259,6 +259,21 @@ class TestBackendPrimitives:
         finally:
             backend.shutdown()
 
+    @pytest.mark.parametrize("entry", ("map", "map_with_stats"))
+    @pytest.mark.parametrize("cause", ("unpicklable", "pool broke"))
+    def test_fallback_warnings_point_at_the_caller(self, entry, cause):
+        backend = ProcessBackend(max_workers=2)
+        if cause == "unpicklable":
+            fn, items = (lambda x: x * x), [1, 2, 3]
+        else:  # the dead-worker set-up above
+            fn, items = square_in_driver_only, [(os.getpid(), x) for x in range(6)]
+        try:
+            with pytest.warns(RuntimeWarning, match=cause) as caught:
+                getattr(backend, entry)(fn, items)
+        finally:
+            backend.shutdown()
+        assert [warning.filename for warning in caught] == [__file__]
+
     def test_process_backend_worker_errors_still_propagate(self):
         # A task that genuinely raises a pickling-family exception is a
         # task bug, not a submission failure — it must not be silently

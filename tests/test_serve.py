@@ -35,6 +35,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import traceback
 
 import numpy as np
 import pytest
@@ -944,13 +945,13 @@ class TestRunStoreConcurrency:
     def test_many_threads_hammering_one_key(self, tmp_path):
         """put/get/evict races on a single key must never corrupt state.
 
-        Before the RunStore grew its lock, a reader could open
-        ``run.json`` and then lose ``arrays.npz`` to a concurrent
-        evict, and racing commits could double-count puts.
+        Every round also asks the instance's memory, which those races
+        fill and drop: a fingerprint it answers must be the value's.
         """
         store = RunStore(tmp_path)
         key = "deadbeef" * 8
         value = {"samples": np.arange(32, dtype=np.float64), "n": 32}
+        expected = result_fingerprint(value)
         errors = []
         rounds = 25
 
@@ -963,6 +964,9 @@ class TestRunStoreConcurrency:
                         np.testing.assert_array_equal(
                             got["samples"], value["samples"]
                         )
+                    (fingerprint,) = store.fingerprints([key])
+                    assert fingerprint in (None, expected), fingerprint
+                    store.contains_many([key])
                     if slot == 0 and i % 5 == 0:
                         store.evict(key)
                     if slot == 1 and i % 3 == 0:
@@ -971,8 +975,8 @@ class TestRunStoreConcurrency:
                         # live staging dir (an unconditional sweep made
                         # racing puts crash on a half-deleted stage).
                         store.gc()
-            except Exception as exc:  # noqa: BLE001 - surfaced below
-                errors.append(exc)
+            except Exception:  # noqa: BLE001 - surfaced below
+                errors.append(traceback.format_exc())
 
         threads = [
             threading.Thread(target=hammer, args=(slot,)) for slot in range(8)
@@ -980,8 +984,9 @@ class TestRunStoreConcurrency:
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join()
-        assert not errors
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, "\n".join(errors)
         # the store is still coherent: one final put/get round trips
         store.put(key, value, scenario="hammer", seed=0)
         final = store.get(key)

@@ -7,9 +7,11 @@ generates NULL-rich, tie-rich tables and queries from the grammar
 keys, int keys and both, inner and left equi-joins on string and int
 keys, ``ORDER BY`` … ``LIMIT`` and ``ORDER BY`` over a grouped result,
 ``SELECT DISTINCT`` and ``DISTINCT`` aggregates, ``HAVING``, ``[NOT] IN
-(SELECT …)``, ``WITH`` CTEs with column lists, and select-list
+(SELECT …)``, ``WITH`` CTEs with column lists, select-list
 arithmetic (``+``, ``-``, ``*``, unary minus, ``abs`` and ``coalesce``
-over ``i``, ``f``, ``w`` and literals) — and each query must
+over ``i``, ``f``, ``w`` and literals), and compounds of two or three
+SELECTs joined by ``UNION`` and ``UNION ALL``, with an ``ORDER BY`` …
+``LIMIT`` over the whole compound — and each query must
 give the same answer with ``execution="row"``, with ``"columnar"`` (byte
 for byte) and through ``sqlite3``.  Int keys come in two widths: ``i``
 and ``v`` span a few values, which the engine addresses directly, and
@@ -20,9 +22,11 @@ first answer come from a cached parse.
 Divergences these generators found are fixed, each with a regression
 test in :class:`TestDivergencesFound`: ``IN`` ignored SQL's NULL rules
 for a list holding NULL or an empty subquery, a CTE column took its
-type from the first row even when that value was NULL, and a CTE or
+type from the first row even when that value was NULL, a CTE or
 ``CREATE TABLE … AS`` column mixing ints and floats was typed ``int``
-and truncated its floats.
+and truncated its floats, ``UNION`` kept duplicates (a bag union, where
+SQL's is a set union), ``UNION ALL`` did not parse, and a trailing
+``ORDER BY`` sorted only the last SELECT of a compound.
 
 The known differences are allowed here and nowhere else:
 
@@ -43,6 +47,9 @@ The known differences are allowed here and nowhere else:
   four leaves, too few to cancel an overflowing term.
 * An ORDER BY key outside the select list raises ``QueryError`` here
   while sqlite accepts it, so none is generated.
+* The arms of a compound are matched by column name here and by
+  position in sqlite, so the generated arms alias their columns alike,
+  in the same order.
 
 Examples are derandomized and the budget is hypothesis's default; the
 ``sql-differential`` profile registered in ``tests/conftest.py`` raises
@@ -518,6 +525,41 @@ def arithmetic_queries(draw) -> Tuple[str, str, bool]:
     return sql, sql, False
 
 
+#: Each position of a compound's select list draws its column from one
+#: of these per arm: strings, or numbers (ints and floats mix, so ``1``
+#: and ``1.0`` meet in one column).
+UNION_COLUMNS = (("s1", "s2"), ("i", "f", "w"))
+
+
+@st.composite
+def union_queries(draw) -> Tuple[str, str, bool]:
+    """Two or three SELECTs over ``t`` joined by ``UNION`` and ``UNION
+    ALL``, each arm with its own columns and filter under shared
+    aliases, maybe sorted and cut as a whole."""
+    positions = draw(st.lists(st.sampled_from(UNION_COLUMNS), min_size=1, max_size=3))
+
+    def arm() -> str:
+        items = ", ".join(
+            f"{draw(st.sampled_from(columns))} AS c{k}"
+            for k, columns in enumerate(positions)
+        )
+        return f"SELECT {items} FROM t{_where(draw(MAYBE_PREDICATE))}"
+
+    body = arm()
+    for _ in range(draw(st.integers(1, 2))):
+        body += f" {draw(st.sampled_from(['UNION', 'UNION ALL']))} {arm()}"
+    if not draw(st.booleans()):
+        return body, body, False
+    # Ordering by every column is total up to rows that compare equal.
+    keys = [(f"c{k}", draw(st.booleans())) for k in range(len(positions))]
+    limit = draw(_limit())
+    return (
+        f"{body} {_order_clause(keys, False)}{limit}",
+        f"{body} {_order_clause(keys, True)}{limit}",
+        True,
+    )
+
+
 # -- comparison ----------------------------------------------------------------
 
 
@@ -704,8 +746,15 @@ def test_select_list_arithmetic_matches_sqlite(tables, query):
     check(*tables, query)
 
 
+@SETTINGS
+@given(databases(), union_queries())
+def test_compounds_match_sqlite(tables, query):
+    check(*tables, query)
+
+
 class TestDivergencesFound:
-    """What the ``IN (SELECT …)`` and CTE generators found, pinned."""
+    """What the ``IN (SELECT …)``, CTE and compound generators found,
+    pinned."""
 
     def _db(self):
         return load({
@@ -771,3 +820,28 @@ class TestDivergencesFound:
         assert db.table("m").schema.columns[0].dtype is float
         sql = "SELECT v FROM m"
         assert check(db, con, (sql, sql, False)) == [(1.0,), (2.5,)]
+
+    def _dupes(self):
+        return load({"t": (Schema.of(a=int), [{"a": 1}, {"a": 1}, {"a": 2}])})
+
+    @pytest.mark.parametrize(
+        "sql, want",
+        [
+            # UNION is a set union; UNION ALL keeps every row.
+            ("SELECT a FROM t UNION SELECT a FROM t", [(1,), (2,)]),
+            ("SELECT a FROM t UNION ALL SELECT a FROM t", [(1,)] * 4 + [(2,)] * 2),
+            # Left to right: the last UNION removes the duplicates before it.
+            ("SELECT a FROM t UNION ALL SELECT a FROM t UNION SELECT a FROM t",
+             [(1,), (2,)]),
+            ("SELECT a FROM t UNION SELECT a FROM t UNION ALL SELECT a FROM t",
+             [(1,), (1,), (1,), (2,), (2,)]),
+        ],
+    )
+    def test_union_removes_duplicates_and_union_all_keeps_them(self, sql, want):
+        db, con = self._dupes()
+        assert check(db, con, (sql, sql, False)) == want
+
+    def test_order_by_and_limit_after_a_compound_apply_to_all_of_it(self):
+        db, con = self._dupes()
+        sql = "SELECT a FROM t WHERE a = 2 UNION ALL SELECT a FROM t ORDER BY a DESC LIMIT 3"
+        assert check(db, con, (sql, sql, True)) == [(2,), (2,), (1,)]

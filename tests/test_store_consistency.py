@@ -1,14 +1,16 @@
 """Run-store membership under removal: the eviction generation, atomic
 eviction, and crash consistency under SIGKILL.
 
-``RunStore.contains_many`` answers keys it has already seen present from
-memory, so it is only as sound as the generation protocol behind it:
-every path that removes an entry (``evict``, ``gc`` by age or size,
-gc's batch step run from another instance) must write a fresh token
-before its first removal and after its last.  These tests pin that per
-removal path, across store instances and processes, and with a
-hypothesis interleaving of put/get/evict/gc and reopening against
-per-key ``contains``.  An entry is one file, so a removal is one unlink
+``RunStore.contains_many`` and ``RunStore.fingerprints`` answer keys the
+instance has already seen present (by a stat, a ``get`` hit or a
+committed ``put``) from memory, so they are only as sound as the
+generation protocol behind it: every path that removes an entry
+(``evict``, ``gc`` by age or size, gc's batch step run from another
+instance) must write a fresh token before its first removal and after
+its last.  These tests pin that per removal path, across store instances
+and processes, and with a hypothesis interleaving of put/get/evict/gc
+and reopening against per-key ``contains`` and the fingerprints a fresh
+instance reads.  An entry is one file, so a removal is one unlink
 and a ``get`` racing it reads the whole entry or misses.  The SIGKILL
 tests stop a child process at fixed points inside ``put``, ``gc`` and
 ``evict`` and check what it leaves behind.
@@ -24,6 +26,7 @@ backend cannot move the point where a child stops.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
 import subprocess
@@ -31,6 +34,7 @@ import sys
 import tempfile
 import threading
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from hypothesis import strategies as st
 
 from repro.delta import execute_plan, perturb, plan_delta
 from repro.ensemble import compute_run_keys, run_ensemble
+from repro.ensemble import store as store_module
 from repro.ensemble.store import RunStore, result_fingerprint, run_key
 from repro.errors import SimulationError
 from repro.faults import injected
@@ -111,14 +116,26 @@ class TestContainsMany:
         assert store.contains_many([]) == []
 
     def test_stats_only_keys_not_seen_present(self, tmp_path):
-        store = CountingStore(tmp_path)
-        keys = _populate(store, count=5)
+        writer = CountingStore(tmp_path)
+        keys = _populate(writer, count=5)
         absent = [_key(i) for i in range(10, 13)]
+        store = CountingStore(tmp_path)
         store.contains_many(keys + absent)
-        assert store.stats_made == 8  # a fresh instance stats every key
+        assert store.stats_made == 8  # a reopened instance stats every key
         store.stats_made = 0
         assert store.contains_many(keys + absent) == [True] * 5 + [False] * 3
         assert store.stats_made == 3  # only the absent keys, again
+        # The writer's commits taught it its own keys.
+        assert writer.contains_many(keys + absent) == [True] * 5 + [False] * 3
+        assert writer.stats_made == 3
+
+    def test_get_hits_teach_contains_many(self, tmp_path):
+        keys = _populate(RunStore(tmp_path), count=3)
+        store = CountingStore(tmp_path)
+        assert store.get(keys[1]) is not None
+        assert store.get(_key(10)) is None
+        assert store.contains_many(keys + [_key(10)]) == [True] * 3 + [False]
+        assert store.stats_made == 3  # not keys[1], which get read
 
     def test_an_absence_is_never_cached(self, tmp_path):
         store = RunStore(tmp_path)
@@ -146,7 +163,9 @@ class TestContainsMany:
         while the first call was still statting)."""
         store = RunStore(tmp_path)
         other = RunStore(tmp_path)
-        keys = _populate(store, count=3)
+        # Written through ``other``: ``store`` has not seen the keys, so
+        # it stats them.
+        keys = _populate(other, count=3)
         real_contains = RunStore.contains
         raced = []
 
@@ -173,6 +192,7 @@ class TestContainsMany:
         store = RunStore(tmp_path)
         other = RunStore(tmp_path)
         keys = _populate(store, count=8)
+        expected = [result_fingerprint(_payload(i)) for i in range(8)]
         stop = threading.Event()
         errors = []
 
@@ -182,8 +202,12 @@ class TestContainsMany:
                     answers = store.contains_many(keys)
                     # keys[0] is never removed: it must always read present.
                     assert answers[0], answers
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+                    prints = store.fingerprints(keys)
+                    assert prints[0] == expected[0], prints
+                    for fingerprint, want in zip(prints, expected):
+                        assert fingerprint in (None, want), prints
+            except Exception:  # pragma: no cover - failure path
+                errors.append(traceback.format_exc())
 
         def churn(offset):
             try:
@@ -192,8 +216,8 @@ class TestContainsMany:
                     other.evict(key)
                     if round_ % 3:
                         other.put(key, _payload(keys.index(key)))
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+            except Exception:  # pragma: no cover - failure path
+                errors.append(traceback.format_exc())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -210,9 +234,157 @@ class TestContainsMany:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in readers + churners)
-        assert errors == []
+        assert errors == [], errors[0]
+        on_disk = _fingerprints_on_disk(tmp_path, keys)
         for view in (store, other, RunStore(tmp_path)):
             assert _agrees(view, keys)
+            assert view.fingerprints(keys) == on_disk
+
+
+class TestFingerprints:
+    """``fingerprints`` answers what the entries on disk hold: a memory
+    filed by ``get`` or ``put`` must never outlive a removal or answer
+    another writer's entry."""
+
+    def test_an_entry_this_instance_did_not_write_is_decoded_once(
+        self, tmp_path, monkeypatch
+    ):
+        keys = _populate(RunStore(tmp_path), count=2)  # array-bearing results
+        store = RunStore(tmp_path)
+        assert store.get(keys[0]) is not None  # files presence, not a print
+        decoded = []
+        real_read_result = store_module._read_result
+
+        def read_result(handle, document):
+            decoded.append(document["key"])
+            return real_read_result(handle, document)
+
+        monkeypatch.setattr(store_module, "_read_result", read_result)
+        expected = [result_fingerprint(_payload(i)) for i in range(2)]
+        assert store.fingerprints(keys + [_key(9)]) == expected + [None]
+        assert decoded == keys
+        assert store.stats.as_dict()["hits"] == 1  # not a get
+        assert store.fingerprints(keys) == expected  # now from memory
+        assert decoded == keys
+
+    def test_a_put_that_loses_the_link_race_remembers_nothing(self, tmp_path, monkeypatch):
+        """Another writer commits the key between this put's staging and
+        its link: the entry on disk is theirs, so this instance must
+        neither answer this put's fingerprint nor skip the key's stat."""
+        store = CountingStore(tmp_path)
+        other = RunStore(tmp_path)
+        key = _key(0)
+        theirs = dict(_payload(0), writer="other")
+        real_link = os.link
+        raced = []
+
+        def link(src, dst, *args, **kwargs):
+            if dst == store._entry_path(key) and not raced:
+                raced.append(dst)
+                other.put(key, theirs)  # commits first
+            return real_link(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "link", link)
+        mine = store.put(key, _payload(0))
+        monkeypatch.undo()
+        assert raced
+        assert result_fingerprint(mine) == result_fingerprint(_payload(0))
+        assert store.contains_many([key]) == [True]
+        assert store.stats_made == 1  # the lost put filed no presence
+        assert store.fingerprints([key]) == [result_fingerprint(theirs)]
+        assert result_fingerprint(store.get(key)) == result_fingerprint(theirs)
+
+    def test_a_put_racing_a_removal_is_not_filed_under_a_newer_token(
+        self, tmp_path, monkeypatch
+    ):
+        """The entry is removed, and the memory retagged, between the
+        put's link and its filing: the filing must not land."""
+        store = RunStore(tmp_path)
+        other = RunStore(tmp_path)
+        key = _key(0)
+        real_link = os.link
+
+        def link(src, dst, *args, **kwargs):
+            real_link(src, dst, *args, **kwargs)
+            if dst == store._entry_path(key):
+                other.evict(key)  # bumps before and after the removal
+                store.contains_many([])  # a second caller retags the memory
+
+        monkeypatch.setattr(os, "link", link)
+        store.put(key, _payload(0))
+        monkeypatch.undo()
+        assert store.contains_many([key]) == [False]
+        assert store.fingerprints([key]) == [None]
+
+    def test_a_get_racing_a_removal_is_not_filed_under_a_newer_token(
+        self, tmp_path, monkeypatch
+    ):
+        """The entry is removed, and the memory retagged, while a get that
+        opened it reads it: the get returns it whole, and files nothing."""
+        store = RunStore(tmp_path)
+        other = RunStore(tmp_path)
+        key = _key(0)
+        other.put(key, _payload(0))
+        real_read_array = np.lib.format.read_array
+        raced = []
+
+        def read_array(*args, **kwargs):
+            if not raced:
+                raced.append(key)
+                other.evict(key)
+                store.contains_many([])
+            return real_read_array(*args, **kwargs)
+
+        monkeypatch.setattr(np.lib.format, "read_array", read_array)
+        value = store.get(key)
+        monkeypatch.undo()
+        assert raced
+        assert result_fingerprint(value) == result_fingerprint(_payload(0))
+        assert store.contains_many([key]) == [False]
+        assert store.fingerprints([key]) == [None]
+
+
+class _Finalized:
+    """Cyclic garbage whose finalizer runs Python code in the collector."""
+
+    def __del__(self):
+        sum(range(50))
+
+
+def test_threads_reading_arrays_while_the_collector_runs_finalizers(tmp_path):
+    """``.npy`` headers are parsed with ``ast.literal_eval``; on CPython
+    releases whose AST constructor keeps one recursion depth per
+    interpreter, concurrent parses interrupted by a finalizer raised
+    ``SystemError`` from ``get``."""
+    store = RunStore(tmp_path)
+    (key,) = _populate(store, count=1)
+    errors = []
+
+    def reader():
+        try:
+            for _ in range(1500):
+                a, b = _Finalized(), _Finalized()
+                a.other, b.other = b, a
+                del a, b
+                assert store.get(key)["tag"] == "run-0"
+        except Exception:  # pragma: no cover - failure path
+            errors.append(traceback.format_exc())
+
+    thresholds = gc.get_threshold()
+    interval = sys.getswitchinterval()
+    gc.set_threshold(50, 5, 5)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        gc.set_threshold(*thresholds)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors[0]
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +687,13 @@ def test_contains_many_matches_contains_under_interleavings(steps):
     keys = [_key(i) for i in range(6)]
     with tempfile.TemporaryDirectory() as root:
         views = [RunStore(root), RunStore(root)]
-        for op, actor, i in steps:
+        for n, (op, actor, i) in enumerate(steps):
             store = views[actor]
             if op == "put":
-                store.put(keys[i], _payload(i))
+                # Each put's content is its own, as a scenario that is not
+                # deterministic would write after an eviction: a memory
+                # that outlived its entry would answer the old fingerprint.
+                store.put(keys[i], dict(_payload(i), put=n))
                 _age(store, keys[i], i)
             elif op == "get":
                 value = store.get(keys[i])
@@ -532,5 +707,14 @@ def test_contains_many_matches_contains_under_interleavings(steps):
                 store.gc(max_total_bytes=store.total_bytes() * i // 6)
             else:
                 views[actor] = RunStore(root)
+            on_disk = _fingerprints_on_disk(root, keys)
             for view in views:
                 assert _agrees(view, keys), (op, actor, i)
+                assert view.fingerprints(keys) == on_disk, (op, actor, i)
+
+
+def _fingerprints_on_disk(root, keys):
+    """Each key's ``result_fingerprint``, read through a fresh instance."""
+    fresh = RunStore(root)
+    values = [fresh.get(key) for key in keys]
+    return [None if v is None else result_fingerprint(v) for v in values]
