@@ -359,10 +359,12 @@ class Executor:
             return (
                 {k: None for k in node.rows[0]} if node.rows else {}
             )
+        if isinstance(node, lp.Union):
+            return self._static_null_row(node.left)
         children = node.children()
         if len(children) == 1:
             return self._static_null_row(children[0])
-        if isinstance(node, (lp.Join, lp.Union)) and children:
+        if isinstance(node, lp.Join) and children:
             merged: Row = {}
             for child in children:
                 merged.update(self._static_null_row(child))
@@ -475,16 +477,17 @@ class Executor:
                 yield row
 
     def _union(self, node: lp.Union) -> Iterator[Row]:
+        # SQL matches the arms of a compound by position.
         left_rows = list(self._run(node.left))
         right_rows = list(self._run(node.right))
-        if left_rows and right_rows:
-            if set(left_rows[0]) != set(right_rows[0]):
-                raise QueryError(
-                    "UNION inputs have different columns: "
-                    f"{sorted(left_rows[0])} vs {sorted(right_rows[0])}"
-                )
+        names = list(left_rows[0] if left_rows else self._static_null_row(node.left))
+        if right_rows and len(right_rows[0]) != len(names):
+            raise QueryError(
+                "UNION inputs have different numbers of columns: "
+                f"{names} vs {list(right_rows[0])}"
+            )
         yield from left_rows
-        yield from right_rows
+        yield from (dict(zip(names, row.values())) for row in right_rows)
 
 
 def _observe_operator(

@@ -44,6 +44,8 @@ def _available_columns(
         return set(node.aliases)
     if isinstance(node, lp.Aggregate):
         return set(node.group_aliases) | {a.alias for a in node.aggregates}
+    if isinstance(node, lp.Union):
+        return _available_columns(node.left, schema_lookup)
     cols: Set[str] = set()
     for child in node.children():
         cols |= _available_columns(child, schema_lookup)

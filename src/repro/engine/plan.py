@@ -214,7 +214,8 @@ class Distinct(PlanNode):
 
 @dataclass(frozen=True)
 class Union(PlanNode):
-    """Bag union of two relations with identical column sets."""
+    """Bag union of two relations with as many columns, matched by
+    position; the output takes the left relation's column names."""
 
     left: PlanNode
     right: PlanNode

@@ -176,7 +176,8 @@ class Query:
         return self._wrap(lp.Distinct(self._plan))
 
     def union(self, other: "Query") -> "Query":
-        """Bag union with another query."""
+        """Bag union with another query of as many columns, matched by
+        position; the result takes this query's column names."""
         return self._wrap(lp.Union(self._plan, other._plan))
 
     def run(

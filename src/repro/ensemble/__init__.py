@@ -15,9 +15,10 @@ that missing layer, in three cooperating pieces:
 * :mod:`repro.ensemble.store` — the content-addressed on-disk
   :class:`RunStore`: run key = sha256 over (callable qualname,
   canonical-JSON params, seed, schema version, upstream keys),
-  one file per entry (a JSON header line + ``.npy`` arrays) committed
-  atomically with a hard link, hit/miss/eviction accounting, and
-  ``gc`` by age/size;
+  one file per entry (a JSON header line describing each array, then
+  the arrays' raw bytes) committed atomically with a hard link,
+  hit/miss/eviction accounting, and ``gc`` by age/size; its codec also
+  encodes served results (``encode_payload``);
 * :mod:`repro.ensemble.scheduler` — a deterministic topological
   scheduler dispatching ready waves through :mod:`repro.parallel`,
   honoring :mod:`repro.faults` retry per node (failed nodes mark

@@ -48,9 +48,10 @@ from repro.errors import SimulationError
 #: ``params`` is the canonicalized parameter mapping, ``seed`` the
 #: spec's integer seed (build generators with ``repro.stats.make_rng``),
 #: and ``upstream`` maps dependency node names to their results.  The
-#: result must be JSON-serializable apart from numpy arrays (which the
-#: run store persists losslessly as ``.npy`` records, refusing arrays
-#: that hold Python objects).
+#: result must be JSON-serializable apart from numpy arrays, which the
+#: run store persists, and the serve wire carries, losslessly as their
+#: ``.npy`` dtype descr, shape and raw bytes, refusing arrays that hold
+#: Python objects.
 ScenarioFn = Callable[[Mapping[str, Any], int, Mapping[str, Any]], Any]
 
 _REGISTRY: Dict[str, ScenarioFn] = {}

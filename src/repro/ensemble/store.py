@@ -19,20 +19,21 @@ their common prefix.
 On-disk layout (documented in README "Ensemble orchestration")::
 
     <root>/
-      runs/<key[:2]>/<key>   # one file per entry: a JSON header line,
-                             # then one .npy record per array
+      entries/<key[:2]>/<key>  # one file per entry: a JSON header
+                               # line, then the arrays' raw bytes
       checkpoints/           # ChainCheckpoint files for
                              # crash-resumable chain prefixes
       tmp/                   # put staging
       generation             # eviction generation token
 
 An entry's first line is its document (schema, key, scenario, params,
-seed, the JSON result tree and the names of its arrays, in order) as
-compact JSON, its fields in sorted order and the result's dicts in
-their own; the arrays follow as ``.npy`` records, written and read
-without pickling.  This is the only layout.  A root holding
-``shards/`` or ``objects/`` was written by a retired layout (sharded,
-or a directory of two files per entry) and is refused on open: a store
+seed, the JSON result tree and each array's ``.npy`` dtype descr and
+shape, in order) as compact JSON, its fields in sorted order and the
+result's dicts in their own; the arrays' C-order bytes follow, written
+and read without pickling.  The serve wire's :func:`encode_payload` is
+the same codec.  This is the only layout.  A root holding ``shards/``,
+``objects/`` or ``runs/`` was written by a retired layout (sharded, two
+files per entry, or ``.npy`` records) and is refused on open: a store
 is a cache, so such a root is deleted and its runs recomputed.
 
 Writes are atomic: each entry is staged as one file in ``tmp/`` and
@@ -52,16 +53,19 @@ removal and again after its last.  A store instance remembers, under one
 token, each key it has seen present and, where it wrote or fingerprinted
 the entry, its fingerprint: :meth:`RunStore.contains_many` stats only
 the keys it does not remember, and :meth:`RunStore.fingerprints` reads
-and decodes an entry only for a key whose fingerprint it does not.  The
-memory holds about 250 bytes per key and is dropped by the next removal
-only.  A store that never removed anything has no ``generation`` file;
-it reads as the empty token.
+an entry only for a key whose fingerprint it does not.  The memory
+holds about 250 bytes per key and is dropped by the next removal, or
+when full.  A store that never removed anything has no ``generation``
+file; it reads as the empty token.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import io
 import json
+import math
 import os
 import threading
 import time
@@ -71,6 +75,7 @@ from itertools import compress
 from operator import not_
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -94,12 +99,18 @@ from repro.obs import get_observer
 STORE_SCHEMA_VERSION = 1
 
 _ARRAY_MARKER = "__npz__"
+_INLINE_MARKER = "__ndarray__"
+_JSON_LEAVES = frozenset((type(None), bool, int, float, str))
 
 #: Top-level directory of each retired layout -> what wrote it.
 _RETIRED_LAYOUTS = {
     "shards": "the retired sharded layout",
     "objects": "the retired two-file entry layout",
+    "runs": "the retired layout of .npy entry records",
 }
+
+#: Keys an instance remembers (~250 B each) before it forgets them all.
+_MEMORY_KEYS = 2**14
 
 
 def run_key(
@@ -127,6 +138,84 @@ def run_key(
 
 # -- result encoding --------------------------------------------------------
 
+def _encode(value: Any, render: Callable[[np.ndarray], Any]) -> Any:
+    """The one walk: ``value`` in the store's normal form, arrays rendered by
+    ``render``; what the store cannot persist raises :class:`SimulationError`."""
+    if type(value) in _JSON_LEAVES:  # exact types: np.float64 is a float
+        return value
+    if isinstance(value, np.ndarray):
+        if value.dtype.hasobject:
+            raise SimulationError(
+                f"scenario result contains an array of dtype {value.dtype}, which the run store "
+                "cannot persist without pickling; return arrays of numbers, bools or fixed-width "
+                "strings"
+            )
+        return render(value)
+    if isinstance(value, np.generic):
+        # ``item()`` can return what JSON cannot hold (``date``, ``timedelta``,
+        # ``complex``, ``bytes``, or a ``longdouble`` itself): check it too.
+        item = value.item()
+        if not isinstance(item, np.generic):
+            return _encode(item, render)
+    if isinstance(value, Mapping):
+        out = {}
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise SimulationError(f"result keys must be strings, got {key!r}")
+            if key == _ARRAY_MARKER or key == _INLINE_MARKER:
+                raise SimulationError(f"result key {key!r} collides with an array marker")
+            out[key] = _encode(item, render)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_encode(item, render) for item in value]
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise SimulationError(
+        f"scenario result contains {type(value).__name__} ({value!r}), which the run store "
+        "cannot persist; return JSON-able scalars, lists, dicts, or numpy arrays"
+    )
+
+
+def _decode(tree: Any, marker: str, load: Callable[[Any], np.ndarray]) -> Any:
+    """Inverse of :func:`_encode`: ``{marker: ref}`` becomes ``load(ref)``."""
+    if isinstance(tree, dict):
+        if len(tree) == 1 and marker in tree:
+            return load(tree[marker])
+        return {key: _decode(item, marker, load) for key, item in tree.items()}
+    if isinstance(tree, list):
+        return [_decode(item, marker, load) for item in tree]
+    return tree
+
+
+def _describe(array: np.ndarray) -> Dict[str, Any]:
+    """The description of ``array`` itself (``np.ascontiguousarray`` would
+    make a 0-d array 1-d); its bytes are ``array.tobytes()``."""
+    return {"dtype": np.lib.format.dtype_to_descr(array.dtype), "shape": list(array.shape)}
+
+
+def _descr_from_json(descr: Any) -> Any:
+    """``descr`` with the tuples JSON made lists (fields, titled names)."""
+    if isinstance(descr, str):
+        return descr
+    return [(tuple(n) if isinstance(n, list) else n, _descr_from_json(d), *shape)
+            for n, d, *shape in descr]
+
+
+def _read_array(
+    description: Mapping[str, Any], readinto: Callable[[bytearray], int]
+) -> np.ndarray:
+    """The writable array ``description`` describes, read with ``readinto``;
+    an object dtype (never read as pointers) or a short read raises."""
+    dtype = np.lib.format.descr_to_dtype(_descr_from_json(description["dtype"]))
+    if dtype.hasobject:
+        raise SimulationError(f"an array of dtype {dtype} cannot be read without unpickling")
+    shape = tuple(description["shape"])
+    data = bytearray(dtype.itemsize * math.prod(shape))
+    if readinto(data) != len(data):
+        raise SimulationError(f"array data ends short of its {len(data)} bytes")
+    return np.ndarray(shape, dtype, data)
+
+
 def encode_result(result: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     """Split a result into a JSON tree plus extracted numpy arrays.
 
@@ -139,66 +228,39 @@ def encode_result(result: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     """
     arrays: Dict[str, np.ndarray] = {}
 
-    def walk(value: Any) -> Any:
-        if isinstance(value, np.ndarray):
-            if value.dtype.hasobject:
-                raise SimulationError(
-                    f"scenario result contains an array of dtype "
-                    f"{value.dtype}, which the run store cannot persist "
-                    "without pickling; return arrays of numbers, bools "
-                    "or fixed-width strings"
-                )
-            name = f"a{len(arrays)}"
-            arrays[name] = value
-            return {_ARRAY_MARKER: name}
-        if isinstance(value, np.generic):
-            # ``item()`` can return what JSON cannot hold (``date``,
-            # ``timedelta``, ``complex``, ``bytes``): check it too.
-            return walk(value.item())
-        if isinstance(value, Mapping):
-            out = {}
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise SimulationError(
-                        f"result keys must be strings, got {key!r}"
-                    )
-                if key == _ARRAY_MARKER:
-                    raise SimulationError(
-                        f"result key {key!r} collides with the array marker"
-                    )
-                out[key] = walk(item)
-            return out
-        if isinstance(value, (list, tuple)):
-            return [walk(item) for item in value]
-        if (
-            value is None
-            or isinstance(value, (bool, int, float, str))
-        ):
-            return value
-        raise SimulationError(
-            f"scenario result contains {type(value).__name__} "
-            f"({value!r}), which the run store cannot persist; return "
-            "JSON-able scalars, lists, dicts, or numpy arrays"
-        )
+    def by_reference(array: np.ndarray) -> Dict[str, str]:
+        name = f"a{len(arrays)}"
+        arrays[name] = array
+        return {_ARRAY_MARKER: name}
 
-    return walk(result), arrays
+    return _encode(result, by_reference), arrays
 
 
 def decode_result(tree: Any, arrays: Mapping[str, np.ndarray]) -> Any:
     """Inverse of :func:`encode_result` (arrays restored losslessly)."""
-    if isinstance(tree, dict):
-        if set(tree) == {_ARRAY_MARKER}:
-            return np.asarray(arrays[tree[_ARRAY_MARKER]])
-        return {key: decode_result(item, arrays) for key, item in tree.items()}
-    if isinstance(tree, list):
-        return [decode_result(item, arrays) for item in tree]
-    return tree
+    return _decode(tree, _ARRAY_MARKER, lambda name: np.asarray(arrays[name]))
+
+
+def encode_payload(value: Any) -> Any:
+    """``value`` as the serve wire carries it: :func:`encode_result`'s walk,
+    arrays inline as ``{"__ndarray__": {"dtype", "shape", "data": <base64>}}``."""
+    return _encode(value, _inline)
+
+
+def _inline(array: np.ndarray) -> Dict[str, Any]:
+    data = base64.b64encode(array.tobytes()).decode("ascii")
+    return {_INLINE_MARKER: dict(_describe(array), data=data)}
+
+
+def decode_payload(tree: Any) -> Any:
+    """Inverse of :func:`encode_payload` (arrays restored losslessly)."""
+    return _decode(tree, _INLINE_MARKER, lambda spec: _read_array(
+        spec, io.BytesIO(base64.b64decode(spec["data"])).readinto))
 
 
 def normalize_result(result: Any) -> Any:
     """The store's normal form of a result (without touching disk)."""
-    tree, arrays = encode_result(result)
-    return decode_result(tree, arrays)
+    return decode_result(*encode_result(result))
 
 
 def result_fingerprint(result: Any) -> str:
@@ -263,24 +325,12 @@ def _read_header(handle) -> Dict[str, Any]:
     return json.loads(handle.readline())
 
 
-#: ``np.lib.format.read_array`` parses each ``.npy`` header with
-#: ``ast.literal_eval``.  Some CPython releases (3.11.7 among them) keep
-#: the AST constructor's recursion depth per interpreter, not per thread,
-#: so two threads parsing at once raise ``SystemError: AST constructor
-#: recursion depth mismatch`` when the collector runs Python code
-#: mid-parse.  Array reads take this lock.
-_READ_ARRAY_LOCK = threading.Lock()
-
-
-def _read_result(handle, document: Dict[str, Any]) -> Any:
-    """The result of the entry whose header ``document`` was just read
-    from ``handle``."""
-    with _READ_ARRAY_LOCK:
-        arrays = {
-            name: np.lib.format.read_array(handle, allow_pickle=False)
-            for name in document["arrays"]
-        }
-    return decode_result(document["result"], arrays)
+def _read_arrays(handle, document: Dict[str, Any]) -> Dict[str, np.ndarray]:
+    """The arrays, named ``a0, a1, …``, of the entry ``document`` heads."""
+    return {
+        f"a{i}": _read_array(description, handle.readinto)
+        for i, description in enumerate(document["arrays"])
+    }
 
 
 def _current(document: Dict[str, Any]) -> bool:
@@ -301,15 +351,15 @@ class RunStore:
     concurrent same-key writers from separate processes safe), and a
     reader that has opened an entry reads all of it even if a
     concurrent ``evict``/``gc`` unlinks it meanwhile, so reads take no
-    store lock (array parsing takes :data:`_READ_ARRAY_LOCK`).
-    :class:`StoreStats` increments are read-modify-write and take
+    lock.  :class:`StoreStats` increments are read-modify-write and take
     a lock of their own; an internal re-entrant lock serializes the
     commit and eviction.  Result encoding and staging (the expensive
     parts of ``put``) happen outside it.  What the instance remembers is
     one dict, key to fingerprint (``None`` where only presence is
     known), tagged with its generation: a token change swaps in a fresh
-    dict under a lock of its own, entries are only ever added, and
-    readers look keys up without a lock.
+    dict under a lock of its own, entries are only added (or all
+    dropped, at ``_MEMORY_KEYS``), and readers look keys up without a
+    lock.
     """
 
     def __init__(self, root: os.PathLike) -> None:
@@ -334,7 +384,7 @@ class RunStore:
 
     # -- layout --------------------------------------------------------------
     def _runs_dir(self) -> str:
-        return os.path.join(self.root, "runs")
+        return os.path.join(self.root, "entries")
 
     def _scratch_dir(self) -> str:
         return os.path.join(self.root, "tmp")
@@ -427,8 +477,10 @@ class RunStore:
         """File ``key`` as present, with its fingerprint when known.
 
         Filing into a memory a newer token has replaced is harmless:
-        calls that start later read only the newer one.
-        """
+        calls that start later read only the newer one.  Emptying a full
+        one is as sound: an empty memory is sound under any token."""
+        if len(memory) >= _MEMORY_KEYS and key not in memory:
+            memory.clear()
         if fingerprint is None:
             memory.setdefault(key, None)
         else:
@@ -466,8 +518,8 @@ class RunStore:
         Reads the eviction generation once, like :meth:`contains_many`,
         and answers from memory where it holds the fingerprint (a
         committed ``put`` or an earlier call filed it); otherwise it
-        reads the entry, decodes it and fingerprints the result.  Not a
-        ``get``: it records no hit or miss.
+        reads the entry and fingerprints its stored tree and arrays, with
+        no decode.  Not a ``get``: it records no hit or miss.
         """
         memory = self._memory_under(self._read_generation())
         answers = list(map(memory.get, keys))
@@ -488,7 +540,8 @@ class RunStore:
             document = _read_header(handle)
             if not _current(document):
                 return None
-            return result_fingerprint(_read_result(handle, document))
+            # A JSON round trip keeps the tree's leaves exact.
+            return _fingerprint(document["result"], _read_arrays(handle, document))
 
     def get(self, key: str) -> Optional[Any]:
         """The stored result for ``key``, or ``None`` on a miss.
@@ -508,7 +561,7 @@ class RunStore:
             if not _current(document):
                 self._note("misses")
                 return None
-            result = _read_result(handle, document)
+            result = decode_result(document["result"], _read_arrays(handle, document))
         self._remember(memory, key)
         self._note("hits")
         return result
@@ -536,7 +589,7 @@ class RunStore:
         tree, arrays = encode_result(result)
         fingerprint = _fingerprint(tree, arrays)
         document = {
-            "arrays": list(arrays),
+            "arrays": [_describe(array) for array in arrays.values()],
             "key": key,
             "params": canonical_json(params or {}),
             "result": tree,
@@ -559,10 +612,8 @@ class RunStore:
                 # fingerprinted, differently warm than cold).
                 line = json.dumps(document, separators=(",", ":"))
                 handle.write(line.encode("ascii") + b"\n")
-                for name in document["arrays"]:
-                    np.lib.format.write_array(
-                        handle, arrays[name], allow_pickle=False
-                    )
+                for array in arrays.values():
+                    handle.write(array.tobytes())
             memory = self._memory[1]  # as it stands before the commit
             with self._lock:
                 os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -766,7 +817,9 @@ __all__ = [
     "RunStore",
     "StoreEntry",
     "StoreStats",
+    "decode_payload",
     "decode_result",
+    "encode_payload",
     "encode_result",
     "normalize_result",
     "result_fingerprint",

@@ -49,22 +49,21 @@ without string matching:
 ``internal``
     Anything else — a server-side bug, by definition.
 
-Numpy arrays cross the wire losslessly as
-``{"__ndarray__": {"dtype": ..., "shape": [...], "data": <base64>}}``
-so a decoded client-side result is byte-identical (dtype, shape, raw
-bytes) to the in-process value — :func:`repro.ensemble.store.
+Payloads are the run store's codec (:func:`encode_payload`), which
+refuses what the store refuses.  Numpy arrays cross the wire losslessly
+as ``{"__ndarray__": {"dtype": <.npy descr>, "shape": [...], "data":
+<base64>}}`` so a decoded client-side result is byte-identical (dtype,
+shape, raw bytes) to the in-process value — :func:`repro.ensemble.store.
 result_fingerprint` computed on either side agrees.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import zlib
 from typing import Any, Dict, List, Mapping, Optional
 
-import numpy as np
-
+from repro.ensemble.store import decode_payload, encode_payload
 from repro.errors import (
     CatalogError,
     DesignError,
@@ -78,8 +77,6 @@ from repro.faults.retry import TaskFailed, TaskTimeout
 
 #: Protocol revision; servers reject requests from future revisions.
 PROTOCOL_VERSION = 1
-
-_NDARRAY_MARKER = "__ndarray__"
 
 #: Machine-readable error codes (the closed set documented above).
 ERROR_CODES = (
@@ -197,66 +194,6 @@ def classify_exception(exc: BaseException) -> ServeError:
             "execution_failed", f"{type(exc).__name__}: {exc}"
         )
     return ServeError("internal", f"{type(exc).__name__}: {exc}")
-
-
-# -- payload encoding --------------------------------------------------------
-
-def encode_payload(value: Any) -> Any:
-    """Recursively encode a result value into JSON-able form.
-
-    Mirrors :func:`repro.ensemble.store.encode_result` semantics (numpy
-    scalars collapse, tuples become lists, only JSON-able leaves are
-    accepted) but embeds arrays inline as base64 so the payload stays a
-    single self-contained JSON document.
-    """
-    if isinstance(value, np.ndarray):
-        data = np.ascontiguousarray(value)
-        return {
-            _NDARRAY_MARKER: {
-                "dtype": str(data.dtype),
-                "shape": list(data.shape),
-                "data": base64.b64encode(data.tobytes()).decode("ascii"),
-            }
-        }
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, Mapping):
-        out = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise SimulationError(
-                    f"payload keys must be strings, got {key!r}"
-                )
-            if key == _NDARRAY_MARKER:
-                raise SimulationError(
-                    f"payload key {key!r} collides with the array marker"
-                )
-            out[key] = encode_payload(item)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [encode_payload(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise SimulationError(
-        f"payload contains {type(value).__name__} ({value!r}), which "
-        "the serve protocol cannot encode; return JSON-able scalars, "
-        "lists, dicts, or numpy arrays"
-    )
-
-
-def decode_payload(tree: Any) -> Any:
-    """Inverse of :func:`encode_payload` (arrays restored losslessly)."""
-    if isinstance(tree, dict):
-        if set(tree) == {_NDARRAY_MARKER}:
-            spec = tree[_NDARRAY_MARKER]
-            raw = base64.b64decode(spec["data"])
-            return np.frombuffer(raw, dtype=np.dtype(spec["dtype"])).reshape(
-                tuple(spec["shape"])
-            ).copy()
-        return {key: decode_payload(item) for key, item in tree.items()}
-    if isinstance(tree, list):
-        return [decode_payload(item) for item in tree]
-    return tree
 
 
 # -- framing -----------------------------------------------------------------

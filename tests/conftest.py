@@ -16,6 +16,9 @@ settings.register_profile("sql-differential", max_examples=1500)
 #: (``tests/test_delta.py::TestConeSizedCycles``):
 #: ``pytest --hypothesis-profile=delta-reference``.
 settings.register_profile("delta-reference", max_examples=1000)
+#: The larger-budget run of the codec properties (``tests/test_codec.py``):
+#: ``pytest --hypothesis-profile=codec``.
+settings.register_profile("codec", max_examples=2000)
 
 
 @pytest.fixture

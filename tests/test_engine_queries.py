@@ -203,9 +203,17 @@ class TestOrderLimitDistinctUnion:
 
     def test_union_mismatch(self, people_db):
         a = people_db.query("person").select("pid")
-        b = people_db.query("person").select("age")
-        with pytest.raises(QueryError):
+        b = people_db.query("person").select("pid", "age")
+        with pytest.raises(QueryError, match="different numbers of columns"):
             a.union(b).run()
+
+    def test_union_matches_columns_by_position(self, people_db):
+        """The arms stack under the left arm's names, as in SQL."""
+        a = people_db.query("person").select("pid").limit(2)
+        b = people_db.query("person").select("age").limit(3)
+        rows = a.union(b).run()
+        ages = [r["age"] for r in b.run()]
+        assert rows == [{"pid": 0}, {"pid": 1}] + [{"pid": age} for age in ages]
 
     def test_scalar_requires_1x1(self, people_db):
         with pytest.raises(QueryError):

@@ -1039,7 +1039,7 @@ class TestEnsembleCli:
             env_extra={"REPRO_ENSEMBLE_STORE": store},
         )
         assert result.returncode == 0, result.stderr
-        assert os.path.isdir(os.path.join(store, "runs"))
+        assert RunStore(store).ls(with_meta=False)
 
     def test_help_epilog_lists_commands(self):
         result = _run_cli("--help")

@@ -44,6 +44,7 @@ from repro import obs
 from repro.engine.catalog import Database
 from repro.engine.schema import Schema
 from repro.engine.sqlparser import parse_statement, statement_tables
+from repro.ensemble import register_scenario
 from repro.ensemble.store import RunStore, result_fingerprint
 from repro.errors import QueryError, SimulationError
 from repro.faults import (
@@ -71,6 +72,15 @@ from repro.serve import (
 )
 from repro.serve.protocol import decode_message, encode_message
 from repro.serve.session import Session, SessionDatabase, SessionManager
+
+
+def record_scenario(params, seed, upstream):
+    """A result holding a record array (module-level: it pickles)."""
+    table = np.array([(1, 0.5), (2, -1.5)], dtype=[("a", "<i8"), ("b", "<f8")])
+    return {"table": table}
+
+
+register_scenario("test.serve.record", record_scenario)
 
 
 @pytest.fixture(autouse=True)
@@ -138,6 +148,11 @@ class TestProtocol:
             encode_payload({"__ndarray__": 1})
         with pytest.raises(SimulationError):
             encode_payload({1: "non-string key"})
+        # Refused at encode time, as the run store refuses them.
+        with pytest.raises(SimulationError, match="cannot persist"):
+            encode_payload({"t": np.datetime64("2020-01-01")})
+        with pytest.raises(SimulationError, match="without pickling"):
+            encode_payload({"labels": np.array(["a", 1], dtype=object)})
 
     def test_classify_maps_the_taxonomy(self):
         assert classify_exception(QueryError("x")).code == "invalid_query"
@@ -859,6 +874,22 @@ class TestServerDeterminism:
             {name: outcome.results[name] for name in sorted(outcome.results)}
         )
         assert served.fingerprint == expected
+
+    def test_a_record_array_result_decodes_to_its_fingerprint(self):
+        """A scenario returning a record array, requested through
+        ``ensemble``: the client decodes the payload, and the decoded
+        result has the response's fingerprint."""
+        with start_server() as (host, port):
+            with Client(host, port) as client:
+                served = client.ensemble(
+                    nodes=[{"name": "n0", "scenario": "test.serve.record"}]
+                )
+        assert served.result["ok"] is True
+        table = served.result["results"]["n0"]["table"]
+        expected = record_scenario({}, 0, {})["table"]
+        assert table.dtype == expected.dtype
+        np.testing.assert_array_equal(table, expected)
+        assert result_fingerprint(served.result["results"]) == served.fingerprint
 
     def test_injected_fault_recovers_with_identical_bytes(self, observer):
         reference = None

@@ -25,8 +25,10 @@ for a list holding NULL or an empty subquery, a CTE column took its
 type from the first row even when that value was NULL, a CTE or
 ``CREATE TABLE … AS`` column mixing ints and floats was typed ``int``
 and truncated its floats, ``UNION`` kept duplicates (a bag union, where
-SQL's is a set union), ``UNION ALL`` did not parse, and a trailing
-``ORDER BY`` sorted only the last SELECT of a compound.
+SQL's is a set union), ``UNION ALL`` did not parse, a trailing ``ORDER
+BY`` sorted only the last SELECT of a compound, and the arms of a
+compound were matched by column name, where SQL matches them by
+position.
 
 The known differences are allowed here and nowhere else:
 
@@ -47,9 +49,6 @@ The known differences are allowed here and nowhere else:
   four leaves, too few to cancel an overflowing term.
 * An ORDER BY key outside the select list raises ``QueryError`` here
   while sqlite accepts it, so none is generated.
-* The arms of a compound are matched by column name here and by
-  position in sqlite, so the generated arms alias their columns alike,
-  in the same order.
 
 Examples are derandomized and the budget is hypothesis's default; the
 ``sql-differential`` profile registered in ``tests/conftest.py`` raises
@@ -534,24 +533,30 @@ UNION_COLUMNS = (("s1", "s2"), ("i", "f", "w"))
 @st.composite
 def union_queries(draw) -> Tuple[str, str, bool]:
     """Two or three SELECTs over ``t`` joined by ``UNION`` and ``UNION
-    ALL``, each arm with its own columns and filter under shared
-    aliases, maybe sorted and cut as a whole."""
+    ALL``, each arm with its own columns and filter, maybe sorted and cut
+    as a whole.  The arms are matched by position: a later arm names its
+    columns like the first, in another order, or otherwise."""
     positions = draw(st.lists(st.sampled_from(UNION_COLUMNS), min_size=1, max_size=3))
+    first = [f"c{k}" for k in range(len(positions))]
 
-    def arm() -> str:
+    def arm(aliases) -> str:
         items = ", ".join(
-            f"{draw(st.sampled_from(columns))} AS c{k}"
-            for k, columns in enumerate(positions)
+            f"{draw(st.sampled_from(columns))} AS {alias}"
+            for alias, columns in zip(aliases, positions)
         )
         return f"SELECT {items} FROM t{_where(draw(MAYBE_PREDICATE))}"
 
-    body = arm()
+    body = arm(first)
     for _ in range(draw(st.integers(1, 2))):
-        body += f" {draw(st.sampled_from(['UNION', 'UNION ALL']))} {arm()}"
+        aliases = draw(st.one_of(
+            st.permutations(first), st.just([f"d{k}" for k in range(len(first))])
+        ))
+        body += f" {draw(st.sampled_from(['UNION', 'UNION ALL']))} {arm(aliases)}"
     if not draw(st.booleans()):
         return body, body, False
-    # Ordering by every column is total up to rows that compare equal.
-    keys = [(f"c{k}", draw(st.booleans())) for k in range(len(positions))]
+    # Ordering by every column, named as the first arm names it, is
+    # total up to rows that compare equal.
+    keys = [(alias, draw(st.booleans())) for alias in first]
     limit = draw(_limit())
     return (
         f"{body} {_order_clause(keys, False)}{limit}",
@@ -839,6 +844,19 @@ class TestDivergencesFound:
     )
     def test_union_removes_duplicates_and_union_all_keeps_them(self, sql, want):
         db, con = self._dupes()
+        assert check(db, con, (sql, sql, False)) == want
+
+    @pytest.mark.parametrize(
+        "sql, want",
+        [
+            # The arms meet by position, under the first arm's names.
+            ("SELECT a FROM t UNION SELECT b FROM t", [(1,), (2,)]),
+            ("SELECT a, b FROM t UNION SELECT b AS b, a AS a FROM t",
+             [(1, 2), (2, 1)]),
+        ],
+    )
+    def test_compound_arms_are_matched_by_position(self, sql, want):
+        db, con = load({"t": (Schema.of(a=int, b=int), [{"a": 1, "b": 2}])})
         assert check(db, con, (sql, sql, False)) == want
 
     def test_order_by_and_limit_after_a_compound_apply_to_all_of_it(self):

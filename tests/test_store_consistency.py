@@ -253,19 +253,44 @@ class TestFingerprints:
         store = RunStore(tmp_path)
         assert store.get(keys[0]) is not None  # files presence, not a print
         decoded = []
-        real_read_result = store_module._read_result
+        real_read_arrays = store_module._read_arrays
 
-        def read_result(handle, document):
+        def read_arrays(handle, document):
             decoded.append(document["key"])
-            return real_read_result(handle, document)
+            return real_read_arrays(handle, document)
 
-        monkeypatch.setattr(store_module, "_read_result", read_result)
+        monkeypatch.setattr(store_module, "_read_arrays", read_arrays)
         expected = [result_fingerprint(_payload(i)) for i in range(2)]
         assert store.fingerprints(keys + [_key(9)]) == expected + [None]
         assert decoded == keys
         assert store.stats.as_dict()["hits"] == 1  # not a get
         assert store.fingerprints(keys) == expected  # now from memory
         assert decoded == keys
+
+    def test_the_memory_never_grows_past_its_bound(self, tmp_path, monkeypatch):
+        """With the bound at 3 keys, no filing path (``put``, ``get``,
+        ``contains_many``, ``fingerprints``) leaves more in the memory,
+        and the keys it forgot are answered from disk."""
+        monkeypatch.setattr(store_module, "_MEMORY_KEYS", 3)
+        writer = CountingStore(tmp_path)
+        keys = _populate(writer, count=8)
+        store = CountingStore(tmp_path)
+        sizes = [len(writer._memory[1])]
+        for key in keys:
+            assert store.get(key) is not None
+            sizes.append(len(store._memory[1]))
+        expected = [result_fingerprint(_payload(i)) for i in range(8)]
+        for view in (writer, store):
+            assert view.contains_many(keys + [_key(99)]) == [True] * 8 + [False]
+            sizes.append(len(view._memory[1]))
+            assert view.fingerprints(keys + [_key(99)]) == expected + [None]
+            sizes.append(len(view._memory[1]))
+        assert max(sizes) == 3
+        # The memory still saves work: the keys it holds are not statted.
+        remembered = list(store._memory[1])
+        made = store.stats_made
+        assert store.contains_many(remembered) == [True] * len(remembered)
+        assert remembered and store.stats_made == made
 
     def test_a_put_that_loses_the_link_race_remembers_nothing(self, tmp_path, monkeypatch):
         """Another writer commits the key between this put's staging and
@@ -325,7 +350,7 @@ class TestFingerprints:
         other = RunStore(tmp_path)
         key = _key(0)
         other.put(key, _payload(0))
-        real_read_array = np.lib.format.read_array
+        real_read_array = store_module._read_array
         raced = []
 
         def read_array(*args, **kwargs):
@@ -335,7 +360,7 @@ class TestFingerprints:
                 store.contains_many([])
             return real_read_array(*args, **kwargs)
 
-        monkeypatch.setattr(np.lib.format, "read_array", read_array)
+        monkeypatch.setattr(store_module, "_read_array", read_array)
         value = store.get(key)
         monkeypatch.undo()
         assert raced
@@ -352,10 +377,11 @@ class _Finalized:
 
 
 def test_threads_reading_arrays_while_the_collector_runs_finalizers(tmp_path):
-    """``.npy`` headers are parsed with ``ast.literal_eval``; on CPython
-    releases whose AST constructor keeps one recursion depth per
-    interpreter, concurrent parses interrupted by a finalizer raised
-    ``SystemError`` from ``get``."""
+    """Array reads take no lock: threads reading arrays while the
+    collector runs finalizers each get the whole result.  (Parsing
+    ``.npy`` headers with ``ast.literal_eval`` raised ``SystemError``
+    here on CPython releases whose AST constructor keeps one recursion
+    depth per interpreter.)"""
     store = RunStore(tmp_path)
     (key,) = _populate(store, count=1)
     errors = []
@@ -503,7 +529,7 @@ class TestAtomicEviction:
         other = RunStore(tmp_path)
         key = _key(0)
         store.put(key, _payload(0))
-        real_read_array = np.lib.format.read_array
+        real_read_array = store_module._read_array
         removals = []
 
         def read_array(*args, **kwargs):
@@ -514,7 +540,7 @@ class TestAtomicEviction:
                 assert not os.path.exists(store._entry_path(key))
             return real_read_array(*args, **kwargs)
 
-        monkeypatch.setattr(np.lib.format, "read_array", read_array)
+        monkeypatch.setattr(store_module, "_read_array", read_array)
         opened_first = store.get(key)
         monkeypatch.undo()
         assert removals == [[key] if by_gc else True]
@@ -564,7 +590,7 @@ def stop_at_call(number, real, under=""):
         return real(path, *args, **kwargs)
     return wrapper
 
-runs = os.path.join(root, "runs")
+runs = RunStore(root)._runs_dir()
 killed = {"series": np.arange(8.0), "tag": "killed"}
 if point == "put":  # staged, not yet linked into place
     os.link = stop_at_call(1, os.link)

@@ -4,13 +4,14 @@ refused; gc under concurrency.
 A root may be open in many :class:`RunStore` instances at once: one per
 process of a fleet, or several in one process.  Here ``n`` is the number
 of instances sharing a root.  Entries put through any of them land in
-the one ``runs/`` tree, every instance lists them in the same global
+the one entry tree, every instance lists them in the same global
 oldest-first order, and ``gc`` through any one of them evicts exactly
 what a single-instance store over the same corpus evicts, in the same
-order.  A root holding ``shards/`` (the retired sharded layout) or
-``objects/`` (the retired two-file entry layout) is refused through the
-API and the CLI, ``REPRO_STORE_SHARDS`` is ignored and ``--shards`` is
-an argparse error.  This file also pins the two
+order.  A root holding ``shards/`` (the retired sharded layout),
+``objects/`` (the retired two-file entry layout) or ``runs/`` (the
+retired layout of ``.npy`` entry records) is refused through the API
+and the CLI, ``REPRO_STORE_SHARDS`` is ignored and ``--shards`` is an
+argparse error.  This file also pins the two
 store concurrency bugfixes: the gc size pass re-derives its total from
 surviving entries (a racing ``put`` can no longer leave the store above
 ``max_total_bytes``), and an 8-thread put/evict/gc hammer leaves a
@@ -82,19 +83,29 @@ def _populate(*stores, count=12, base_mtime=1_000_000_000.0):
     return keys
 
 
-#: Retired layout -> the directory it kept entry directories in.
-RETIRED = {"shards": os.path.join("shards", "0", "objects"), "objects": "objects"}
+#: Retired layout -> where, under the root, it kept an entry's document.
+RETIRED = {
+    "shards": os.path.join("shards", "0", "objects", "{prefix}", "{key}", "run.json"),
+    "objects": os.path.join("objects", "{prefix}", "{key}", "run.json"),
+    "runs": os.path.join("runs", "{prefix}", "{key}"),
+}
 
 
 def _retired_root(root, layout):
-    """A root as a retired layout left it: one entry's ``run.json`` under
+    """A root as a retired layout left it: one entry's document at
     ``RETIRED[layout]`` and nothing else."""
     key = run_key("test.shared", {"i": 0}, seed=0)
-    entry_dir = os.path.join(root, RETIRED[layout], key[:2], key)
-    os.makedirs(entry_dir)
-    with open(os.path.join(entry_dir, "run.json"), "w") as handle:
-        handle.write('{"schema": 1, "result": {}}')
+    path = os.path.join(root, RETIRED[layout].format(prefix=key[:2], key=key))
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w") as handle:
+        handle.write('{"schema": 1, "result": {}}\n')
     return key
+
+
+def _made(store):
+    """The top-level directories a store makes under its root, sorted."""
+    made = (store._runs_dir(), store.checkpoint_dir(), store._scratch_dir())
+    return sorted(os.path.relpath(path, store.root) for path in made)
 
 
 def _tree(root):
@@ -109,13 +120,13 @@ class TestLayoutAndRoundTrip:
     @pytest.mark.parametrize("n", INSTANCES)
     def test_entries_land_in_one_file_under_runs(self, tmp_path, n):
         """Whichever instance puts an entry, it lands as the one file
-        ``runs/<key[:2]>/<key>`` and every instance sees it."""
+        ``_entry_path(key)`` and every instance sees it."""
         views = _instances(tmp_path, n)
         keys = _populate(*views, count=8)
         for key in keys:
-            assert os.path.isfile(os.path.join(str(tmp_path), "runs", key[:2], key))
+            assert all(os.path.isfile(view._entry_path(key)) for view in views)
             assert all(view.contains(key) for view in views)
-        assert sorted(os.listdir(tmp_path)) == ["checkpoints", "runs", "tmp"]
+        assert sorted(os.listdir(tmp_path)) == _made(views[0])
 
     @pytest.mark.parametrize("n", INSTANCES)
     def test_round_trip_is_byte_identical_to_flat(self, tmp_path, n):
@@ -232,6 +243,7 @@ class TestGlobalOrderIdentity:
 REFUSALS = {
     "shards": "holds shards/, the retired sharded layout",
     "objects": "holds objects/, the retired two-file entry layout",
+    "runs": "holds runs/, the retired layout of .npy entry records",
 }
 RETIRED_LAYOUTS = pytest.mark.parametrize("layout", list(RETIRED))
 
@@ -308,13 +320,13 @@ class TestOpenStoreFactory:
 
     def test_explicit_shards_and_flat_default(self, tmp_path):
         store = RunStore(tmp_path / "a")
-        assert sorted(os.listdir(store.root)) == ["checkpoints", "runs", "tmp"]
+        assert sorted(os.listdir(store.root)) == _made(store)
         (key,) = _populate(store, count=1)
         reopened = RunStore(tmp_path / "a")
         assert result_fingerprint(reopened.get(key)) == result_fingerprint(
             _payload(0)
         )
-        assert sorted(os.listdir(store.root)) == ["checkpoints", "runs", "tmp"]
+        assert sorted(os.listdir(store.root)) == _made(store)
 
     def test_env_var_and_detection(self, tmp_path, monkeypatch):
         """A set ``REPRO_STORE_SHARDS`` is ignored by the API."""
@@ -334,7 +346,8 @@ class TestOpenStoreFactory:
         assert main(["ensemble", "ls", "--store", str(root)]) == 0
         assert "is empty" in capsys.readouterr().out
         assert main(["ensemble", "gc", "--store", str(root)]) == 0
-        assert sorted(os.listdir(root)) == ["checkpoints", "runs", "tmp"]
+        made = sorted(os.listdir(root))
+        assert made == _made(RunStore(root))
 
 
 class TestSchedulerAndDeltaOverShards:
