@@ -7,9 +7,9 @@ that changed rows) and :attr:`~repro.engine.table.Table.reorg_epoch`
 / ``truncate``).  An :class:`AppendLog` watermarks both plus the row
 count, which is enough to *prove* that everything since the watermark
 was a pure append: the epoch is unchanged and the table only grew.  In
-that case the new rows are exactly ``table.rows[watermark:]`` — a
-streaming tail that can be folded into downstream state without
-rereading the table.
+that case the new rows are exactly
+``table.slice_rows(watermark, len(table))`` — a streaming tail that can
+be folded into downstream state without rereading the table.
 
 :class:`IncrementalAggregate` is the canonical consumer: a registered
 COUNT/SUM/MIN/MAX/AVG group-by view whose states are maintained by
@@ -20,9 +20,9 @@ incremental refresh holds the exact state after rows ``0..k`` and folds
 ``k..n`` in the same order — the two execute the *same* float
 operations in the *same* sequence, so the finished states (including
 non-associative float sums) are bit-for-bit identical.  Any
-reorganization (delete/update/truncate, or a shrink via direct ``rows``
-edits) trips the epoch/row-count guard and falls back to a full
-rebuild, which is always sound.
+reorganization (delete/update/truncate) trips the epoch/row-count guard
+and falls back to a full rebuild, which is always sound; so does any
+other change that is not a pure append.
 """
 
 from __future__ import annotations
@@ -70,13 +70,14 @@ class AppendLog:
         if table.reorg_epoch != self._reorg:
             return AppendDelta("rebase", 0, len(table))
         if len(table) < self._count:
-            # Shrink without an epoch bump: direct ``rows`` surgery.
+            # Shrink without an epoch bump: no table method does this,
+            # so it is not an append.
             return AppendDelta("rebase", 0, len(table))
         if len(table) == self._count:
             if table.version != self._version and self._version >= 0:
                 # Version moved but the row count did not and no reorg
-                # was recorded — direct ``rows`` edits can do this;
-                # rebuilding is the only sound answer.
+                # was recorded — no table method does this; rebuilding
+                # is the only sound answer.
                 return AppendDelta("rebase", 0, len(table))
             return AppendDelta("noop", self._count, 0)
         return AppendDelta("append", self._count, len(table) - self._count)
@@ -252,7 +253,7 @@ class IncrementalAggregate:
             get_observer().counter("delta.agg.rebases").inc()
             return RefreshReport("rebase", len(rows), len(self._order))
         if delta.kind == "append":
-            tail = self.table.rows[delta.start:delta.start + delta.count]
+            tail = self.table.slice_rows(delta.start, delta.start + delta.count)
             self._fold_rows(tail)
             get_observer().counter("delta.agg.appended_rows").add(len(tail))
             return RefreshReport("append", len(tail), len(self._order))

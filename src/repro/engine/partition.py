@@ -13,7 +13,7 @@ how or what a query runs.
 from __future__ import annotations
 
 import bisect
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,6 +72,8 @@ class PartitionedTable:
         #: positions were built for, replaced as one tuple.
         self._built: Optional[Tuple[int, int, int, List[np.ndarray]]] = None
         self._boundaries: List[Any] = []
+        #: ``(type(key), key) -> partition`` within one :meth:`_build`.
+        self._assigned: Dict[Tuple[type, Any], int] = {}
         self._build()
 
     # -- assignment ----------------------------------------------------------
@@ -90,9 +92,18 @@ class PartitionedTable:
     def _assign(self, value: Any) -> int:
         if value is None:
             return 0
-        if self.scheme == "hash":
-            return partition_index(value, self.num_partitions)
-        return bisect.bisect_right(self._boundaries, value)
+        # Each distinct key is assigned once per build: assignment is a
+        # pure function of the key (and of the build's boundaries), and
+        # the type keeps a ``str`` subclass apart from an equal ``str``.
+        key = (type(value), value)
+        index = self._assigned.get(key)
+        if index is None:
+            if self.scheme == "hash":
+                index = partition_index(value, self.num_partitions)
+            else:
+                index = bisect.bisect_right(self._boundaries, value)
+            self._assigned[key] = index
+        return index
 
     def _build(self) -> None:
         table = self.table
@@ -109,14 +120,17 @@ class PartitionedTable:
             and built[1] < n
         )
         start = built[1] if append else 0
-        values = [row[self.key] for row in table.rows[start:n]]
+        values = table.column_values(self.key)[start:n]
         if self.scheme == "range":
             self._boundaries = self._range_boundaries(values)
-        assignment = np.fromiter(
-            (self._assign(v) for v in values),
-            dtype=np.int64,
-            count=len(values),
-        )
+        try:
+            assignment = np.fromiter(
+                (self._assign(v) for v in values),
+                dtype=np.int64,
+                count=len(values),
+            )
+        finally:
+            self._assigned.clear()
         positions = [
             start + np.flatnonzero(assignment == p)
             for p in range(self.num_partitions)

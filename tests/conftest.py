@@ -19,6 +19,9 @@ settings.register_profile("delta-reference", max_examples=1000)
 #: The larger-budget run of the codec properties (``tests/test_codec.py``):
 #: ``pytest --hypothesis-profile=codec``.
 settings.register_profile("codec", max_examples=2000)
+#: The larger-budget run of the table model (``tests/test_table_model.py``):
+#: ``pytest --hypothesis-profile=table-model``.
+settings.register_profile("table-model", max_examples=1000)
 
 
 @pytest.fixture

@@ -464,11 +464,12 @@ class TestAppendLog:
     def test_direct_rows_surgery_is_detected(self):
         table = self.make_table([{"g": "a", "v": 1.0}, {"g": "b", "v": 2.0}])
         log = AppendLog(table)
-        # A shrink with no epoch bump (hostile direct mutation).
-        table._rows.pop()
+        # A shrink with no epoch bump (hostile surgery on the state).
+        columns, n, version, epoch = table._state
+        table._state = (columns, n - 1, version, epoch)
         assert log.sync().kind == "rebase"
         # Version moved while the row count stood still.
-        table._version += 1
+        table._state = (columns, n - 1, version + 1, epoch)
         assert log.sync().kind == "rebase"
 
     def test_poll_does_not_advance(self):

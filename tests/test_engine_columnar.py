@@ -45,6 +45,18 @@ from repro.mcdb import MonteCarloDatabase, NormalVG, RandomTableSpec
 from repro.mcdb.columnar_bundle import ColumnarBundleTable
 from repro.mcdb.tuple_bundle import BundledTable
 
+
+def plant_row(table, row):
+    """Append ``row`` to ``table`` uncoerced, as ``insert`` would store it.
+
+    No public method stores, say, an ``int`` in a ``str`` column, so the
+    values go straight into the table's column lists.
+    """
+    columns, n, version, epoch = table._state
+    for name, values in zip(table.schema.names, columns):
+        values.append(row[name])
+    table._state = (columns, n + 1, version + 1, epoch)
+
 MODES = ("row", "columnar")
 
 
@@ -639,7 +651,7 @@ class TestStrKind:
         db = Database()
         table = db.create_table("t", Schema.of(id=int, s=str))
         table.insert_many({"id": i, "s": "abc"[i % 3]} for i in range(6))
-        table.rows.append({"id": 6, "s": 4})
+        plant_row(table, {"id": 6, "s": 4})
         sql = "SELECT id, s FROM t ORDER BY s DESC LIMIT 3"
         messages = []
         for mode in MODES:

@@ -77,6 +77,14 @@ class TestCsvRoundtrip:
         path.write_text("a\n1\n2\n")
         table = table_from_csv("t", path, schema=Schema.of(a=float))
         assert table.column_values("a") == [1.0, 2.0]
+        assert table.version == 1  # one batch
+
+    def test_bad_field_raises_the_first_in_row_order(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n3,x\ny,4\n")
+        schema = Schema.of(a=int, b=int)
+        with pytest.raises(SchemaError, match="'x'"):
+            table_from_csv("t", path, schema=schema)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

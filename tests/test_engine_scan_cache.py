@@ -20,7 +20,7 @@ from repro.engine import Database, Schema, Table
 from repro.engine.columnar import EXACT_INT_BOUND, ColumnBatch
 from repro.ensemble.store import result_fingerprint
 
-from tests.test_engine_columnar import CORPUS, nullful_db  # noqa: F401
+from tests.test_engine_columnar import CORPUS, nullful_db, plant_row  # noqa: F401
 
 SCHEMA = Schema.of(i=int, x=float, s=str, b=bool)
 
@@ -178,10 +178,13 @@ class TestStringDictionary:
 
     @pytest.mark.parametrize("odd", [7, type("Tag", (str,), {})("a")])
     def test_non_exact_strings_stay_object(self, odd, nullful_db):
-        # Written straight into the rows: no schema coercion on the way.
         person = nullful_db.table("person")
         assert person.column_batch().columns["region"].kind == "str"
-        person.rows.append(dict(person.rows[1], pid=500, region=odd))
+        row = dict(person.rows[1], pid=500, region=odd)
+        if isinstance(odd, str):
+            person.insert(row)  # coercion keeps a str subclass as it is
+        else:
+            plant_row(person, row)
         batch = person.column_batch()
         assert batch.columns["region"].kind == "object"
         assert_same_batch(batch, ColumnBatch.from_table(person))
@@ -279,4 +282,86 @@ def test_threads_share_a_cold_cache():
         for q, fingerprint in per_thread:
             assert fingerprint == want[q]
     table = db.table("person")
+    assert_same_batch(table.column_batch(), ColumnBatch.from_table(table))
+
+
+def test_scans_beside_a_writer_see_whole_states():
+    """One thread appends and deletes while four others scan.
+
+    Every state the writer publishes holds the pids ``lo..hi`` once each,
+    in order, with ``x = pid / 2`` and ``g = pid % 5``.  A scan that
+    mixed two states' lists, or a list with another state's length,
+    would break one of those, in either executor or in ``Table.rows``.
+    """
+    db = Database()
+    table = db.create_table("t", Schema.of(pid=int, x=float, g=int))
+
+    def batch(lo, n):
+        return [{"pid": p, "x": p / 2, "g": p % 5} for p in range(lo, lo + n)]
+
+    table.insert_many(batch(0, 200))
+    rounds, step, readers_n = 120, 40, 4
+    done = threading.Event()
+    errors = []
+    scans = [0] * readers_n
+
+    def check(rows):
+        pids = [row["pid"] for row in rows]
+        assert 200 <= len(pids) <= 200 + step
+        assert pids == list(range(pids[0], pids[0] + len(pids)))
+        assert all(
+            row["x"] == row["pid"] / 2 and row["g"] == row["pid"] % 5
+            for row in rows
+        )
+
+    def writer():
+        try:
+            lo, hi = 0, 200
+            for r in range(rounds):
+                if r % 2:
+                    table.insert_many(batch(hi, step))
+                else:
+                    for row in batch(hi, step):
+                        table.insert(row)
+                hi += step
+                lo += step
+                db.sql(f"DELETE FROM t WHERE pid < {lo}")
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader(slot):
+        try:
+            while not done.is_set() or not scans[slot]:
+                mode = ("columnar", "row")[scans[slot] % 2]
+                check(db.sql("SELECT pid, x, g FROM t", execution=mode))
+                agg = db.sql(
+                    "SELECT count(*) AS n, min(pid) AS lo, max(pid) AS hi, "
+                    "sum(x) AS s FROM t",
+                    execution=mode,
+                )[0]
+                assert agg["n"] == agg["hi"] - agg["lo"] + 1
+                assert agg["s"] == sum(p / 2 for p in range(agg["lo"], agg["hi"] + 1))
+                check(table.rows)
+                scans[slot] += 1
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(i,)) for i in range(readers_n)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(previous)
+    assert errors == []
+    assert all(scans)
+    assert len(table) == 200
     assert_same_batch(table.column_batch(), ColumnBatch.from_table(table))

@@ -193,8 +193,11 @@ class TestTable:
     def test_copy_is_independent(self):
         t = Table.from_columns("t", {"x": [1]})
         clone = t.copy()
-        clone.rows[0]["x"] = 99
-        assert t.rows[0]["x"] == 1
+        clone.update_where(lit(True), {"x": lit(99)})
+        clone.insert({"x": 2})
+        t.insert({"x": 3})
+        assert clone.column_values("x") == [99, 2]
+        assert t.column_values("x") == [1, 3]
 
     def test_pretty_string_contains_header(self):
         t = Table.from_columns("t", {"alpha": [1, 2]})
@@ -256,6 +259,16 @@ class TestVersionSemantics:
         assert t.version == v and t.reorg_epoch == e
         assert t.update_where(col("x") == lit(1), {"x": lit(9)}) == 1
         assert t.version == v + 1 and t.reorg_epoch == e + 1
+
+    def test_update_where_is_atomic_on_a_bad_value(self):
+        t = Table("t", Schema.of(x=int, s=str))
+        t.insert_many([{"x": 1, "s": "5"}, {"x": 2, "s": "six"}])
+        v, e = t.version, t.reorg_epoch
+        # The first row coerces; the second fails, so neither changes.
+        with pytest.raises(SchemaError, match="'six'"):
+            t.update_where(lit(True), {"x": col("s")})
+        assert t.column_values("x") == [1, 2]
+        assert t.version == v and t.reorg_epoch == e
 
     def test_truncate_bumps_only_when_nonempty(self):
         t = self.make()
