@@ -14,7 +14,6 @@ import numpy as np
 from benchmarks._util import format_table, save_report
 from repro.stats import (
     extrapolate_and_score,
-    fit_polynomial_trend,
     synthetic_housing_prices,
 )
 

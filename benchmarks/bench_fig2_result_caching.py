@@ -9,7 +9,6 @@ tracking the analytic one, and caching beating both extremes.
 
 from __future__ import annotations
 
-import numpy as np
 
 from benchmarks._util import format_table, save_report
 from repro.composite import (

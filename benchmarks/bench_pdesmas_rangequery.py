@@ -11,7 +11,6 @@ spread; migration cuts query hop counts substantially.
 
 from __future__ import annotations
 
-import numpy as np
 
 from benchmarks._util import format_table, save_report
 from repro.pdesmas import PdesMasScenario

@@ -12,7 +12,6 @@ Run:  python examples/composite_caching.py
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.composite import (
     ArrivalProcessModel,

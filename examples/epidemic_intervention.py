@@ -11,7 +11,6 @@ Run:  python examples/epidemic_intervention.py
 
 from __future__ import annotations
 
-import numpy as np
 
 from repro.epidemics import (
     DiseaseParameters,

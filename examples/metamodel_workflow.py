@@ -26,7 +26,7 @@ from repro.composite import (
     InputFileTemplate,
     ParameterBinding,
 )
-from repro.doe import nearly_orthogonal_lh, scale_design
+from repro.doe import nearly_orthogonal_lh
 from repro.metamodel import SequentialBifurcation, StochasticKrigingMetamodel
 from repro.stats import make_rng
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import Database, Schema
+from repro.engine import Database
 from repro.mcdb import (
     BayesianDemandVG,
     MonteCarloDatabase,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import Database, Schema
+from repro.engine import Database
 from repro.mcdb import (
     MonteCarloDatabase,
     NormalVG,

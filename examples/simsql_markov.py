@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine import Database, Schema, Table
+from repro.engine import Database, Table
 from repro.simsql import DatabaseMarkovChain, TableTransition
 from repro.stats import make_rng
 

@@ -16,8 +16,8 @@ critical density, and a flow-density ("fundamental") diagram with a peak.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 

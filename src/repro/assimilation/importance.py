@@ -13,7 +13,7 @@ the IS/SIS layer; resampling lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable
 
 import numpy as np
 

@@ -25,9 +25,8 @@ against the truth, the quantities the AN-WF benchmark reports.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from repro.assimilation.resampling import systematic_resample
 from repro.assimilation.wildfire import (
     BURNED,
     BURNING,
-    STATE_TEMPERATURES,
     UNBURNED,
     WildfireModel,
 )

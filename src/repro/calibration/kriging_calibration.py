@@ -17,11 +17,11 @@ surrogate's minimizer to the design and refits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from repro.calibration.optimizers import OptimizationResult, nelder_mead
+from repro.calibration.optimizers import nelder_mead
 from repro.doe.latin import nearly_orthogonal_lh, scale_design
 from repro.errors import CalibrationError
 from repro.metamodel.gp import GaussianProcessMetamodel

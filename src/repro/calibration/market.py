@@ -17,7 +17,6 @@ accuracy is measurable — the point of the AN-CAL benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 

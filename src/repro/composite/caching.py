@@ -37,7 +37,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.composite.model import ComponentModel, RunRecord
+from repro.composite.model import ComponentModel
 from repro.errors import SimulationError
 from repro.parallel.backend import Backend, get_backend
 from repro.stats.rng import task_seed_sequences

@@ -15,7 +15,6 @@ Levels are centered: for ``r`` runs the levels are
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
 
 import numpy as np
 

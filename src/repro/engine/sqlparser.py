@@ -38,7 +38,6 @@ from repro.engine.expressions import (
     IsNull,
     Literal,
     UnaryOp,
-    combine_and,
 )
 from repro.engine.schema import Schema
 from repro.errors import QueryError

@@ -19,13 +19,12 @@ engine synchronizes dynamic state tables (``infected_person``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import networkx as nx
 import numpy as np
 
-from repro.engine.catalog import Database
 from repro.engine.schema import Schema
 from repro.epidemics.disease import (
     DiseaseParameters,

@@ -15,8 +15,8 @@ A school-closure policy exercising edge deactivation is also provided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.epidemics.engine import IndemicsEngine
 from repro.errors import SimulationError

@@ -10,7 +10,6 @@ sparse random community contacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx

@@ -18,8 +18,8 @@ discusses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 import numpy as np
 

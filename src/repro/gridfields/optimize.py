@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.errors import GridError
 from repro.gridfields.grid import CellId
 from repro.gridfields.gridfield import GridField, OpCost
 

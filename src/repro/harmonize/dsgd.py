@@ -22,9 +22,8 @@ and are accepted here).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 

@@ -13,7 +13,7 @@ algorithms on a variety of architectures" [40].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

@@ -20,8 +20,7 @@ flat in dimension ``k``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import minimize

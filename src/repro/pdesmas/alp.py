@@ -14,8 +14,8 @@ writes through its leaf CLP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 

@@ -16,7 +16,7 @@ hop count — the paper's locality heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.pdesmas.ssv import SSV

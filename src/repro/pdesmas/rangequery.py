@@ -19,12 +19,10 @@ can weigh accuracy against communication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set
 
-import numpy as np
 
-from repro.errors import SimulationError
 from repro.pdesmas.clp import CLPTree
 
 

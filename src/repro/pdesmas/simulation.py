@@ -9,16 +9,15 @@ data the AN-RQ benchmark reports.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.pdesmas.alp import ALP, make_alps
+from repro.pdesmas.alp import make_alps
 from repro.pdesmas.clp import CLPTree
 from repro.pdesmas.rangequery import (
-    QueryResult,
     RangeQuery,
     range_query_latest,
     range_query_timestamped,

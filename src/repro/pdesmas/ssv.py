@@ -14,8 +14,7 @@ An :class:`SSV` here is exactly that: a monotone list of
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.errors import SimulationError
 

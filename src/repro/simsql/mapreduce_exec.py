@@ -15,11 +15,10 @@ then applies the interaction function to each group locally, which is how
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.engine.catalog import Database
 from repro.engine.table import Table
 from repro.errors import SimulationError
 from repro.mapreduce.counters import JobCounters

@@ -16,7 +16,7 @@ recursive definitions: A[i] feeds B[i] feeds A[i+1]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 

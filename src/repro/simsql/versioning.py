@@ -10,7 +10,7 @@ chains do not hold every state in memory.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.engine.table import Table
 from repro.errors import SimulationError

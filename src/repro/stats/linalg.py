@@ -10,7 +10,6 @@ validated against these routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

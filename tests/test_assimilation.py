@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.assimilation import (
     KernelDensityEstimator,
@@ -26,7 +24,7 @@ from repro.assimilation import (
     wildfire_bootstrap_filter,
     wildfire_sensor_filter,
 )
-from repro.assimilation.wildfire import BURNED, BURNING, UNBURNED
+from repro.assimilation.wildfire import BURNED, UNBURNED
 from repro.errors import FilteringError
 from repro.stats import make_rng
 

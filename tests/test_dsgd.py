@@ -17,7 +17,6 @@ from repro.harmonize import (
     strata_indices,
 )
 from repro.stats import (
-    least_squares_loss,
     make_rng,
     random_diagonally_dominant_system,
     thomas_solve,

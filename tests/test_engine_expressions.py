@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.engine import col, lit
 from repro.engine.expressions import (
     FunctionCall,
-    InList,
     IsNull,
     combine_and,
     conjuncts,

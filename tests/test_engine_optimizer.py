@@ -8,7 +8,6 @@ from repro.engine import Database, Schema, col, lit, parse_select
 from repro.engine import plan as lp
 from repro.engine.optimizer import push_down_filters, reorder_joins
 from repro.engine.statistics import (
-    TableStatistics,
     join_cardinality,
     predicate_selectivity,
 )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import (
-    Database,
     ExecutionMetrics,
     Schema,
     avg,

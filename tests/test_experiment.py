@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.composite import (
-    CallableModel,
     ExperimentManager,
     InputFileTemplate,
     ParameterBinding,

@@ -9,7 +9,6 @@ from repro.assimilation import LinearGaussianSSM, particle_filter
 from repro.engine import Database, Schema, col
 from repro.epidemics import (
     DiseaseParameters,
-    HealthState,
     IndemicsEngine,
     SEIRProcess,
     build_contact_network,
