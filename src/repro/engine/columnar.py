@@ -159,7 +159,7 @@ def _str_vector(values: Sequence[Any]) -> ColumnVector:
 
     Entries are numbered in first-appearance order, so coding an appended
     tail only adds entries.  Any other value (a ``str`` subclass, a
-    non-string written straight into ``Table.rows``) keeps the ``object``
+    non-string planted in a table's column lists) keeps the ``object``
     kind, whose elementwise paths replicate the row engine for anything.
     """
     if not _STR_OR_NONE.issuperset(map(type, values)):
